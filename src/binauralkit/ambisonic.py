@@ -254,23 +254,23 @@ class Trajectory:
 
 
 def load_trajectory_csv(path):
-    """Read a `time_s,azimuth_deg,elevation_deg` CSV into a Trajectory."""
+    """Read a `time_s,azimuth_deg,elevation_deg` CSV into a Trajectory; a
+    missing, non-numeric or non-finite value raises ValueError naming the
+    file and line."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"time_s", "azimuth_deg", "elevation_deg"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        required = ("time_s", "azimuth_deg", "elevation_deg")
+        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected header time_s,azimuth_deg,elevation_deg")
         for row in reader:
-            points.append(
-                (
-                    float(row["time_s"]),
-                    Direction(
-                        math.radians(float(row["azimuth_deg"])),
-                        math.radians(float(row["elevation_deg"])),
-                    ),
-                )
-            )
+            try:
+                time_s, az_deg, el_deg = (float(row[key]) for key in required)
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: non-numeric value") from None
+            if not all(math.isfinite(v) for v in (time_s, az_deg, el_deg)):
+                raise ValueError(f"{path}:{reader.line_num}: non-finite value")
+            points.append((time_s, Direction(math.radians(az_deg), math.radians(el_deg))))
     return Trajectory(tuple(points))
 
 

@@ -181,16 +181,14 @@ def _cmd_cfm_train(args):
 
 
 def _cmd_cfm_sample(args):
+    if args.draws < 1:
+        print("cfm-sample: --draws must be >= 1", file=sys.stderr)
+        return 2
     nets = flow.load_checkpoint(args.checkpoint)
     net = nets[0]
     cond = np.ones(net.cond_dim) if net.cond_dim else None
-    rng = np.random.default_rng(args.seed)
-    draws = np.stack(
-        [
-            flow.sample_euler(net, rng.standard_normal(net.latent_dim), cond, args.steps)
-            for _ in range(args.draws)
-        ]
-    )
+    x0 = np.random.default_rng(args.seed).standard_normal((args.draws, net.latent_dim))
+    draws = flow.sample_euler(net, x0, cond, args.steps)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write("draw," + ",".join(f"x{i}" for i in range(net.latent_dim)) + "\n")

@@ -1,7 +1,7 @@
 """Toy-scale conditional flow matching: linear interpolation paths, a small
 velocity-field perceptron per channel with exact reverse-mode gradients, the
-dual-channel training objective, Euler sampling, conditioning assembly and a
-weight checkpoint format."""
+dual-channel training objective, Euler sampling and a weight checkpoint
+format."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 CHECKPOINT_MAGIC = b"SV2A"
 CHECKPOINT_VERSION = 1
 DEFAULT_EMBED_DIM = 8
-DEFAULT_LATENT_RATE = 31.25
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -31,107 +30,6 @@ def timestep_embedding(t, dim):
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out[0] if scalar else out
-
-
-@dataclass(frozen=True)
-class ConditioningBundle:
-    """Global/frame conditioning inputs: clip-level text and visual vectors,
-    per-frame sync vectors and an optional spatial feature stream."""
-
-    f_text: np.ndarray
-    f_vis: np.ndarray
-    f_sync: np.ndarray = None
-    s_sound: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "f_text", np.asarray(self.f_text, dtype=np.float64))
-        object.__setattr__(self, "f_vis", np.asarray(self.f_vis, dtype=np.float64))
-        if self.f_sync is not None:
-            f_sync = np.asarray(self.f_sync, dtype=np.float64)
-            if f_sync.ndim != 2:
-                raise ValueError("f_sync must be T x d")
-            object.__setattr__(self, "f_sync", f_sync)
-
-
-def assemble_global_cond(bundle, t, embed_dim=DEFAULT_EMBED_DIM):
-    """Clip-level condition vector: f_text then f_vis then e(t)."""
-    return np.concatenate([bundle.f_text, bundle.f_vis, timestep_embedding(t, embed_dim)])
-
-
-def assemble_frame_cond(bundle, t, embed_dim=DEFAULT_EMBED_DIM):
-    """Per-frame condition matrix: each row is f_sync[k] followed by the
-    shared clip-level vector."""
-    if bundle.f_sync is None:
-        raise ValueError("bundle has no per-frame sync features")
-    cg = assemble_global_cond(bundle, t, embed_dim)
-    return np.concatenate(
-        [bundle.f_sync, np.broadcast_to(cg, (len(bundle.f_sync), len(cg)))], axis=1
-    )
-
-
-def upsample_linear(frames, n_out):
-    """Endpoint-anchored linear interpolation of a T x d sequence to n_out
-    frames: positions are linspace(0, T-1, n_out)."""
-    frames = np.asarray(frames, dtype=np.float64)
-    t = len(frames)
-    if t == 0:
-        raise ValueError("cannot upsample an empty sequence")
-    if n_out < 1:
-        raise ValueError("target length must be >= 1")
-    if t == 1:
-        return np.repeat(frames, n_out, axis=0)
-    pos = np.linspace(0.0, t - 1.0, n_out)
-    out = np.empty((n_out, frames.shape[1]))
-    for j in range(frames.shape[1]):
-        out[:, j] = np.interp(pos, np.arange(t), frames[:, j])
-    return out
-
-
-class SpatialProjection:
-    """Learnable map from raw spatial features to a per-frame latent stream:
-    temporal convolution (kernel 3, edge-padded) -> 2-layer perceptron ->
-    per-frame layer normalization with learned scale and shift."""
-
-    def __init__(self, in_dim=5, hidden=32, out_dim=16, kernel=3, rng_seed=0):
-        rng = np.random.default_rng(rng_seed)
-        self.kernel = kernel
-        self.conv_w = rng.normal(0.0, 1.0 / np.sqrt(in_dim * kernel), (kernel, in_dim, hidden))
-        self.conv_b = np.zeros(hidden)
-        self.w1 = rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, hidden))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, out_dim))
-        self.b2 = np.zeros(out_dim)
-        self.ln_scale = np.ones(out_dim)
-        self.ln_shift = np.zeros(out_dim)
-        self.ln_eps = 1e-5
-
-    def apply(self, frames):
-        """frames: T x in_dim -> T x out_dim."""
-        frames = np.asarray(frames, dtype=np.float64)
-        half = self.kernel // 2
-        padded = np.pad(frames, ((half, half), (0, 0)), mode="edge")
-        conv = np.zeros((len(frames), self.conv_w.shape[2]))
-        for k in range(self.kernel):
-            conv += padded[k : k + len(frames)] @ self.conv_w[k]
-        conv += self.conv_b
-        hidden = np.tanh(conv @ self.w1 + self.b1)
-        pre = hidden @ self.w2 + self.b2
-        mean = pre.mean(axis=1, keepdims=True)
-        var = pre.var(axis=1, keepdims=True)
-        normed = (pre - mean) / np.sqrt(var + self.ln_eps)
-        return normed * self.ln_scale + self.ln_shift
-
-
-def spatial_condition(s_sound, target_rate=DEFAULT_LATENT_RATE, proj=None):
-    """Upsample a spatial feature sequence to the latent frame rate and
-    project it through a SpatialProjection."""
-    if len(s_sound.features) == 0:
-        raise ValueError("empty spatial feature sequence")
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
-    proj = proj or SpatialProjection()
-    n_out = max(1, int(round(len(s_sound.features) * target_rate / s_sound.frame_rate)))
-    return proj.apply(upsample_linear(s_sound.features, n_out))
 
 
 def interpolate(x0, x1, t):
@@ -282,9 +180,6 @@ class TrainConfig:
     steps: int = 2000
     rng_seed: int = 0
     hidden_width: int = 64
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     shared_weights: bool = False
     divergence_limit: float = 1e6
 
@@ -382,8 +277,8 @@ def train(net_l, net_r, dataset, cfg):
     """
     rng = np.random.default_rng(cfg.rng_seed)
     shared = net_l is net_r
-    adam_l = AdamState(net_l.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps)
-    adam_r = adam_l if shared else AdamState(net_r.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps)
+    adam_l = AdamState(net_l.parameters())
+    adam_r = adam_l if shared else AdamState(net_r.parameters())
     trace = np.empty(cfg.steps)
     for step in range(cfg.steps):
         idx = rng.integers(0, len(dataset), cfg.batch_size)
@@ -443,30 +338,34 @@ def save_checkpoint(path, nets):
                 fh.write(arr.tobytes())
 
 
+def _read_exact(fh, n, path):
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: truncated checkpoint")
+    return data
+
+
 def load_checkpoint(path):
+    """Read the nets written by save_checkpoint; a truncated file or bytes
+    after the last net raise ValueError naming the path."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a velocity-field checkpoint")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", _read_exact(fh, 8, path))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         nets = []
         for _ in range(count):
-            latent_dim, cond_dim, hidden, embed_dim = struct.unpack("<IIII", fh.read(16))
-            net = VelocityFieldNet(latent_dim, cond_dim, hidden, embed_dim)
+            dims = struct.unpack("<IIII", _read_exact(fh, 16, path))
+            net = VelocityFieldNet(*dims)
             params = {}
-            in_dim = latent_dim + embed_dim + cond_dim
-            shapes = {
-                "w1": (in_dim, hidden), "b1": (hidden,),
-                "w2": (hidden, hidden), "b2": (hidden,),
-                "w3": (hidden, latent_dim), "b3": (latent_dim,),
-            }
-            for name in _PARAM_NAMES:
-                shape = shapes[name]
-                n = int(np.prod(shape))
-                params[name] = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
+            for name, value in net.parameters().items():
+                raw = _read_exact(fh, 8 * value.size, path)
+                params[name] = np.frombuffer(raw, dtype="<f8").reshape(value.shape)
             net.set_parameters(params)
             nets.append(net)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last net")
     return nets
 
 

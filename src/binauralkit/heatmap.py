@@ -95,7 +95,7 @@ class FeatureConfig:
 
 def load_heatmap_sequence(path, frame_rate=31.25):
     """Parse an HMAP v1 text file: header `hmap 1 T H W`, then T blocks of
-    H rows with W floats each."""
+    H rows with W floats each; only blank lines may follow them."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -111,6 +111,9 @@ def load_heatmap_sequence(path, frame_rate=31.25):
         raise HeatmapFormatError(f"{path}:1: dimensions must be positive")
     if len(lines) - 1 < t * h:
         raise HeatmapFormatError(f"{path}: expected {t * h} data rows, found {len(lines) - 1}")
+    for line_no, line in enumerate(lines[1 + t * h :], start=2 + t * h):
+        if line.strip():
+            raise HeatmapFormatError(f"{path}:{line_no}: data beyond the {t * h} declared rows")
     frames = []
     line_no = 1
     for _ in range(t):

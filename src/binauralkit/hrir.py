@@ -1,6 +1,6 @@
-"""Left/right head-related impulse responses: a data-free spherical-head
-model (Woodworth delay + broadband head-shadow gain) and measured sets loaded
-from a JSON manifest."""
+"""Left/right head-related impulse responses from one of two sources: the
+data-free spherical-head model (HeadModelConfig: Woodworth delay + broadband
+head-shadow gain) or a measured HrirSet loaded from a JSON manifest."""
 
 from __future__ import annotations
 
@@ -100,28 +100,14 @@ def analytic_hrir(direction, sample_rate, cfg=None):
 
 @dataclass(frozen=True)
 class HrirSet:
-    """Direction-indexed HRIR pairs.
+    """Measured HRIR pairs keyed by Direction, all at one sample rate."""
 
-    source "analytic" synthesizes exactly at any queried direction;
-    "measured" looks up the nearest stored direction by great-circle angle.
-    """
-
-    source: str
     sample_rate: int
-    entries: dict = None
-    head_model: HeadModelConfig = None
+    entries: dict
 
     def __post_init__(self):
-        if self.source not in ("analytic", "measured"):
-            raise ValueError(f"unknown HRIR source {self.source!r}")
-        if self.source == "measured" and not self.entries:
-            raise ValueError("measured HrirSet must be non-empty")
-        if self.source == "analytic" and self.head_model is None:
-            object.__setattr__(self, "head_model", HeadModelConfig())
-
-
-def analytic_set(sample_rate, cfg=None):
-    return HrirSet("analytic", sample_rate, head_model=cfg)
+        if not self.entries:
+            raise ValueError("HrirSet must be non-empty")
 
 
 def load_hrir_manifest(path):
@@ -154,17 +140,20 @@ def load_hrir_manifest(path):
         elif pair.sample_rate != sample_rate:
             raise ValueError("HRIR files disagree on sample rate")
         entries[direction] = pair
-    return HrirSet("measured", sample_rate, entries=entries)
+    return HrirSet(sample_rate, entries)
 
 
-def lookup(hrir_set, direction):
-    """HRIR pair for a direction: exact synthesis for analytic sets, nearest
-    great-circle neighbor for measured sets (ties broken by smallest
-    (azimuth, elevation))."""
-    if hrir_set.source == "analytic":
-        return analytic_hrir(direction, hrir_set.sample_rate, hrir_set.head_model)
+def lookup(source, direction, sample_rate):
+    """HRIR pair for a direction at sample_rate: exact synthesis from a
+    HeadModelConfig, or the nearest great-circle neighbor stored in a measured
+    HrirSet (ties broken by smallest (azimuth, elevation)), whose rate must
+    equal sample_rate."""
+    if isinstance(source, HeadModelConfig):
+        return analytic_hrir(direction, sample_rate, source)
+    if source.sample_rate != sample_rate:
+        raise ValueError(f"HRIR sample rate {source.sample_rate} != signal rate {sample_rate}")
     best = min(
-        hrir_set.entries,
+        source.entries,
         key=lambda d: (angular_distance(d, direction), d.azimuth, d.elevation),
     )
-    return hrir_set.entries[best]
+    return source.entries[best]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,17 +43,7 @@ class SpatialMetricsReport:
     frames_used: int
 
     def to_json(self):
-        return json.dumps(
-            {
-                "iacc": self.iacc,
-                "ild_db": self.ild_db,
-                "itd_ms": self.itd_ms,
-                "isd": self.isd,
-                "ipd_rad": self.ipd_rad,
-                "frames_used": self.frames_used,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _lagged_dot(left, right, lag):

@@ -7,7 +7,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,13 @@ from .ambisonic import load_trajectory_csv
 THREADS_ENV_VAR = "SV2A_THREADS"
 
 _METRIC_FIELDS = ("iacc", "ild_db", "itd_ms", "isd", "ipd_rad")
+
+# Silence analysis frames (25 ms / 10 ms at 16 kHz) and the informational
+# quality-flag limits.
+SILENCE_FRAME = 400
+SILENCE_HOP = 160
+CLIPPING_FRACTION_MAX = 0.01
+DC_OFFSET_MAX = 0.02
 
 
 def worker_count():
@@ -106,12 +113,8 @@ def save_manifest(path, manifest):
 @dataclass(frozen=True)
 class PreprocessConfig:
     min_seconds: float = 10.0
-    silence_frame: int = 400
-    silence_hop: int = 160
     silence_threshold_dbfs: float = -50.0
     max_silence_fraction: float = 0.8
-    clipping_fraction_max: float = 0.01
-    dc_offset_max: float = 0.02
 
 
 @dataclass
@@ -128,38 +131,27 @@ class PreprocessReport:
         return self.kept + self.rejected_short + self.rejected_silent + self.rejected_unreadable
 
     def to_json(self):
-        return json.dumps(
-            {
-                "kept": self.kept,
-                "rejected_short": self.rejected_short,
-                "rejected_silent": self.rejected_silent,
-                "rejected_unreadable": self.rejected_unreadable,
-                "reasons": self.reasons,
-                "quality_flags": self.quality_flags,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
-def silence_fraction(audio, frame=400, hop=160, threshold_dbfs=-50.0):
+def silence_fraction(audio, threshold_dbfs=-50.0):
     """Fraction of frames whose RMS falls below the dBFS threshold."""
-    rms = frame_rms(audio, frame, hop)
+    rms = frame_rms(audio, SILENCE_FRAME, SILENCE_HOP)
     if len(rms) == 0:
         raise ValueError("audio shorter than one analysis frame")
     threshold = 10.0 ** (threshold_dbfs / 20.0)
     return float(np.mean(rms < threshold))
 
 
-def quality_flags(audio, cfg):
+def quality_flags(audio):
     """Clipping-rate and DC-offset sanity flags (informational, never a
     rejection)."""
     flags = []
     clipped = float(np.mean(np.abs(audio.samples) >= 1.0 - 1e-6))
-    if clipped > cfg.clipping_fraction_max:
+    if clipped > CLIPPING_FRACTION_MAX:
         flags.append(f"clipping fraction {clipped:.4f}")
     dc = float(np.mean(audio.samples)) if len(audio) else 0.0
-    if abs(dc) > cfg.dc_offset_max:
+    if abs(dc) > DC_OFFSET_MAX:
         flags.append(f"dc offset {dc:.4f}")
     return flags
 
@@ -186,12 +178,10 @@ def preprocess(manifest, cfg=None):
             audio = _as_mono(read_wav(path))
             if audio.duration < cfg.min_seconds:
                 return ("rejected_short", f"duration {audio.duration:.2f}s < {cfg.min_seconds}s", [])
-            fraction = silence_fraction(
-                audio, cfg.silence_frame, cfg.silence_hop, cfg.silence_threshold_dbfs
-            )
+            fraction = silence_fraction(audio, cfg.silence_threshold_dbfs)
             if fraction > cfg.max_silence_fraction:
                 return ("rejected_silent", f"silence fraction {fraction:.3f}", [])
-            return ("kept", None, quality_flags(audio, cfg))
+            return ("kept", None, quality_flags(audio))
         except Exception as exc:
             return ("rejected_unreadable", str(exc), [])
 
@@ -297,9 +287,7 @@ def batch_metrics(source, cfg=None):
 
 def write_metrics_json(path, per_clip, failures):
     payload = {
-        "clips": {
-            clip_id: json.loads(report.to_json()) for clip_id, report in per_clip.items()
-        },
+        "clips": {clip_id: asdict(report) for clip_id, report in per_clip.items()},
         "failures": failures,
     }
     with open(path, "w") as fh:

@@ -18,7 +18,7 @@ from .ambisonic import (
     project_to_speakers,
     ring_layout,
 )
-from .hrir import HeadModelConfig, HrirSet, analytic_set, lookup
+from .hrir import HeadModelConfig, HrirSet, lookup
 
 DEFAULT_FIELD_OF_VIEW = math.pi / 2
 
@@ -27,14 +27,14 @@ DEFAULT_FIELD_OF_VIEW = math.pi / 2
 class RenderConfig:
     """Rendering hyperparameters.
 
-    hrir_source may be an HrirSet or a HeadModelConfig (an analytic set is
-    built at the input sample rate). Output is trimmed to the input length by
-    default so rendered files stay aligned with their mono sources.
+    hrir_source is the analytic head model or a measured set at the input
+    sample rate. Output is trimmed to the input length by default so rendered
+    files stay aligned with their mono sources.
     """
 
     order: int = 1
     layout: object = field(default_factory=lambda: ring_layout(8))
-    hrir_source: object = field(default_factory=HeadModelConfig)
+    hrir_source: HeadModelConfig | HrirSet = field(default_factory=HeadModelConfig)
     block_size: int = DEFAULT_BLOCK_SIZE
     crossfade: int = DEFAULT_CROSSFADE
     normalize_output: bool = False
@@ -46,33 +46,20 @@ class RenderConfig:
         if not (0 <= self.crossfade < self.block_size):
             raise ValueError("crossfade must be in [0, block_size)")
 
-    def hrir_set(self, sample_rate):
-        if isinstance(self.hrir_source, HrirSet):
-            if self.hrir_source.sample_rate != sample_rate:
-                raise ValueError(
-                    f"HRIR sample rate {self.hrir_source.sample_rate} != signal rate {sample_rate}"
-                )
-            return self.hrir_source
-        return analytic_set(sample_rate, self.hrir_source)
-
 
 def _render_blockwise(mono, per_block_directions, cfg):
     if len(mono) == 0:
         raise ValueError("cannot render an empty signal")
-    hrirs = cfg.hrir_set(mono.sample_rate)
+    pairs = [lookup(cfg.hrir_source, d, mono.sample_rate) for d in cfg.layout.directions]
     dm = decode_matrix(cfg.layout, cfg.order)
     sh = encode_mono(mono, per_block_directions, cfg.order, cfg.block_size, cfg.crossfade)
     feeds = project_to_speakers(sh, dm)
 
-    max_ir = max(
-        max(len(p.left), len(p.right))
-        for p in (lookup(hrirs, d) for d in cfg.layout.directions)
-    )
+    max_ir = max(max(len(p.left), len(p.right)) for p in pairs)
     n_out = len(mono) + max_ir - 1
     left = np.zeros(n_out)
     right = np.zeros(n_out)
-    for direction, feed in zip(cfg.layout.directions, feeds):
-        pair = lookup(hrirs, direction)
+    for pair, feed in zip(pairs, feeds):
         yl = fft_convolve(feed, pair.left).samples
         yr = fft_convolve(feed, pair.right).samples
         left[: len(yl)] += yl

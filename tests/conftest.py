@@ -2,8 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from binauralkit.audio import AudioBuffer
+
+# Property tests draw the same examples on every run, with no per-example
+# deadline, so a slow or busy machine cannot make them flaky.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

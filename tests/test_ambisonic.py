@@ -242,3 +242,10 @@ class TestTrajectory:
         path.write_text("a,b,c\n0,0,0\n")
         with pytest.raises(ValueError):
             load_trajectory_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,0,0", "0.5,nan,0", "0.5,0,inf", "0.5,x,0"])
+    def test_csv_bad_value_cites_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time_s,azimuth_deg,elevation_deg\n0.0,10,0\n{row}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3:"):
+            load_trajectory_csv(path)

@@ -166,6 +166,35 @@ class TestFlowCommands:
         values = [float(r.split(",")[1]) for r in rows[1:]]
         assert np.mean(values) == pytest.approx(2.0, abs=0.3)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_sample_matches_per_draw_loop(self, tmp_path, monkeypatch, shared):
+        from binauralkit import flow
+
+        ckpt = tmp_path / "model.ckpt"
+        main(["cfm-train", "--checkpoint", str(ckpt), "--steps", "20", "--batch-size", "8",
+              "--hidden", "8", "--latent-dim", "3"] + (["--shared-weights"] if shared else []))
+        real = flow.sample_euler
+        drawn = []
+
+        def recording_sample_euler(*args):
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(flow, "sample_euler", recording_sample_euler)
+        assert main(["cfm-sample", "--checkpoint", str(ckpt), "--draws", "40",
+                     "--steps", "8", "--seed", "5"]) == 0
+
+        net = flow.load_checkpoint(ckpt)[0]
+        cond = np.ones(net.cond_dim) if net.cond_dim else None
+        rng = np.random.default_rng(5)
+        loop = [real(net, rng.standard_normal(3), cond, 8) for _ in range(40)]
+        np.testing.assert_allclose(np.vstack(drawn), np.stack(loop), rtol=0, atol=1e-12)
+
+    def test_sample_rejects_zero_draws(self, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        main(["cfm-train", "--checkpoint", str(ckpt), "--steps", "1", "--hidden", "4"])
+        assert main(["cfm-sample", "--checkpoint", str(ckpt), "--draws", "0"]) == 2
+
     def test_train_determinism(self, tmp_path):
         blobs = []
         for name in ("a.ckpt", "b.ckpt"):

@@ -1,15 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from binauralkit.flow import (
     AdamState,
-    ConditioningBundle,
     FlowDataset,
-    SpatialProjection,
     TrainConfig,
     VelocityFieldNet,
-    assemble_frame_cond,
-    assemble_global_cond,
     backward,
     binaural_cfm_loss,
     cfm_loss,
@@ -20,13 +20,10 @@ from binauralkit.flow import (
     sample_euler,
     save_checkpoint,
     save_loss_trace,
-    spatial_condition,
     target_velocity,
     timestep_embedding,
     train,
-    upsample_linear,
 )
-from binauralkit.heatmap import SpatialFeatureSequence
 from oracles import oracle_cfm_loss
 
 
@@ -67,82 +64,6 @@ class TestTimestepEmbedding:
     def test_bounded(self, rng):
         emb = timestep_embedding(rng.uniform(0, 1, 50), 8)
         assert np.max(np.abs(emb)) <= 1.0 + 1e-12
-
-
-class TestConditioning:
-    def test_global_concatenation(self):
-        bundle = ConditioningBundle(f_text=[1.0, 2.0], f_vis=[3.0])
-        cond = assemble_global_cond(bundle, 0.0, embed_dim=4)
-        np.testing.assert_allclose(cond, [1, 2, 3, 0, 1, 0, 1])
-
-    def test_frame_rows(self):
-        bundle = ConditioningBundle(
-            f_text=[1.0], f_vis=[2.0], f_sync=[[10.0], [20.0]]
-        )
-        cond = assemble_frame_cond(bundle, 0.0, embed_dim=2)
-        assert cond.shape == (2, 5)
-        np.testing.assert_allclose(cond[0], [10, 1, 2, 0, 1])
-        np.testing.assert_allclose(cond[1], [20, 1, 2, 0, 1])
-
-    def test_frame_requires_sync(self):
-        bundle = ConditioningBundle(f_text=[1.0], f_vis=[2.0])
-        with pytest.raises(ValueError):
-            assemble_frame_cond(bundle, 0.0)
-
-
-class TestUpsample:
-    def test_two_to_four(self):
-        out = upsample_linear([[0.0], [3.0]], 4)
-        np.testing.assert_allclose(out[:, 0], [0.0, 1.0, 2.0, 3.0])
-
-    def test_endpoints_anchored(self, rng):
-        frames = rng.standard_normal((5, 3))
-        out = upsample_linear(frames, 17)
-        np.testing.assert_allclose(out[0], frames[0])
-        np.testing.assert_allclose(out[-1], frames[-1])
-
-    def test_identity_when_same_length(self, rng):
-        frames = rng.standard_normal((7, 2))
-        np.testing.assert_allclose(upsample_linear(frames, 7), frames, atol=1e-12)
-
-    def test_single_frame_repeats(self):
-        out = upsample_linear([[4.0, 5.0]], 3)
-        np.testing.assert_array_equal(out, [[4, 5]] * 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            upsample_linear(np.zeros((0, 2)), 4)
-
-
-class TestSpatialProjection:
-    def test_output_shape(self, rng):
-        proj = SpatialProjection()
-        out = proj.apply(rng.uniform(0, 1, (12, 5)))
-        assert out.shape == (12, 16)
-
-    def test_layernorm_statistics(self, rng):
-        # default scale 1 / shift 0: each row has ~zero mean and ~unit variance
-        proj = SpatialProjection()
-        out = proj.apply(rng.uniform(0, 1, (10, 5)))
-        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.var(axis=1), 1.0, rtol=1e-3)
-
-    def test_constant_input_constant_rows(self):
-        proj = SpatialProjection()
-        out = proj.apply(np.tile([0.5, 0.1, 0.2, 0.0, 1.0], (6, 1)))
-        for row in out[1:]:
-            np.testing.assert_allclose(row, out[0], atol=1e-12)
-
-    def test_seed_determinism(self, rng):
-        frames = rng.uniform(0, 1, (8, 5))
-        a = SpatialProjection(rng_seed=3).apply(frames)
-        b = SpatialProjection(rng_seed=3).apply(frames)
-        np.testing.assert_array_equal(a, b)
-
-    def test_spatial_condition_resamples(self, rng):
-        feats = SpatialFeatureSequence(rng.uniform(0, 1, (10, 5)), 31.25)
-        out = spatial_condition(feats, target_rate=62.5)
-        assert out.shape == (20, 16)
 
 
 class TestPaths:
@@ -402,6 +323,45 @@ class TestCheckpoints:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"WAVE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="checkpoint"):
+            load_checkpoint(path)
+
+    @given(
+        latent_dim=st.integers(1, 4),
+        cond_dim=st.integers(0, 3),
+        hidden_width=st.integers(1, 8),
+        n_nets=st.integers(1, 2),
+    )
+    def test_roundtrip_property(self, latent_dim, cond_dim, hidden_width, n_nets):
+        nets = [
+            VelocityFieldNet(latent_dim, cond_dim, hidden_width, rng_seed=seed)
+            for seed in range(n_nets)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.ckpt"
+            save_checkpoint(path, nets)
+            loaded = load_checkpoint(path)
+        assert len(loaded) == n_nets
+        for orig, new in zip(nets, loaded):
+            assert (new.latent_dim, new.cond_dim, new.hidden_width, new.embed_dim) == (
+                orig.latent_dim, orig.cond_dim, orig.hidden_width, orig.embed_dim
+            )
+            for k, v in orig.parameters().items():
+                np.testing.assert_array_equal(new.parameters()[k], v)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob[:8],  # inside the version/count header
+            lambda blob: blob[:-12],  # inside the last parameter array
+            lambda blob: blob + b"\x00",  # trailing bytes after the last net
+        ],
+        ids=["cut_in_header", "cut_in_parameter", "trailing_bytes"],
+    )
+    def test_damaged_file_rejected(self, tmp_path, damage):
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, [VelocityFieldNet(2, hidden_width=4)])
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match="w.ckpt"):
             load_checkpoint(path)
 
     def test_loss_trace_csv(self, tmp_path):

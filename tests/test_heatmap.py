@@ -73,6 +73,14 @@ class TestHmapFormat:
         with pytest.raises(HeatmapFormatError):
             load_heatmap_sequence(self._write(tmp_path, "hmap 1 2 2 2\n1 1\n1 1\n"))
 
+    def test_extra_rows_cite_first_extra_line(self, tmp_path):
+        with pytest.raises(HeatmapFormatError, match=":3:"):
+            load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 2\n1 2\n3 4\n5 6\n"))
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        seq = load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 2\n1 2\n\n  \n"))
+        assert len(seq) == 1
+
     def test_roundtrip(self, tmp_path, rng):
         frames = tuple(hm(rng.uniform(0, 1, (6, 8))) for _ in range(3))
         seq = HeatmapSequence(frames, 25.0)

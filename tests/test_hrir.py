@@ -8,8 +8,8 @@ from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.ambisonic import Direction
 from binauralkit.hrir import (
     HeadModelConfig,
+    HrirSet,
     analytic_hrir,
-    analytic_set,
     load_hrir_manifest,
     lookup,
     woodworth_delay,
@@ -83,7 +83,8 @@ def _write_manifest(tmp_path, entries):
 class TestMeasuredSets:
     def test_load_two_entries(self, tmp_path):
         hset = load_hrir_manifest(_write_manifest(tmp_path, [(90.0, 0.0), (-90.0, 0.0)]))
-        assert hset.source == "measured"
+        assert isinstance(hset, HrirSet)
+        assert hset.sample_rate == FS
         assert len(hset.entries) == 2
 
     def test_missing_file_named(self, tmp_path):
@@ -111,19 +112,22 @@ class TestMeasuredSets:
     def test_lookup_exact_direction(self, tmp_path):
         hset = load_hrir_manifest(_write_manifest(tmp_path, [(90.0, 0.0), (-90.0, 0.0)]))
         stored = hset.entries[Direction(math.radians(90.0), 0.0)]
-        found = lookup(hset, Direction(math.radians(90.0), 0.0))
+        found = lookup(hset, Direction(math.radians(90.0), 0.0), FS)
         np.testing.assert_array_equal(found.left, stored.left)
 
     def test_lookup_nearest(self, tmp_path):
         hset = load_hrir_manifest(_write_manifest(tmp_path, [(90.0, 0.0), (-90.0, 0.0)]))
-        found = lookup(hset, Direction(math.radians(80.0), 0.0))
+        found = lookup(hset, Direction(math.radians(80.0), 0.0), FS)
         stored = hset.entries[Direction(math.radians(90.0), 0.0)]
         np.testing.assert_array_equal(found.left, stored.left)
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError):
+            HrirSet(FS, {})
+
     def test_analytic_lookup_is_exact_synthesis(self):
-        hset = analytic_set(FS)
         d = Direction(0.123, 0.045)
-        found = lookup(hset, d)
+        found = lookup(HeadModelConfig(), d, FS)
         direct = analytic_hrir(d, FS)
         np.testing.assert_array_equal(found.left, direct.left)
         np.testing.assert_array_equal(found.right, direct.right)

@@ -169,16 +169,16 @@ class TestPreprocess:
 class TestQualityFlags:
     def test_clean_audio_no_flags(self, rng):
         audio = AudioBuffer(0.3 * rng.standard_normal(4000), FS)
-        assert quality_flags(audio, PreprocessConfig()) == []
+        assert quality_flags(audio) == []
 
     def test_clipping_flagged(self):
         samples = np.full(1000, 1.0)
-        flags = quality_flags(AudioBuffer(samples, FS), PreprocessConfig())
+        flags = quality_flags(AudioBuffer(samples, FS))
         assert any("clipping" in f for f in flags)
 
     def test_dc_offset_flagged(self, rng):
         audio = AudioBuffer(0.1 * rng.standard_normal(4000) + 0.1, FS)
-        flags = quality_flags(audio, PreprocessConfig())
+        flags = quality_flags(audio)
         assert any("dc offset" in f for f in flags)
 
 

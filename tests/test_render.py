@@ -125,11 +125,12 @@ class TestRenderStatic:
                 assert ild(out) == pytest.approx(6.0206, abs=0.5)
 
     def test_rate_mismatch_rejected(self, rng):
-        from binauralkit.hrir import analytic_set
+        from binauralkit.hrir import HrirPair, HrirSet
 
         mono = noise_buffer(rng, 4000, sample_rate=48000)
-        cfg = RenderConfig(hrir_source=analytic_set(16000))
-        with pytest.raises(ValueError):
+        measured = HrirSet(16000, {Direction(0.0): HrirPair([1.0], [1.0], 16000)})
+        cfg = RenderConfig(hrir_source=measured)
+        with pytest.raises(ValueError, match="sample rate"):
             render_static(mono, Direction(0.0), cfg)
 
 
