@@ -8,9 +8,10 @@ up from the horizontal plane.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -229,24 +230,22 @@ class Trajectory:
     """Piecewise-constant direction of time: (time_s, Direction) breakpoints."""
 
     points: tuple
+    _times: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted(self.points, key=lambda p: p[0]))
         if not pts:
             raise ValueError("empty trajectory")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_times", tuple(p[0] for p in pts))
 
     def direction_at(self, t):
-        """Direction in force at time t (last breakpoint with time <= t)."""
-        if t < self.points[0][0] - 1e-12:
+        """Direction in force at time t: the last breakpoint (in sorted order)
+        with time <= t, within 1e-12 s."""
+        if t < self._times[0] - 1e-12:
             raise ValueError(f"trajectory gap: no direction at t={t}")
-        current = self.points[0][1]
-        for time_s, direction in self.points:
-            if time_s <= t + 1e-12:
-                current = direction
-            else:
-                break
-        return current
+        i = bisect.bisect_right(self._times, t + 1e-12)
+        return self.points[max(i, 1) - 1][1]
 
     @staticmethod
     def constant(direction):

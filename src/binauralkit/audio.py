@@ -143,19 +143,60 @@ def next_pow2(n):
 
 
 def fft_convolve(signal, kernel):
-    """Full linear convolution of an AudioBuffer with a real kernel.
+    """Full linear convolution by block overlap-add, for one channel or a
+    multichannel filter bank.
 
-    Output length is N + K - 1. Uses a single FFT of the next power-of-two
-    size; matches direct time-domain convolution to ~1e-12 relative.
+    - AudioBuffer of N samples and a 1-D kernel of L taps: returns an
+      AudioBuffer of N + L - 1 samples.
+    - N x K array and an E x K x L bank: returns an E x (N + L - 1) array
+      whose row e is sum_k x[:, k] * bank[e, k].
+
+    The first form is the E = K = 1 case of the second. The signal is cut
+    into hops of nfft - L + 1 samples, with nfft = next_pow2(16 L) (less for
+    a signal shorter than that). Each channel's blocks are transformed once,
+    multiplied into the bank and summed over k in the frequency domain; each
+    output row then takes one inverse transform per block, and the block
+    tails overlap-add into the next hop. Matches direct time-domain
+    convolution to ~1e-12 relative.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 1 or len(kernel) == 0:
-        raise ValueError("kernel must be a non-empty 1-D sequence")
-    x = signal.samples
-    n_out = len(x) + len(kernel) - 1
-    nfft = next_pow2(max(n_out, 1))
-    y = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(kernel, nfft), nfft)[:n_out]
-    return AudioBuffer(y, signal.sample_rate)
+    if isinstance(signal, AudioBuffer):
+        kernel = np.asarray(kernel, dtype=np.float64)
+        if kernel.ndim != 1 or len(kernel) == 0:
+            raise ValueError("kernel must be a non-empty 1-D sequence")
+        y = _overlap_add(signal.samples[:, None], kernel[None, None, :])
+        return AudioBuffer(y[0], signal.sample_rate)
+    x = np.asarray(signal, dtype=np.float64)
+    bank = np.asarray(kernel, dtype=np.float64)
+    if x.ndim != 2 or bank.ndim != 3 or bank.shape[1] != x.shape[1] or bank.shape[2] == 0:
+        raise ValueError("expected an N x K signal and an E x K x L bank with L >= 1")
+    return _overlap_add(x, bank)
+
+
+_OLA_GROUP = 64  # blocks per group in _overlap_add
+
+
+def _overlap_add(x, bank):
+    n, k = x.shape
+    e, _, taps = bank.shape
+    # A short signal fits one block; a hop of at least L - 1 samples keeps
+    # each block's tail inside the next block.
+    nfft = next_pow2(min(16 * taps, max(n, taps) + taps - 1))
+    hop = nfft - taps + 1
+    n_blocks = -(-n // hop)
+    responses = np.fft.rfft(bank, nfft, axis=-1)
+    out = np.zeros((e, n_blocks + 1, hop))
+    # Blocks go through in groups, so the spectra of a long signal never
+    # sit in memory all at once.
+    for lo in range(0, n_blocks, _OLA_GROUP):
+        hi = min(lo + _OLA_GROUP, n_blocks)
+        blocks = np.zeros(((hi - lo) * hop, k))
+        group = x[lo * hop : hi * hop]
+        blocks[: len(group)] = group
+        spectra = np.fft.rfft(blocks.reshape(hi - lo, hop, k), nfft, axis=1)
+        y = np.fft.irfft(np.einsum("bfk,ekf->ebf", spectra, responses), nfft, axis=-1)
+        out[:, lo:hi] += y[:, :, :hop]
+        out[:, lo + 1 : hi + 1, : taps - 1] += y[:, :, hop:]
+    return out.reshape(e, -1)[:, : n + taps - 1]
 
 
 _WINDOWS = {

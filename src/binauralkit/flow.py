@@ -5,6 +5,7 @@ format."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -345,10 +346,19 @@ def _read_exact(fh, n, path):
     return data
 
 
+def _param_bytes(latent_dim, cond_dim, hidden_width, embed_dim):
+    """Bytes of float64 parameters save_checkpoint writes for a net of these dims."""
+    in_dim = latent_dim + embed_dim + cond_dim
+    count = (in_dim + 1) * hidden_width + (hidden_width + 1) * (hidden_width + latent_dim)
+    return 8 * count
+
+
 def load_checkpoint(path):
     """Read the nets written by save_checkpoint; a truncated file or bytes
-    after the last net raise ValueError naming the path."""
+    after the last net raise ValueError naming the path. Each net's header
+    dims are checked against the bytes left in the file before it is built."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a velocity-field checkpoint")
         version, count = struct.unpack("<II", _read_exact(fh, 8, path))
@@ -357,6 +367,8 @@ def load_checkpoint(path):
         nets = []
         for _ in range(count):
             dims = struct.unpack("<IIII", _read_exact(fh, 16, path))
+            if _param_bytes(*dims) > size - fh.tell():
+                raise ValueError(f"{path}: truncated checkpoint")
             net = VelocityFieldNet(*dims)
             params = {}
             for name, value in net.parameters().items():

@@ -9,6 +9,7 @@ spread ratio. Pixel coordinates are 1-based throughout.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,9 @@ def load_heatmap_sequence(path, frame_rate=31.25):
                 row = [float(v) for v in fields]
             except ValueError:
                 raise HeatmapFormatError(f"{path}:{line_no}: non-numeric value") from None
-            if any(v < 0 for v in row):
-                raise HeatmapFormatError(f"{path}:{line_no}: negative heatmap value")
+            if not all(0.0 <= v < math.inf for v in row):
+                problem = "negative" if any(v < 0 for v in row) else "non-finite"
+                raise HeatmapFormatError(f"{path}:{line_no}: {problem} heatmap value")
             rows.append(row)
         frames.append(Heatmap(np.array(rows)))
     return HeatmapSequence(tuple(frames), frame_rate)

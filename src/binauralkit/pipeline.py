@@ -4,6 +4,7 @@ and silence filters, batch rendering and batch metric reports."""
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,8 @@ from .ambisonic import load_trajectory_csv
 
 THREADS_ENV_VAR = "SV2A_THREADS"
 
+log = logging.getLogger(__name__)
+
 _METRIC_FIELDS = ("iacc", "ild_db", "itd_ms", "isd", "ipd_rad")
 
 # Silence analysis frames (25 ms / 10 ms at 16 kHz) and the informational
@@ -31,10 +34,12 @@ DC_OFFSET_MAX = 0.02
 
 def worker_count():
     """Worker cap from the environment (default 1; output is order-stable
-    regardless)."""
+    regardless). An unparsable value logs a warning and counts as 1."""
+    value = os.environ.get(THREADS_ENV_VAR, "1")
     try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
+        return max(1, int(value))
     except ValueError:
+        log.warning("ignoring unparsable %s=%r; using 1 worker", THREADS_ENV_VAR, value)
         return 1
 
 

@@ -1,5 +1,15 @@
-"""Mono-to-binaural rendering: SH encode, project onto virtual loudspeakers,
-convolve each feed with that direction's HRIR pair and sum the two ears."""
+"""Mono-to-binaural rendering through an SH-domain ear filter bank.
+
+The source is encoded into spherical-harmonic (SH) channels along its
+trajectory. Projecting onto M virtual loudspeakers and convolving each feed
+with that speaker's HRIR pair is linear, so the two steps fold into one
+filter bank with a filter per ear e and SH channel k,
+bank[e, k] = sum_m P[m, k] h_e,m, where P is the speaker projection and h
+holds the speaker HRIRs zero-padded to the longest. Each clip is then one
+multichannel convolution of the SH signal with that bank, the same sum as
+the speaker-by-speaker render in fewer transforms (the virtual-loudspeaker /
+SH-domain equivalence of Noisternig et al., VECIMS 2003).
+"""
 
 from __future__ import annotations
 
@@ -15,7 +25,6 @@ from .ambisonic import (
     Trajectory,
     decode_matrix,
     encode_mono,
-    project_to_speakers,
     ring_layout,
 )
 from .hrir import HeadModelConfig, HrirSet, lookup
@@ -47,23 +56,23 @@ class RenderConfig:
             raise ValueError("crossfade must be in [0, block_size)")
 
 
+def _ear_bank(pairs, projection):
+    """2 x K x L filters: bank[e, k] = sum_m projection[m, k] * h_e,m."""
+    taps = max(max(len(p.left), len(p.right)) for p in pairs)
+    hrirs = np.zeros((2, len(pairs), taps))
+    for m, pair in enumerate(pairs):
+        hrirs[0, m, : len(pair.left)] = pair.left
+        hrirs[1, m, : len(pair.right)] = pair.right
+    return np.einsum("mk,eml->ekl", projection, hrirs)
+
+
 def _render_blockwise(mono, per_block_directions, cfg):
     if len(mono) == 0:
         raise ValueError("cannot render an empty signal")
     pairs = [lookup(cfg.hrir_source, d, mono.sample_rate) for d in cfg.layout.directions]
     dm = decode_matrix(cfg.layout, cfg.order)
     sh = encode_mono(mono, per_block_directions, cfg.order, cfg.block_size, cfg.crossfade)
-    feeds = project_to_speakers(sh, dm)
-
-    max_ir = max(max(len(p.left), len(p.right)) for p in pairs)
-    n_out = len(mono) + max_ir - 1
-    left = np.zeros(n_out)
-    right = np.zeros(n_out)
-    for pair, feed in zip(pairs, feeds):
-        yl = fft_convolve(feed, pair.left).samples
-        yr = fft_convolve(feed, pair.right).samples
-        left[: len(yl)] += yl
-        right[: len(yr)] += yr
+    left, right = fft_convolve(sh.frames, _ear_bank(pairs, dm.projection))
 
     if cfg.trim_to_input:
         left, right = left[: len(mono)], right[: len(mono)]

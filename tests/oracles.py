@@ -172,3 +172,36 @@ def oracle_cfm_loss(v_out, u):
     for vb, ub in zip(v_out, u):
         total += sum((a - b) ** 2 for a, b in zip(vb, ub))
     return total / len(v_out)
+
+
+def oracle_direction_at(points, t):
+    """Linear scan over breakpoints sorted by time (stable): the last one
+    with time <= t + 1e-12; a time before the first breakpoint is a gap."""
+    points = sorted(points, key=lambda p: p[0])
+    if t < points[0][0] - 1e-12:
+        raise ValueError(f"trajectory gap: no direction at t={t}")
+    current = points[0][1]
+    for time_s, direction in points:
+        if time_s <= t + 1e-12:
+            current = direction
+        else:
+            break
+    return current
+
+
+def oracle_speaker_render(sh_frames, projection, hrir_pairs):
+    """Virtual-loudspeaker rendering by a speaker loop: project the T x K SH
+    frames onto each speaker m through row m of the M x K projection, convolve
+    that feed with the speaker's (left, right) impulse responses by
+    np.convolve, and sum over speakers. Returns untrimmed (left, right) of
+    T + (longest IR) - 1 samples."""
+    feeds = sh_frames @ projection.T
+    n_out = len(sh_frames) + max(max(len(hl), len(hr)) for hl, hr in hrir_pairs) - 1
+    left = np.zeros(n_out)
+    right = np.zeros(n_out)
+    for m, (hl, hr) in enumerate(hrir_pairs):
+        yl = np.convolve(feeds[:, m], hl)
+        yr = np.convolve(feeds[:, m], hr)
+        left[: len(yl)] += yl
+        right[: len(yr)] += yr
+    return left, right

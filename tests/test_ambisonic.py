@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from binauralkit.audio import AudioBuffer
 from binauralkit.ambisonic import (
@@ -18,6 +19,7 @@ from binauralkit.ambisonic import (
     save_trajectory_csv,
     sh_encode,
 )
+from oracles import oracle_direction_at
 
 
 class TestDirection:
@@ -224,6 +226,42 @@ class TestTrajectory:
         traj = Trajectory(((1.0, Direction(0.0)),))
         with pytest.raises(ValueError):
             traj.direction_at(0.0)
+
+    def test_equal_times_last_point_wins(self):
+        traj = Trajectory(((0.0, Direction(0.0)), (1.0, Direction(1.0)), (1.0, Direction(2.0))))
+        assert traj.direction_at(1.0).azimuth == pytest.approx(2.0)
+        assert traj.direction_at(1.0 - 5e-13).azimuth == pytest.approx(2.0)
+        assert traj.direction_at(1.0 - 2e-12).azimuth == 0.0
+
+    @given(
+        times=st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]) | st.floats(-2.0, 5.0),
+            min_size=1,
+            max_size=12,
+        ),
+        queries=st.lists(
+            st.tuples(
+                st.integers(0, 11),
+                st.sampled_from([0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12, 0.1, -0.1]),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        free=st.lists(st.floats(-3.0, 6.0), max_size=5),
+    )
+    def test_lookup_matches_linear_scan(self, times, queries, free):
+        # Distinct azimuths tell apart the points that share a time.
+        points = tuple((t, Direction(0.01 * i)) for i, t in enumerate(times))
+        traj = Trajectory(points)
+        ts = [times[i % len(times)] + offset for i, offset in queries] + free
+        for t in ts:
+            try:
+                expected = oracle_direction_at(points, t)
+            except ValueError:
+                with pytest.raises(ValueError, match="gap"):
+                    traj.direction_at(t)
+                continue
+            assert traj.direction_at(t) is expected
 
     def test_csv_roundtrip(self, tmp_path):
         traj = Trajectory(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.io import wavfile
 
 from binauralkit.audio import (
@@ -128,6 +129,17 @@ class TestConvolution:
             ).samples
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
+    def test_many_blocks_match_direct_convolution(self, rng):
+        # 9 taps give a 256-point FFT and a 248-sample hop: 5 blocks here.
+        x = rng.standard_normal(1200)
+        k = rng.standard_normal(9)
+        out = fft_convolve(AudioBuffer(x), k)
+        np.testing.assert_allclose(out.samples, direct_convolve(x, k), rtol=1e-9, atol=1e-12)
+
+    def test_empty_signal_gives_kernel_tail(self):
+        out = fft_convolve(AudioBuffer(np.zeros(0)), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(out.samples, np.zeros(2))
+
     def test_delay_commutes(self, rng):
         x = rng.standard_normal(64)
         k = rng.standard_normal(5)
@@ -193,3 +205,65 @@ class TestFrameRms:
     def test_tail_dropped(self):
         rms = frame_rms(AudioBuffer(np.zeros(130)), 100, 100)
         assert len(rms) == 1
+
+
+def bank_reference(x, bank):
+    """Row e: sum over channels k of np.convolve(x[:, k], bank[e, k])."""
+    return np.array(
+        [sum(np.convolve(x[:, k], bank[e, k]) for k in range(x.shape[1])) for e in range(len(bank))]
+    )
+
+
+class TestFilterBankConvolution:
+    @pytest.mark.parametrize(
+        "n,k,e,taps",
+        [
+            (1, 1, 1, 1),  # single sample, single tap
+            (300, 4, 2, 1),  # L = 1 is a per-channel gain
+            (100, 4, 2, 64),  # shorter than one 1024-point block
+            (3 * 961, 4, 2, 64),  # exact multiple of the 961-sample hop
+            (3 * 1024, 9, 2, 64),  # multiple of the FFT size, not of the hop
+            (5000, 3, 3, 17),
+            (2000, 2, 1, 200),
+            (5000, 2, 2, 2),  # 162 blocks of 31 samples: several block groups
+            (128 * 31, 2, 2, 2),  # exactly two groups of 64 blocks
+        ],
+    )
+    def test_matches_summed_np_convolve(self, rng, n, k, e, taps):
+        x = rng.standard_normal((n, k))
+        bank = rng.standard_normal((e, k, taps))
+        out = fft_convolve(x, bank)
+        assert out.shape == (e, n + taps - 1)
+        np.testing.assert_allclose(out, bank_reference(x, bank), rtol=0, atol=1e-10)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 2500),
+        k=st.integers(1, 4),
+        e=st.integers(1, 3),
+        taps=st.integers(1, 80),
+    )
+    def test_matches_summed_np_convolve_property(self, seed, n, k, e, taps):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, k))
+        bank = rng.standard_normal((e, k, taps))
+        out = fft_convolve(x, bank)
+        expected = bank_reference(x, bank) if n else np.zeros((e, taps - 1))
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
+
+    def test_single_channel_form_is_the_one_by_one_bank(self, rng):
+        x = rng.standard_normal(2500)
+        kern = rng.standard_normal(33)
+        single = fft_convolve(AudioBuffer(x), kern).samples
+        bank = fft_convolve(x[:, None], kern[None, None, :])
+        np.testing.assert_array_equal(single, bank[0])
+
+    @pytest.mark.parametrize(
+        "x_shape,bank_shape",
+        [((10, 2), (2, 3, 4)), ((10,), (1, 1, 4)), ((10, 2), (2, 4)), ((10, 2), (2, 2, 0))],
+        ids=["channel_mismatch", "one_d_signal", "two_d_bank", "zero_taps"],
+    )
+    def test_bad_shapes_rejected(self, x_shape, bank_shape):
+        with pytest.raises(ValueError):
+            fft_convolve(np.zeros(x_shape), np.zeros(bank_shape))

@@ -1,4 +1,6 @@
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,21 @@ class TestCheckpoints:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError, match="w.ckpt"):
             load_checkpoint(path)
+
+    def test_header_dims_checked_before_allocation(self, tmp_path):
+        # 60 bytes whose header claims hidden width 3000: a net of that size
+        # would need ~69 MB of parameters.
+        path = tmp_path / "big.ckpt"
+        blob = b"SV2A" + struct.pack("<II", 1, 1) + struct.pack("<IIII", 2, 0, 3000, 8)
+        path.write_bytes(blob + b"\x00" * (60 - len(blob)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="big.ckpt"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_loss_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"

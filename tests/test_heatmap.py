@@ -69,6 +69,12 @@ class TestHmapFormat:
         with pytest.raises(HeatmapFormatError):
             load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 2\n1 -1\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_cites_line(self, tmp_path, value):
+        text = f"hmap 1 2 1 2\n1 1\n1 {value}\n"
+        with pytest.raises(HeatmapFormatError, match=r"map\.hmap:3: non-finite heatmap value"):
+            load_heatmap_sequence(self._write(tmp_path, text))
+
     def test_missing_rows(self, tmp_path):
         with pytest.raises(HeatmapFormatError):
             load_heatmap_sequence(self._write(tmp_path, "hmap 1 2 2 2\n1 1\n1 1\n"))

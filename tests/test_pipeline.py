@@ -258,6 +258,17 @@ class TestBatchRender:
         monkeypatch.delenv("SV2A_THREADS")
         assert worker_count() == 1
 
+    def test_unparsable_worker_count_warns(self, monkeypatch, caplog):
+        monkeypatch.setenv("SV2A_THREADS", "two")
+        with caplog.at_level("WARNING", logger="binauralkit.pipeline"):
+            assert worker_count() == 1
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "SV2A_THREADS" in caplog.text and "'two'" in caplog.text
+        caplog.clear()
+        monkeypatch.setenv("SV2A_THREADS", "2")
+        assert worker_count() == 2
+        assert caplog.records == []
+
 
 class TestBatchMetrics:
     def test_directory_aggregate(self, tmp_path, rng):

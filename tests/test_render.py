@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from binauralkit.audio import AudioBuffer
-from binauralkit.ambisonic import Direction, SpeakerLayout, Trajectory
+from binauralkit.audio import AudioBuffer, next_pow2
+from binauralkit.ambisonic import (
+    Direction,
+    SpeakerLayout,
+    Trajectory,
+    decode_matrix,
+    encode_mono,
+    ring_layout,
+)
 from binauralkit.heatmap import SpatialFeatureSequence
-from binauralkit.hrir import HeadModelConfig, woodworth_delay
+from binauralkit.hrir import HeadModelConfig, HrirPair, HrirSet, lookup, woodworth_delay
 from binauralkit.render import (
     RenderConfig,
     direction_from_features,
@@ -14,6 +22,7 @@ from binauralkit.render import (
     render_trajectory,
 )
 from conftest import noise_buffer
+from oracles import oracle_direction_at, oracle_speaker_render
 
 FS = 16000
 
@@ -180,6 +189,118 @@ class TestRenderTrajectory:
             np.max(np.abs(seg_a.left.samples)) + np.max(np.abs(seg_b.left.samples))
         )
         assert np.max(np.abs(out.left.samples)) <= bound + 1e-9
+
+
+def sphere_layout():
+    """Two staggered rings of six at +-34 degrees plus both poles: enough
+    spread for a non-singular second-order projection."""
+    rings = [
+        Direction(2.0 * math.pi * k / 6 + (math.pi / 6 if el < 0 else 0.0), el)
+        for el in (-0.6, 0.6)
+        for k in range(6)
+    ]
+    return SpeakerLayout(tuple(rings + [Direction(0.0, math.pi / 2), Direction(0.0, -math.pi / 2)]))
+
+
+def measured_set(layout, rng, left_taps=40, right_taps=57):
+    """Random measured HRIRs at every layout direction, the two ears of
+    different lengths."""
+    entries = {
+        d: HrirPair(rng.standard_normal(left_taps), rng.standard_normal(right_taps), FS)
+        for d in layout.directions
+    }
+    return HrirSet(FS, entries)
+
+
+def ola_hop(taps):
+    """Samples per overlap-add block of an L-tap bank in fft_convolve."""
+    return next_pow2(16 * taps) - taps + 1
+
+
+def oracle_render(mono, directions, cfg):
+    """The speaker-loop reference for one clip with per-block directions."""
+    sh = encode_mono(mono, directions, cfg.order, cfg.block_size, cfg.crossfade)
+    projection = decode_matrix(cfg.layout, cfg.order).projection
+    pairs = [lookup(cfg.hrir_source, d, mono.sample_rate) for d in cfg.layout.directions]
+    left, right = oracle_speaker_render(sh.frames, projection, [(p.left, p.right) for p in pairs])
+    n = len(mono) if cfg.trim_to_input else len(left)
+    return left[:n], right[:n]
+
+
+def render_cases():
+    """(id, config, signal lengths) covering SH orders 0-2, both HRIR
+    sources, a signal shorter than one FFT block and exact block multiples."""
+    rng = np.random.default_rng(7)
+    ring, sphere = ring_layout(8), sphere_layout()
+    analytic_hop, measured_hop = ola_hop(64), ola_hop(57)
+    cases = [
+        ("order0", RenderConfig(order=0), (500, 3 * analytic_hop)),
+        ("order1", RenderConfig(order=1), (500, 3 * analytic_hop, 5000)),
+        ("order2", RenderConfig(order=2, layout=sphere), (500, 2 * analytic_hop)),
+        (
+            "measured_order1",
+            RenderConfig(layout=ring, hrir_source=measured_set(ring, rng), trim_to_input=False),
+            (500, 3 * measured_hop),
+        ),
+        (
+            "measured_order2",
+            RenderConfig(order=2, layout=sphere, hrir_source=measured_set(sphere, rng)),
+            (700, 2 * measured_hop),
+        ),
+    ]
+    return [
+        pytest.param(cfg, n, id=f"{name}-n{n}") for name, cfg, lengths in cases for n in lengths
+    ]
+
+
+class TestSpeakerLoopOracle:
+    """The SH-domain filter bank reproduces the speaker-by-speaker render."""
+
+    @pytest.mark.parametrize("cfg,n", render_cases())
+    def test_static_matches_oracle(self, rng, cfg, n):
+        mono = noise_buffer(rng, n)
+        direction = Direction(0.7, 0.3 if cfg.order == 2 else 0.0)
+        out = render_static(mono, direction, cfg)
+        n_blocks = -(-n // cfg.block_size)
+        left, right = oracle_render(mono, [direction] * n_blocks, cfg)
+        np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("cfg,n", render_cases())
+    def test_trajectory_matches_oracle(self, rng, cfg, n):
+        mono = noise_buffer(rng, n)
+        points = tuple(
+            (0.02 * i, Direction(1.3 - 0.4 * i, 0.25 * (i % 3) if cfg.order == 2 else 0.0))
+            for i in range(8)
+        )
+        out = render_trajectory(mono, Trajectory(points), cfg)
+        n_blocks = -(-n // cfg.block_size)
+        directions = [
+            oracle_direction_at(points, b * cfg.block_size / FS) for b in range(n_blocks)
+        ]
+        left, right = oracle_render(mono, directions, cfg)
+        np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3000),
+        a=st.floats(-3.0, 3.0),
+        b=st.floats(-3.0, 3.0),
+        azimuth=st.floats(-math.pi, math.pi),
+    )
+    def test_render_is_linear(self, seed, n, a, b, azimuth):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        direction = Direction(azimuth)
+        mixed = render_static(AudioBuffer(a * x + b * y, FS), direction)
+        rx = render_static(AudioBuffer(x, FS), direction)
+        ry = render_static(AudioBuffer(y, FS), direction)
+        for got, px, py in ((mixed.left, rx.left, ry.left), (mixed.right, rx.right, ry.right)):
+            np.testing.assert_allclose(
+                got.samples, a * px.samples + b * py.samples, rtol=0, atol=1e-9
+            )
 
 
 class TestDirectionFromFeatures:
