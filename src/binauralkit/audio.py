@@ -1,7 +1,11 @@
-"""Sampled-signal containers, WAV I/O, framing, STFT and FFT convolution."""
+"""Sampled-signal containers, WAV I/O, atomic file writes, framing, STFT and
+FFT convolution."""
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +117,22 @@ def read_wav(path):
     raise AudioFormatError(f"{path} has {samples.shape[1]} channels, at most 2 supported")
 
 
+@contextmanager
+def atomic_write(path, mode="w", **kwargs):
+    """Open a temporary file beside `path` for writing and move it onto
+    `path` with os.replace when the block ends; if the block raises, the
+    temporary file is removed and an existing `path` is left untouched."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_wav(path, buffer, encoding="float32"):
     """Write an AudioBuffer or BinauralBuffer as WAV.
 
@@ -129,12 +149,13 @@ def write_wav(path, buffer, encoding="float32"):
         raise ValueError("refusing to write an empty buffer")
 
     if encoding == "pcm16":
-        scaled = np.clip(np.rint(data * _PCM16_SCALE), -32768, 32767)
-        wavfile.write(path, rate, scaled.astype(np.int16))
+        data = np.clip(np.rint(data * _PCM16_SCALE), -32768, 32767).astype(np.int16)
     elif encoding == "float32":
-        wavfile.write(path, rate, data.astype(np.float32))
+        data = data.astype(np.float32)
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
+    with atomic_write(path, "wb") as fh:
+        wavfile.write(fh, rate, data)
 
 
 def next_pow2(n):
@@ -213,11 +234,11 @@ def window_samples(name, frame_size):
         raise ValueError(f"unknown window {name!r}") from None
 
 
-def num_frames(n_samples, frame_size, hop):
-    """Number of full analysis frames; tail samples are dropped."""
-    if n_samples < frame_size:
-        return 0
-    return 1 + (n_samples - frame_size) // hop
+def frames(samples, size, hop):
+    """T x size copy of the full frames of `samples`, frame t starting at
+    sample t * hop; tail samples that do not fill a frame are dropped."""
+    t = 0 if len(samples) < size else 1 + (len(samples) - size) // hop
+    return samples[np.arange(size)[None, :] + hop * np.arange(t)[:, None]]
 
 
 def stft(signal, frame_size=512, hop=160, window="hann"):
@@ -227,23 +248,15 @@ def stft(signal, frame_size=512, hop=160, window="hann"):
     """
     if hop < 1:
         raise ValueError("hop must be >= 1")
-    x = signal.samples
-    t = num_frames(len(x), frame_size, hop)
-    if t == 0:
+    x = frames(signal.samples, frame_size, hop)
+    if len(x) == 0:
         raise ValueError("signal shorter than one frame")
     w = window_samples(window, frame_size)
-    idx = np.arange(frame_size)[None, :] + hop * np.arange(t)[:, None]
-    frames = np.fft.rfft(x[idx] * w[None, :], frame_size, axis=1)
-    return Spectrogram(frames, frame_size, hop, window)
+    return Spectrogram(np.fft.rfft(x * w[None, :], frame_size, axis=1), frame_size, hop, window)
 
 
 def frame_rms(signal, frame_size, hop):
     """Per-frame RMS values; short tail frames are dropped."""
     if frame_size < 1:
         raise ValueError("frame_size must be >= 1")
-    x = signal.samples
-    t = num_frames(len(x), frame_size, hop)
-    if t == 0:
-        return np.zeros(0)
-    idx = np.arange(frame_size)[None, :] + hop * np.arange(t)[:, None]
-    return np.sqrt(np.mean(x[idx] ** 2, axis=1))
+    return np.sqrt(np.mean(frames(signal.samples, frame_size, hop) ** 2, axis=1))

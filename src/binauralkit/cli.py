@@ -16,6 +16,7 @@ import numpy as np
 
 from . import flow
 from .ambisonic import ring_layout
+from .audio import atomic_write
 from .heatmap import extract_features, load_heatmap_sequence, save_features_csv
 from .metrics import MetricConfig
 from .pipeline import (
@@ -105,7 +106,7 @@ def _cmd_preprocess(args):
     kept, report = preprocess(manifest, cfg)
     save_manifest(args.out, kept)
     if args.report:
-        with open(args.report, "w") as fh:
+        with atomic_write(args.report) as fh:
             fh.write(report.to_json() + "\n")
     print(
         f"kept {report.kept}, rejected_short {report.rejected_short}, "

@@ -3,6 +3,11 @@
 All definitions are fixed here (the aggregation rules, lag window, gating and
 units are this module's contract): larger ILD/ITD/ISD/IPD means a more
 spatialized signal, IACC near 1 means spatially undifferentiated.
+
+IACC reads the whole signal, the others only voiced frames: those whose louder
+channel reaches `silence_gate_db`, as `_voiced` alone decides. ILD and ITD use
+`frame_size`/`hop` frames, ISD and IPD Hann STFT frames; `spatial_report`
+builds the voiced frames and the voiced spectra once and shares them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import num_frames, stft
+from .audio import frame_rms, frames, stft
 
 
 @dataclass(frozen=True)
@@ -46,29 +51,45 @@ class SpatialMetricsReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _lagged_dot(left, right, lag):
-    """sum_n left[n] * right[n + lag] over the valid overlap."""
+def _overlap(left, right, lag):
+    """Views along the last axis pairing left[n] with right[n + lag]."""
+    n = left.shape[-1]
     if lag >= 0:
-        return float(np.dot(left[: len(left) - lag], right[lag:]))
-    return float(np.dot(left[-lag:], right[: len(right) + lag]))
+        return left[..., : n - lag], right[..., lag:]
+    return left[..., -lag:], right[..., : n + lag]
 
 
 def _lag_order(max_lag):
     """Lags ordered by increasing |lag| so argmax ties resolve toward 0."""
-    order = [0]
-    for k in range(1, max_lag + 1):
-        order.extend([-k, k])
-    return order
+    return [0] + [sign * k for k in range(1, max_lag + 1) for sign in (-1, 1)]
 
 
-def _frame_slices(n, cfg):
-    t = num_frames(n, cfg.frame_size, cfg.hop)
-    return [slice(k * cfg.hop, k * cfg.hop + cfg.frame_size) for k in range(t)]
+def _voiced(b, size, hop, cfg):
+    """Mask of the (size, hop) frames whose louder channel reaches the
+    silence gate; raises when no frame does."""
+    rms = np.maximum(frame_rms(b.left, size, hop), frame_rms(b.right, size, hop))
+    mask = 20.0 * np.log10(rms + 1e-300) >= cfg.silence_gate_db
+    if not mask.any():
+        raise ValueError("all frames below the silence gate")
+    return mask
 
 
-def _gated(frame_l, frame_r, cfg):
-    rms = math.sqrt(max(np.mean(frame_l**2), np.mean(frame_r**2)))
-    return 20.0 * math.log10(rms + 1e-300) < cfg.silence_gate_db
+def _voiced_frames(b, cfg):
+    mask = _voiced(b, cfg.frame_size, cfg.hop, cfg)
+    return tuple(frames(ch.samples, cfg.frame_size, cfg.hop)[mask] for ch in (b.left, b.right))
+
+
+def _voiced_spectra(b, cfg):
+    specs = [stft(ch, cfg.stft_frame, cfg.stft_hop, "hann").frames for ch in (b.left, b.right)]
+    mask = _voiced(b, cfg.stft_frame, cfg.stft_hop, cfg)
+    return specs[0][mask], specs[1][mask]
+
+
+def _itd_max_lag(sample_rate, cfg):
+    max_lag = cfg.max_lag_samples(sample_rate)
+    if cfg.frame_size < 2 * max_lag:
+        raise ValueError("frames too short for the lag search window")
+    return max_lag
 
 
 def iacc(b, cfg=None):
@@ -82,108 +103,68 @@ def iacc(b, cfg=None):
     norm = math.sqrt(float(np.dot(left, left)) * float(np.dot(right, right)))
     if norm == 0.0:
         raise ValueError("both channels are all-zero")
-    best = 0.0
-    for lag in _lag_order(max_lag):
-        best = max(best, abs(_lagged_dot(left, right, lag)) / norm)
-    return min(best, 1.0)
+    peak = max(abs(float(np.dot(*_overlap(left, right, lag)))) for lag in _lag_order(max_lag))
+    return min(peak / norm, 1.0)
+
+
+def _ild(fl, fr, cfg):
+    el, er = (np.sum(f**2, axis=1) + cfg.epsilon for f in (fl, fr))
+    return float(np.mean(np.abs(10.0 * np.log10(el / er))))
 
 
 def ild(b, cfg=None):
     """Mean |10 log10(E_left / E_right)| in dB over non-gated frames."""
     cfg = cfg or MetricConfig()
-    left, right = b.left.samples, b.right.samples
-    values = []
-    for sl in _frame_slices(len(left), cfg):
-        fl, fr = left[sl], right[sl]
-        if _gated(fl, fr, cfg):
-            continue
-        el = float(np.sum(fl**2)) + cfg.epsilon
-        er = float(np.sum(fr**2)) + cfg.epsilon
-        values.append(abs(10.0 * math.log10(el / er)))
-    if not values:
-        raise ValueError("all frames below the silence gate")
-    return float(np.mean(values))
+    return _ild(*_voiced_frames(b, cfg), cfg)
+
+
+def _itd(max_lag, sample_rate, fl, fr):
+    order = _lag_order(max_lag)
+    corr = np.stack([np.einsum("ij,ij->i", *_overlap(fl, fr, lag)) for lag in order])
+    lags = np.abs(np.array(order))[np.argmax(np.abs(corr), axis=0)]
+    return float(np.mean(lags)) / sample_rate * 1e3
 
 
 def itd(b, cfg=None):
     """Mean |per-frame cross-correlation peak lag| in ms over non-gated
     frames; ties between equal peaks break toward the smaller |lag|."""
     cfg = cfg or MetricConfig()
-    max_lag = cfg.max_lag_samples(b.sample_rate)
-    if cfg.frame_size < 2 * max_lag:
-        raise ValueError("frames too short for the lag search window")
-    left, right = b.left.samples, b.right.samples
-    lags = []
-    for sl in _frame_slices(len(left), cfg):
-        fl, fr = left[sl], right[sl]
-        if _gated(fl, fr, cfg):
-            continue
-        best_lag, best_val = 0, -1.0
-        for lag in _lag_order(max_lag):
-            val = abs(_lagged_dot(fl, fr, lag))
-            if val > best_val:
-                best_val, best_lag = val, lag
-        lags.append(abs(best_lag))
-    if not lags:
-        raise ValueError("all frames below the silence gate")
-    return float(np.mean(lags)) / b.sample_rate * 1e3
+    return _itd(_itd_max_lag(b.sample_rate, cfg), b.sample_rate, *_voiced_frames(b, cfg))
 
 
-def _stft_pair(b, cfg):
-    specs = [
-        stft(ch, cfg.stft_frame, cfg.stft_hop, "hann") for ch in (b.left, b.right)
-    ]
-    keep = []
-    for k in range(specs[0].frames.shape[0]):
-        sl = slice(k * cfg.stft_hop, k * cfg.stft_hop + cfg.stft_frame)
-        if not _gated(b.left.samples[sl], b.right.samples[sl], cfg):
-            keep.append(k)
-    if not keep:
-        raise ValueError("all frames below the silence gate")
-    return specs[0].frames[keep], specs[1].frames[keep]
+def _isd(sl, sr, cfg):
+    diff = np.abs(np.log10(np.abs(sl) + cfg.epsilon) - np.log10(np.abs(sr) + cfg.epsilon))
+    return float(np.mean(diff))
 
 
 def isd(b, cfg=None):
     """Mean over time-frequency bins of |log10(|L|+eps) - log10(|R|+eps)|
     (non-gated frames only)."""
     cfg = cfg or MetricConfig()
-    sl_, sr_ = _stft_pair(b, cfg)
-    diff = np.abs(
-        np.log10(np.abs(sl_) + cfg.epsilon) - np.log10(np.abs(sr_) + cfg.epsilon)
-    )
-    return float(np.mean(diff))
+    return _isd(*_voiced_spectra(b, cfg), cfg)
 
 
-def ipd(b, cfg=None):
-    """Magnitude-weighted mean |interaural phase difference| in [0, pi]
-    (non-gated frames, weights |L|*|R|, phase wrapped to (-pi, pi])."""
-    cfg = cfg or MetricConfig()
-    sl_, sr_ = _stft_pair(b, cfg)
-    phase = np.angle(sl_) - np.angle(sr_)
-    wrapped = np.abs(np.pi - np.mod(np.pi - phase, 2.0 * np.pi))
-    weights = np.abs(sl_) * np.abs(sr_)
+def _ipd(sl, sr):
+    wrapped = np.abs(np.pi - np.mod(np.pi - (np.angle(sl) - np.angle(sr)), 2.0 * np.pi))
+    weights = np.abs(sl) * np.abs(sr)
     total = float(np.sum(weights))
     if total == 0.0:
         raise ValueError("all spectral weights are zero")
     return float(np.sum(weights * wrapped) / total)
 
 
-def _voiced_frame_count(b, cfg):
-    count = 0
-    for sl in _frame_slices(len(b.left), cfg):
-        if not _gated(b.left.samples[sl], b.right.samples[sl], cfg):
-            count += 1
-    return count
+def ipd(b, cfg=None):
+    """Magnitude-weighted mean |interaural phase difference| in [0, pi]
+    (non-gated frames, weights |L|*|R|, phase wrapped to (-pi, pi])."""
+    cfg = cfg or MetricConfig()
+    return _ipd(*_voiced_spectra(b, cfg))
 
 
 def spatial_report(b, cfg=None):
     """Compute all five metrics on one binaural buffer."""
     cfg = cfg or MetricConfig()
-    return SpatialMetricsReport(
-        iacc=iacc(b, cfg),
-        ild_db=ild(b, cfg),
-        itd_ms=itd(b, cfg),
-        isd=isd(b, cfg),
-        ipd_rad=ipd(b, cfg),
-        frames_used=_voiced_frame_count(b, cfg),
-    )
+    coherence = iacc(b, cfg)
+    fl, fr = _voiced_frames(b, cfg)
+    level, delay = _ild(fl, fr, cfg), _itd(_itd_max_lag(b.sample_rate, cfg), b.sample_rate, fl, fr)
+    sl, sr = _voiced_spectra(b, cfg)
+    return SpatialMetricsReport(coherence, level, delay, _isd(sl, sr, cfg), _ipd(sl, sr), len(fl))

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .audio import BinauralBuffer, frame_rms, read_wav, write_wav
+from .audio import BinauralBuffer, atomic_write, frame_rms, read_wav, write_wav
 from .heatmap import extract_features, load_heatmap_sequence
 from .metrics import MetricConfig, spatial_report
 from .render import RenderConfig, direction_from_features, render_trajectory
@@ -110,7 +110,7 @@ def save_manifest(path, manifest):
             if getattr(e, key) is not None:
                 item[key] = getattr(e, key)
         items.append(item)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(items, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -295,13 +295,13 @@ def write_metrics_json(path, per_clip, failures):
         "clips": {clip_id: asdict(report) for clip_id, report in per_clip.items()},
         "failures": failures,
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def write_aggregate_csv(path, aggregate):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write("metric,mean,count\n")
         for name in _METRIC_FIELDS:
             mean, count = aggregate[name]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binauralkit.audio import AudioBuffer
 from binauralkit.ambisonic import (
@@ -18,6 +18,7 @@ from binauralkit.ambisonic import (
     ring_layout,
     save_trajectory_csv,
     sh_encode,
+    wrap_azimuth,
 )
 from oracles import oracle_direction_at
 
@@ -274,6 +275,35 @@ class TestTrajectory:
             assert t1 == pytest.approx(t0)
             assert d1.azimuth == pytest.approx(d0.azimuth)
             assert d1.elevation == pytest.approx(d0.elevation)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e4, allow_subnormal=False),
+                st.floats(-720.0, 720.0, allow_subnormal=False),
+                st.floats(-90.0, 90.0, allow_subnormal=False),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_csv_keeps_nine_significant_digits(self, tmp_path, rows):
+        # Azimuth is compared after wrapping: a value just below 180 degrees
+        # may print as 180 and load back as -180.
+        traj = Trajectory(
+            tuple((t, Direction(math.radians(az), math.radians(el))) for t, az, el in rows)
+        )
+        path = tmp_path / "rt.csv"
+        save_trajectory_csv(path, traj)
+        loaded = load_trajectory_csv(path)
+        assert len(loaded.points) == len(traj.points)
+        for (t0, d0), (t1, d1) in zip(traj.points, loaded.points):
+            assert t1 == pytest.approx(t0, rel=5e-9, abs=0.0)
+            az_err = math.degrees(abs(wrap_azimuth(d1.azimuth - d0.azimuth)))
+            assert az_err <= 5e-9 * abs(math.degrees(d0.azimuth)) + 1e-12
+            el_err = math.degrees(abs(d1.elevation - d0.elevation))
+            assert el_err <= 5e-9 * abs(math.degrees(d0.elevation)) + 1e-12
 
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
 
 from binauralkit.audio import (
@@ -9,6 +10,7 @@ from binauralkit.audio import (
     BinauralBuffer,
     fft_convolve,
     frame_rms,
+    frames,
     read_wav,
     stft,
     write_wav,
@@ -205,6 +207,58 @@ class TestFrameRms:
     def test_tail_dropped(self):
         rms = frame_rms(AudioBuffer(np.zeros(130)), 100, 100)
         assert len(rms) == 1
+
+
+class TestFrames:
+    @given(n=st.integers(0, 60), size=st.integers(1, 12), hop=st.integers(1, 12))
+    def test_rows_are_the_full_slices(self, n, size, hop):
+        x = np.arange(n, dtype=np.float64)
+        want = [x[s : s + size] for s in range(0, n - size + 1, hop)]
+        got = frames(x, size, hop)
+        assert got.shape == (len(want), size)
+        assert all(np.array_equal(row, w) for row, w in zip(got, want))
+
+
+def _as_buffer(columns, rate):
+    """AudioBuffer for one column, BinauralBuffer for two."""
+    channels = [AudioBuffer(columns[:, c], rate) for c in range(columns.shape[1])]
+    return channels[0] if len(channels) == 1 else BinauralBuffer(*channels)
+
+
+def _columns(loaded):
+    if isinstance(loaded, BinauralBuffer):
+        return np.stack([loaded.left.samples, loaded.right.samples], axis=1)
+    return loaded.samples[:, None]
+
+
+_SHAPES = st.tuples(st.integers(1, 300), st.sampled_from([1, 2]))
+_RATES = st.sampled_from([8000, 16000, 44100, 48000])
+_TMP_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestWavRoundTrip:
+    @_TMP_OK
+    @given(
+        data=arrays(np.float32, _SHAPES, elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        rate=_RATES,
+    )
+    def test_float32_is_bit_exact(self, tmp_path, data, rate):
+        path = tmp_path / "f32.wav"
+        write_wav(path, _as_buffer(data.astype(np.float64), rate), "float32")
+        loaded = read_wav(path)
+        assert loaded.sample_rate == rate
+        assert _columns(loaded).tobytes() == data.astype(np.float64).tobytes()
+
+    @_TMP_OK
+    @given(codes=arrays(np.int16, _SHAPES), rate=_RATES)
+    def test_pcm16_is_exact_on_the_grid(self, tmp_path, codes, rate):
+        # Multiples of 1/32768 in [-1, 1) are exactly the PCM-16 codes.
+        samples = codes.astype(np.float64) / 32768.0
+        path = tmp_path / "pcm.wav"
+        write_wav(path, _as_buffer(samples, rate), "pcm16")
+        loaded = read_wav(path)
+        assert loaded.sample_rate == rate
+        assert np.array_equal(_columns(loaded), samples)
 
 
 def bank_reference(x, bank):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from binauralkit.heatmap import (
     FeatureConfig,
@@ -96,6 +98,21 @@ class TestHmapFormat:
         assert len(loaded) == 3
         for a, b in zip(seq.frames, loaded.frames):
             np.testing.assert_allclose(b.values, a.values, rtol=1e-8)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+            elements=st.floats(0.0, 1e12, allow_subnormal=False),
+        )
+    )
+    def test_save_load_keeps_nine_significant_digits(self, tmp_path, values):
+        path = tmp_path / "rt.hmap"
+        save_heatmap_sequence(path, HeatmapSequence(tuple(hm(v) for v in values)))
+        loaded = load_heatmap_sequence(path)
+        got = np.stack([f.values for f in loaded.frames])
+        np.testing.assert_allclose(got, values, rtol=5e-9, atol=0.0)
 
 
 class TestFeatureTrivials:

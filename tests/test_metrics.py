@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from binauralkit.audio import AudioBuffer, BinauralBuffer
 from binauralkit.metrics import (
     MetricConfig,
+    _voiced,
     iacc,
     ild,
     ipd,
@@ -14,7 +16,7 @@ from binauralkit.metrics import (
     spatial_report,
 )
 from conftest import noise_buffer
-from oracles import oracle_iacc, oracle_ild, oracle_ipd, oracle_isd, oracle_itd
+from oracles import _gated, oracle_iacc, oracle_ild, oracle_ipd, oracle_isd, oracle_itd
 
 FS = 16000
 
@@ -168,3 +170,82 @@ class TestReport:
         x[:4000] = 0.0
         rep = spatial_report(dup(x))
         assert rep.frames_used < 1 + (8000 - 400) // 160
+
+
+class TestShortInputs:
+    @pytest.mark.parametrize(
+        "n, fn, message",
+        [
+            (450, isd, "signal shorter than one frame"),
+            (450, ipd, "signal shorter than one frame"),
+            (450, spatial_report, "signal shorter than one frame"),
+            (300, ild, "all frames below the silence gate"),
+            (300, itd, "all frames below the silence gate"),
+            (300, spatial_report, "all frames below the silence gate"),
+            (300, isd, "signal shorter than one frame"),
+            (300, ipd, "signal shorter than one frame"),
+        ],
+    )
+    def test_error_names_the_missing_frame(self, rng, n, fn, message):
+        # 450 samples hold one 400-sample frame but no 512-sample STFT frame;
+        # 300 samples hold neither.
+        x = rng.standard_normal(n)
+        with pytest.raises(ValueError, match=message):
+            fn(stereo(x, 0.5 * x))
+
+
+# (samples, (left dB, right dB)) per segment; None is digital silence in both.
+_LEVELS = st.one_of(st.none(), st.tuples(st.floats(-90.0, -30.0), st.floats(-90.0, -30.0)))
+_SEGMENTS = st.lists(st.tuples(st.integers(100, 1200), _LEVELS), min_size=1, max_size=6)
+
+
+def _oracle_mask(left, right, frame, hop, gate_db):
+    starts = range(0, len(left) - frame + 1, hop)
+    return np.array([not _gated(left[s : s + frame], right[s : s + frame], gate_db) for s in starts])
+
+
+class TestGate:
+    @given(seed=st.integers(0, 2**32 - 1), segments=_SEGMENTS)
+    def test_voiced_frames_match_scalar_gate(self, seed, segments):
+        """frames_used and the STFT-frame mask equal the scalar oracle gate.
+
+        Each segment is silence or noise at a drawn level per channel, so
+        frames land on both sides of the -60 dB gate. Examples with a frame
+        within 1e-9 dB of the gate are skipped: an ulp-level difference
+        between NumPy's and math's log10 can only flip a frame that sits
+        exactly on the gate.
+        """
+        rng = np.random.default_rng(seed)
+        channels = ([], [])
+        for n, levels in segments:
+            for channel, level in zip(channels, levels or (None, None)):
+                scale = 0.0 if level is None else 10.0 ** (level / 20.0)
+                channel.append(scale * rng.standard_normal(n))
+        left, right = (np.concatenate(c) for c in channels)
+        assume(len(left) >= 512 and np.any(left))
+        cfg = MetricConfig()
+        for frame in (cfg.frame_size, cfg.stft_frame):
+            for s in range(0, len(left) - frame + 1, cfg.hop):
+                power = max(np.mean(left[s : s + frame] ** 2), np.mean(right[s : s + frame] ** 2))
+                assume(abs(10.0 * math.log10(power + 1e-300) - cfg.silence_gate_db) > 1e-9)
+        b = stereo(left, right)
+        frame_mask = _oracle_mask(left, right, cfg.frame_size, cfg.hop, cfg.silence_gate_db)
+        stft_mask = _oracle_mask(left, right, cfg.stft_frame, cfg.stft_hop, cfg.silence_gate_db)
+        if stft_mask.any():
+            assert np.array_equal(_voiced(b, cfg.stft_frame, cfg.stft_hop, cfg), stft_mask)
+        if frame_mask.any() and stft_mask.any():
+            assert spatial_report(b, cfg).frames_used == int(frame_mask.sum())
+        else:
+            with pytest.raises(ValueError, match="all frames below the silence gate"):
+                spatial_report(b, cfg)
+
+
+class TestItdTies:
+    def test_exact_tie_breaks_toward_smaller_lag(self):
+        # Every frame correlates equally at lags 2 and 5 (integer sums, so
+        # the tie is exact in any summation order); frames whose last
+        # impulse only fits lag 2 favour it outright.
+        left = np.zeros(8000)
+        left[::97] = 1.0
+        right = np.roll(left, 2) + np.roll(left, 5)
+        assert itd(stereo(left, right)) == pytest.approx(0.125, rel=1e-12)

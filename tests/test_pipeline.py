@@ -5,11 +5,15 @@ import os
 import numpy as np
 import pytest
 
+from binauralkit import audio, pipeline
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
+from binauralkit.cli import main as cli_main
+from binauralkit.metrics import SpatialMetricsReport
 from binauralkit.pipeline import (
     ClipEntry,
     ClipManifest,
     PreprocessConfig,
+    PreprocessReport,
     batch_metrics,
     batch_render,
     clip_trajectory,
@@ -318,3 +322,71 @@ class TestBatchMetrics:
         assert lines[0] == "metric,mean,count"
         assert len(lines) == 6
         assert all(line.endswith(",2") for line in lines[1:])
+
+
+def _partial_then_fail(text):
+    """A stand-in writer that puts `text` in its file, then fails."""
+
+    def write(*args, **kwargs):
+        fh = next(a for a in args if hasattr(a, "write"))
+        fh.write(text)
+        raise OSError("disk full")
+
+    return write
+
+
+def _fail_wav(tmp_path, monkeypatch, path):
+    monkeypatch.setattr(audio.wavfile, "write", _partial_then_fail(b"RIFF"))
+    write_wav(path, AudioBuffer(np.ones(100), FS))
+
+
+def _fail_manifest(tmp_path, monkeypatch, path):
+    monkeypatch.setattr(pipeline.json, "dump", _partial_then_fail("[{"))
+    save_manifest(path, ClipManifest((ClipEntry("a", "a.wav"),)))
+
+
+def _fail_metrics_json(tmp_path, monkeypatch, path):
+    # The clip reports serialise first; the failure value then cannot.
+    report = SpatialMetricsReport(0.5, 1.0, 0.1, 0.2, 0.3, 10)
+    write_metrics_json(path, {"a": report}, {"b": object()})
+
+
+def _fail_aggregate_csv(tmp_path, monkeypatch, path):
+    # The header and the iacc row are written before ild_db is missed.
+    write_aggregate_csv(path, {"iacc": (0.5, 1)})
+
+
+def _fail_preprocess_report(tmp_path, monkeypatch, path):
+    write_wav(tmp_path / "clip.wav", AudioBuffer(0.3 * np.ones(FS), FS))
+    manifest = tmp_path / "clips.json"
+    manifest.write_text(json.dumps([{"id": "clip", "audio": "clip.wav"}]))
+
+    def to_json(self):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(PreprocessReport, "to_json", to_json)
+    cli_main([
+        "preprocess", "--manifest", str(manifest), "--out", str(tmp_path / "kept.json"),
+        "--report", str(path), "--min-seconds", "0.5",
+    ])
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "fail",
+        [_fail_wav, _fail_manifest, _fail_metrics_json, _fail_aggregate_csv, _fail_preprocess_report],
+    )
+    def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch, fail):
+        path = tmp_path / "out.dat"
+        path.write_bytes(b"previous")
+        with pytest.raises((OSError, TypeError, KeyError)):
+            fail(tmp_path, monkeypatch, path)
+        assert path.read_bytes() == b"previous"
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_write_replaces_existing_output(self, tmp_path):
+        path = tmp_path / "agg.csv"
+        path.write_text("stale\n")
+        write_aggregate_csv(path, {name: (1.0, 2) for name in pipeline._METRIC_FIELDS})
+        assert path.read_text().startswith("metric,mean,count\n")
+        assert os.listdir(tmp_path) == ["agg.csv"]
