@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, atomic_write
 
 RIDGE = 1e-12
 SINGULARITY_TOL = 1e-10
@@ -222,7 +222,8 @@ def encode_mono(
             f"trajectory covers {len(directions)} blocks, signal needs {n_blocks}"
         )
     weights = _per_sample_sh_weights(n, directions[:n_blocks], order, block_size, crossfade)
-    return ShSignal(order, weights * signal.samples[:, None], signal.sample_rate)
+    weights *= signal.samples[:, None]
+    return ShSignal(order, weights, signal.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def load_trajectory_csv(path):
 
 
 def save_trajectory_csv(path, trajectory):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "azimuth_deg", "elevation_deg"])
         for time_s, direction in trajectory.points:

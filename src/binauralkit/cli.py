@@ -33,6 +33,25 @@ from .pipeline import (
 from .render import RenderConfig
 
 
+def _checked(convert, ok, requirement):
+    """argparse type: convert the text, then reject a value failing `ok` as a
+    usage error that names the flag."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type on a bad literal
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_FINITE = _checked(float, math.isfinite, "finite")
+_RATE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="binauralkit",
@@ -72,21 +91,21 @@ def _build_parser():
     p = sub.add_parser("cfm-train", help="train the toy dual-channel flow matcher")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--trace", help="loss trace CSV")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--steps", type=_COUNT, default=2000)
+    p.add_argument("--lr", type=_RATE, default=1e-3)
+    p.add_argument("--batch-size", type=_COUNT, default=128)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--latent-dim", type=int, default=1)
-    p.add_argument("--target", type=float, default=3.0,
+    p.add_argument("--hidden", type=_COUNT, default=64)
+    p.add_argument("--latent-dim", type=_COUNT, default=1)
+    p.add_argument("--target", type=_FINITE, default=3.0,
                    help="constant target value for the synthetic task")
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=_COUNT, default=1024)
     p.add_argument("--shared-weights", action="store_true")
 
     p = sub.add_parser("cfm-sample", help="Euler-sample from a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--steps", type=int, default=32)
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--steps", type=_COUNT, default=32)
+    p.add_argument("--draws", type=_COUNT, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV of drawn samples")
 
@@ -182,16 +201,13 @@ def _cmd_cfm_train(args):
 
 
 def _cmd_cfm_sample(args):
-    if args.draws < 1:
-        print("cfm-sample: --draws must be >= 1", file=sys.stderr)
-        return 2
     nets = flow.load_checkpoint(args.checkpoint)
     net = nets[0]
     cond = np.ones(net.cond_dim) if net.cond_dim else None
     x0 = np.random.default_rng(args.seed).standard_normal((args.draws, net.latent_dim))
     draws = flow.sample_euler(net, x0, cond, args.steps)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with atomic_write(args.out, newline="") as fh:
             fh.write("draw," + ",".join(f"x{i}" for i in range(net.latent_dim)) + "\n")
             for i, row in enumerate(draws):
                 fh.write(f"{i}," + ",".join(f"{v:.12g}" for v in row) + "\n")

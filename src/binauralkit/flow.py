@@ -1,7 +1,7 @@
 """Toy-scale conditional flow matching: linear interpolation paths, a small
 velocity-field perceptron per channel with exact reverse-mode gradients, the
-dual-channel training objective, Euler sampling and a weight checkpoint
-format."""
+dual-channel training objective (one forward and one backward pass per net
+per training step), Euler sampling and a weight checkpoint format."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .audio import atomic_write
 
 CHECKPOINT_MAGIC = b"SV2A"
 CHECKPOINT_VERSION = 1
@@ -110,28 +112,16 @@ class VelocityFieldNet:
             setattr(self, name, np.array(params[name], dtype=np.float64))
 
 
-def cfm_loss(net, x0, x1, t, cond=None):
-    """Mean over the batch of ||v(x_t, t, C) - (x1 - x0)||^2."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    if len(x0) == 0:
-        raise ValueError("empty batch")
-    xt = interpolate(x0, x1, np.asarray(t, dtype=np.float64))
-    v = net.forward(xt, t, cond)
-    diff = v - target_velocity(x0, x1)
-    return float(np.mean(np.sum(diff**2, axis=1)))
-
-
-def backward(net, x0, x1, t, cond=None):
-    """Exact reverse-mode gradients of cfm_loss w.r.t. every net parameter."""
+def _loss_and_grads(net, x0, x1, t, cond):
+    """cfm_loss and backward from one forward pass: the residual gives both."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     if len(x0) == 0:
         raise ValueError("empty batch")
     xt = interpolate(x0, x1, np.asarray(t, dtype=np.float64))
     z, a1, a2, v = net._forward_cached(xt, t, cond)
-    b = len(x0)
-    dv = 2.0 * (v - target_velocity(x0, x1)) / b
+    residual = v - target_velocity(x0, x1)
+    dv = 2.0 * residual / len(x0)
     grads = {"w3": a2.T @ dv, "b3": dv.sum(axis=0)}
     dh2 = (dv @ net.w3.T) * (1.0 - a2**2)
     grads["w2"] = a1.T @ dh2
@@ -139,7 +129,17 @@ def backward(net, x0, x1, t, cond=None):
     dh1 = (dh2 @ net.w2.T) * (1.0 - a1**2)
     grads["w1"] = z.T @ dh1
     grads["b1"] = dh1.sum(axis=0)
-    return grads
+    return float(np.mean(np.sum(residual**2, axis=1))), grads
+
+
+def cfm_loss(net, x0, x1, t, cond=None):
+    """Mean over the batch of ||v(x_t, t, C) - (x1 - x0)||^2."""
+    return _loss_and_grads(net, x0, x1, t, cond)[0]
+
+
+def backward(net, x0, x1, t, cond=None):
+    """Exact reverse-mode gradients of cfm_loss w.r.t. every net parameter."""
+    return _loss_and_grads(net, x0, x1, t, cond)[1]
 
 
 def binaural_cfm_loss(net_l, net_r, x0_l, x1_l, x0_r, x1_r, t, cond=None):
@@ -273,8 +273,9 @@ def train(net_l, net_r, dataset, cfg):
     """Single-threaded, seed-deterministic dual-channel training loop.
 
     Each step draws a batch of target pairs, fresh standard-normal noise per
-    channel and one shared timestep per pair, then applies one adaptive-moment
-    update per net. Aborts if the loss exceeds cfg.divergence_limit.
+    channel and one shared timestep per pair, then runs one forward pass, one
+    backward pass and one adaptive-moment update per net. Aborts before any
+    update if the loss exceeds cfg.divergence_limit.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     shared = net_l is net_r
@@ -294,13 +295,13 @@ def train(net_l, net_r, dataset, cfg):
         cond_l = _channel_cond(cond, 1.0, shared, cfg.batch_size)
         cond_r = _channel_cond(cond, -1.0, shared, cfg.batch_size)
 
-        loss = cfm_loss(net_l, x0_l, x1_l, t, cond_l) + cfm_loss(net_r, x0_r, x1_r, t, cond_r)
+        loss_l, grads_l = _loss_and_grads(net_l, x0_l, x1_l, t, cond_l)
+        loss_r, grads_r = _loss_and_grads(net_r, x0_r, x1_r, t, cond_r)
+        loss = loss_l + loss_r
         if not np.isfinite(loss) or loss > cfg.divergence_limit:
             raise RuntimeError(f"training diverged at step {step}: loss {loss}")
         trace[step] = loss
 
-        grads_l = backward(net_l, x0_l, x1_l, t, cond_l)
-        grads_r = backward(net_r, x0_r, x1_r, t, cond_r)
         if shared:
             grads = {k: grads_l[k] + grads_r[k] for k in grads_l}
             net_l.set_parameters(adam_l.update(net_l.parameters(), grads, cfg.learning_rate))
@@ -325,7 +326,7 @@ def sample_euler(net, x0, cond=None, steps=32):
 def save_checkpoint(path, nets):
     """Write net weights: magic, format version, per-net dims and parameter
     arrays as little-endian float64."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(nets)))
         for net in nets:
@@ -382,7 +383,7 @@ def load_checkpoint(path):
 
 
 def save_loss_trace(path, trace):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(trace):
             fh.write(f"{step},{loss:.12g}\n")

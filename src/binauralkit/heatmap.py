@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import atomic_write
+
 NEUTRAL_FEATURES = (0.5, 0.0, 0.0, 0.0, 0.0)
 FEATURE_NAMES = ("s_h", "s_area", "s_var", "s_lr", "s_shape")
 
@@ -141,7 +143,7 @@ def load_heatmap_sequence(path, frame_rate=31.25):
 def save_heatmap_sequence(path, seq):
     """Write HMAP v1 with 9 significant decimal digits."""
     first = seq.frames[0]
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"hmap 1 {len(seq)} {first.height} {first.width}\n")
         for frame in seq.frames:
             for row in frame.values:
@@ -250,7 +252,7 @@ def extract_features(seq, cfg=None):
 
 def save_features_csv(path, features):
     """Write `frame,s_h,s_area,s_var,s_lr,s_shape` rows."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("frame",) + FEATURE_NAMES)
         for i, row in enumerate(features.features):

@@ -195,6 +195,32 @@ class TestFlowCommands:
         main(["cfm-train", "--checkpoint", str(ckpt), "--steps", "1", "--hidden", "4"])
         assert main(["cfm-sample", "--checkpoint", str(ckpt), "--draws", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("cfm-train", ["--steps", "0"]),
+            ("cfm-train", ["--samples", "0"]),
+            ("cfm-train", ["--batch-size", "0"]),
+            ("cfm-train", ["--lr", "-0.001"]),
+            ("cfm-train", ["--lr", "nan"]),
+            ("cfm-train", ["--hidden", "0"]),
+            ("cfm-train", ["--latent-dim", "0"]),
+            ("cfm-train", ["--target", "inf"]),
+            ("cfm-sample", ["--steps", "0"]),
+        ],
+    )
+    def test_flow_usage_errors_exit_2(self, tmp_path, capsys, command, flags):
+        ckpt = tmp_path / "model.ckpt"
+        if command == "cfm-sample":
+            main(["cfm-train", "--checkpoint", str(ckpt), "--steps", "1", "--hidden", "4"])
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        out_flag = "--trace" if command == "cfm-train" else "--out"
+        argv = [command, "--checkpoint", str(ckpt), out_flag, str(tmp_path / "out.csv")]
+        assert main(argv + flags) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_train_determinism(self, tmp_path):
         blobs = []
         for name in ("a.ckpt", "b.ckpt"):

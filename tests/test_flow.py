@@ -266,6 +266,57 @@ class TestTraining:
         assert len(trace) == 30
         assert np.all(np.isfinite(trace))
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_forward_pass_per_net_per_step(self, monkeypatch, shared):
+        calls = []
+        real = VelocityFieldNet._forward_cached
+
+        def counting(net, *args):
+            calls.append(net)
+            return real(net, *args)
+
+        monkeypatch.setattr(VelocityFieldNet, "_forward_cached", counting)
+        cfg = TrainConfig(steps=5, batch_size=8, hidden_width=8, shared_weights=shared)
+        net_l, net_r = make_nets(2, 0, cfg)
+        train(net_l, net_r, constant_target_dataset(16, 2, 1.0), cfg)
+        assert calls == [net_l, net_r] * cfg.steps
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_first_trace_entry_is_summed_channel_loss(self, shared):
+        data = constant_target_dataset(32, 3, 2.0, rng_seed=3)
+        cfg = TrainConfig(steps=1, batch_size=8, hidden_width=8, rng_seed=4,
+                          shared_weights=shared)
+        trace = train(*make_nets(3, 0, cfg), data, cfg)
+        # Replay step 0's draws on fresh nets: batch indices, then timesteps
+        # (the dataset stores its noise).
+        net_l, net_r = make_nets(3, 0, cfg)
+        rng = np.random.default_rng(cfg.rng_seed)
+        idx = rng.integers(0, len(data), cfg.batch_size)
+        t = rng.uniform(0.0, 1.0, cfg.batch_size)
+        flag = np.ones((cfg.batch_size, 1))
+        cond_l, cond_r = (flag, -flag) if shared else (None, None)
+        expected = (cfm_loss(net_l, data.x0_left[idx], data.x1_left[idx], t, cond_l)
+                    + cfm_loss(net_r, data.x0_right[idx], data.x1_right[idx], t, cond_r))
+        assert trace[0] == expected
+
+    def test_fresh_noise_per_step(self):
+        # No stored x0: train draws standard-normal noise every step.
+        rng = np.random.default_rng(2)
+        x1 = 1.5 + 0.1 * rng.standard_normal((64, 2))
+        data = FlowDataset(x1_left=x1, x1_right=-x1)
+        cfg = TrainConfig(steps=300, batch_size=32, learning_rate=5e-3,
+                          hidden_width=16, rng_seed=3)
+        runs = []
+        for _ in range(2):
+            net_l, net_r = make_nets(2, 0, cfg)
+            runs.append((train(net_l, net_r, data, cfg), net_r.parameters()))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        for k in runs[0][1]:
+            np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k])
+        trace = runs[0][0]
+        assert np.all(np.isfinite(trace))
+        assert np.mean(trace[-20:]) < 0.25 * np.mean(trace[:20])
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)

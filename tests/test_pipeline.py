@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from binauralkit import audio, pipeline
+from binauralkit import ambisonic, audio, flow, heatmap, pipeline
+from binauralkit.ambisonic import Direction, Trajectory
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.cli import main as cli_main
 from binauralkit.metrics import SpatialMetricsReport
@@ -371,10 +372,51 @@ def _fail_preprocess_report(tmp_path, monkeypatch, path):
     ])
 
 
+def _fail_checkpoint(tmp_path, monkeypatch, path):
+    # The header and the first net are written before the second net's
+    # parameters cannot be converted.
+    bad = flow.VelocityFieldNet(1, hidden_width=2)
+    bad.b3 = {"not": "an array"}
+    flow.save_checkpoint(path, [flow.VelocityFieldNet(1, hidden_width=2), bad])
+
+
+def _fail_loss_trace(tmp_path, monkeypatch, path):
+    flow.save_loss_trace(path, [1.0, None])
+
+
+def _fail_sample_csv(tmp_path, monkeypatch, path):
+    ckpt = tmp_path / "model.ckpt"
+    cli_main(["cfm-train", "--checkpoint", str(ckpt), "--steps", "1", "--hidden", "4"])
+    monkeypatch.setattr(flow, "sample_euler", lambda *args: [[0.5], [None]])
+    cli_main(["cfm-sample", "--checkpoint", str(ckpt), "--draws", "2", "--out", str(path)])
+
+
+def _fail_heatmap_sequence(tmp_path, monkeypatch, path):
+    # The header and the first frame are written before the second frame's
+    # value cannot be formatted.
+    frames = (heatmap.Heatmap(np.ones((1, 2))), heatmap.Heatmap(np.ones((1, 2))))
+    object.__setattr__(frames[1], "values", np.array([[1.0, None]], dtype=object))
+    heatmap.save_heatmap_sequence(path, heatmap.HeatmapSequence(frames))
+
+
+def _fail_features_csv(tmp_path, monkeypatch, path):
+    monkeypatch.setattr(heatmap.csv, "writer", _partial_then_fail("frame,"))
+    heatmap.save_features_csv(path, heatmap.SpatialFeatureSequence(np.zeros((2, 5))))
+
+
+def _fail_trajectory_csv(tmp_path, monkeypatch, path):
+    monkeypatch.setattr(ambisonic.csv, "writer", _partial_then_fail("time_s,"))
+    ambisonic.save_trajectory_csv(path, Trajectory.constant(Direction(0.0, 0.0)))
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize(
         "fail",
-        [_fail_wav, _fail_manifest, _fail_metrics_json, _fail_aggregate_csv, _fail_preprocess_report],
+        [
+            _fail_wav, _fail_manifest, _fail_metrics_json, _fail_aggregate_csv,
+            _fail_preprocess_report, _fail_checkpoint, _fail_loss_trace, _fail_sample_csv,
+            _fail_heatmap_sequence, _fail_features_csv, _fail_trajectory_csv,
+        ],
     )
     def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch, fail):
         path = tmp_path / "out.dat"
