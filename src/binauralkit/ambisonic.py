@@ -1,17 +1,25 @@
-"""Real spherical-harmonic encoding, virtual loudspeaker layouts and the
-pseudo-inverse projection of SH signals onto per-speaker feeds.
+"""Real spherical-harmonic encoding, virtual loudspeaker layouts, the
+pseudo-inverse projection of SH signals onto per-speaker feeds, and
+piecewise-constant source trajectories.
 
 Conventions: real SH, ACN channel ordering, SN3D normalization. Azimuth is
 measured counterclockwise from front (positive = listener's left), elevation
 up from the horizontal plane.
+
+sh_basis evaluates the SH channels for whole arrays of directions. A
+Trajectory holds its breakpoints as time, azimuth and elevation arrays (the
+CSV loader reads them with one np.loadtxt call and builds no Direction per
+row), and index_at finds the breakpoint in force at many times with one
+search. EncodedRows is the mono signal encoded along per-block gains,
+built on demand a range of rows at a time; encode_mono builds all of it.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,29 +70,35 @@ def angular_distance(a, b):
     return math.acos(float(np.clip(np.dot(a.unit_vector(), b.unit_vector()), -1.0, 1.0)))
 
 
-def sh_encode(direction, order):
-    """Real SH basis values for a direction (ACN order, SN3D), orders 0-2.
+def sh_basis(azimuth, elevation, order):
+    """Real SH basis values (ACN order, SN3D), orders 0-2, for arrays of
+    azimuths and elevations in radians: shape (..., (order+1)^2).
 
     Order-1 channels are (W, Y, Z, X) = (1, sin az cos el, sin el, cos az cos el).
     """
     if order not in (0, 1, 2):
         raise ValueError(f"unsupported SH order {order} (0, 1 or 2)")
-    az, el = direction.azimuth, direction.elevation
-    ce, se = math.cos(el), math.sin(el)
-    out = np.empty((order + 1) ** 2)
-    out[0] = 1.0
+    az = np.asarray(azimuth, dtype=np.float64)
+    el = np.broadcast_to(np.asarray(elevation, dtype=np.float64), az.shape)
+    ce, se = np.cos(el), np.sin(el)
+    channels = [np.ones_like(az)]
     if order >= 1:
-        out[1] = math.sin(az) * ce
-        out[2] = se
-        out[3] = math.cos(az) * ce
+        channels += [np.sin(az) * ce, se, np.cos(az) * ce]
     if order >= 2:
         r3_2 = math.sqrt(3.0) / 2.0
-        out[4] = r3_2 * math.sin(2.0 * az) * ce * ce
-        out[5] = r3_2 * math.sin(az) * math.sin(2.0 * el)
-        out[6] = 0.5 * (3.0 * se * se - 1.0)
-        out[7] = r3_2 * math.cos(az) * math.sin(2.0 * el)
-        out[8] = r3_2 * math.cos(2.0 * az) * ce * ce
-    return out
+        channels += [
+            r3_2 * np.sin(2.0 * az) * ce * ce,
+            r3_2 * np.sin(az) * np.sin(2.0 * el),
+            0.5 * (3.0 * se * se - 1.0),
+            r3_2 * np.cos(az) * np.sin(2.0 * el),
+            r3_2 * np.cos(2.0 * az) * ce * ce,
+        ]
+    return np.stack(channels, axis=-1)
+
+
+def sh_encode(direction, order):
+    """Real SH basis values for one Direction (see sh_basis)."""
+    return sh_basis(direction.azimuth, direction.elevation, order)
 
 
 @dataclass(frozen=True)
@@ -174,24 +188,43 @@ def project_to_speakers(sh, dm):
     return [AudioBuffer(feeds[:, m], sh.sample_rate) for m in range(feeds.shape[1])]
 
 
-def _per_sample_sh_weights(n, directions, order, block_size, crossfade):
-    """Per-sample SH gain vectors for block-wise constant directions with a
-    linear crossfade over the first `crossfade` samples of each new block."""
-    k = (order + 1) ** 2
-    ys = [sh_encode(d, order) for d in directions]
-    weights = np.empty((n, k))
-    n_blocks = len(ys)
-    for b in range(n_blocks):
-        lo = b * block_size
-        hi = min(n, lo + block_size)
-        if lo >= n:
-            break
-        weights[lo:hi] = ys[b]
-        if b > 0 and crossfade > 0:
-            xf_hi = min(hi, lo + crossfade)
-            alpha = (np.arange(xf_hi - lo) + 1.0) / crossfade
-            weights[lo:xf_hi] = (1.0 - alpha[:, None]) * ys[b - 1] + alpha[:, None] * ys[b]
-    return weights
+class EncodedRows:
+    """A mono signal encoded into SH channels as an N x K row source for
+    audio.fft_convolve: `rows(lo, hi)` builds rows lo..hi-1 on demand, so the
+    N x K array is never held whole.
+
+    Block b of `block_size` samples takes the gain row `gains[b]`; the first
+    `crossfade` samples of every block after the first ramp linearly from
+    the previous block's gains.
+    """
+
+    def __init__(self, samples, gains, block_size, crossfade):
+        self.samples = samples
+        self.gains = gains
+        self.block_size = block_size
+        self.crossfade = crossfade
+        self.shape = (len(samples), gains.shape[1])
+
+    def __len__(self):
+        return self.shape[0]
+
+    def rows(self, lo, hi):
+        # Built channel-major (K x rows), so every fill runs along a long
+        # contiguous axis; returned as its N x K transpose.
+        size, fade = self.block_size, self.crossfade
+        first, last = lo // size, -(-hi // size)  # the blocks that rows lo..hi-1 touch
+        gains = self.gains.T[:, :, None]  # K x blocks x 1
+        weights = np.empty((self.shape[1], last - first, size))
+        weights[:] = gains[:, first:last]
+        ramped = max(first, 1)  # block 0 has no previous block to fade from
+        if fade and last > ramped:
+            alpha = (np.arange(min(fade, size)) + 1.0) / fade
+            weights[:, ramped - first :, :fade] = (
+                (1.0 - alpha) * gains[:, ramped - 1 : last - 1] + alpha * gains[:, ramped:last]
+            )
+        weights = weights.reshape(self.shape[1], -1)[:, lo - first * size : hi - first * size]
+        weights *= self.samples[lo:hi]
+        return weights.T
 
 
 def encode_mono(
@@ -221,68 +254,134 @@ def encode_mono(
         raise ValueError(
             f"trajectory covers {len(directions)} blocks, signal needs {n_blocks}"
         )
-    weights = _per_sample_sh_weights(n, directions[:n_blocks], order, block_size, crossfade)
-    weights *= signal.samples[:, None]
-    return ShSignal(order, weights, signal.sample_rate)
+    directions = directions[:n_blocks]
+    gains = sh_basis(
+        [d.azimuth for d in directions], [d.elevation for d in directions], order
+    )
+    rows = EncodedRows(signal.samples, gains, block_size, crossfade).rows(0, n)
+    return ShSignal(order, rows, signal.sample_rate)
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-constant direction of time: (time_s, Direction) breakpoints."""
+    """Piecewise-constant direction of time, held as breakpoint arrays sorted
+    by time (stable): `times` in seconds, `azimuth` (wrapped into [-pi, pi))
+    and `elevation` in radians.
 
-    points: tuple
-    _times: tuple = field(init=False, repr=False, compare=False)
+    `Trajectory(points)` takes (time_s, Direction) pairs;
+    `Trajectory.from_arrays` takes the three arrays and builds no Direction.
+    """
 
-    def __post_init__(self):
-        pts = tuple(sorted(self.points, key=lambda p: p[0]))
+    def __init__(self, points):
+        pts = tuple(sorted(points, key=lambda p: p[0]))
         if not pts:
             raise ValueError("empty trajectory")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_times", tuple(p[0] for p in pts))
+        self._points = pts
+        self.times = np.array([p[0] for p in pts], dtype=np.float64)
+        self.azimuth = np.array([p[1].azimuth for p in pts])
+        self.elevation = np.array([p[1].elevation for p in pts])
+
+    @classmethod
+    def from_arrays(cls, times, azimuth, elevation):
+        """Breakpoints from time (s), azimuth and elevation (rad) arrays;
+        the same checks and wrapping as Direction, applied to whole arrays."""
+        times = np.asarray(times, dtype=np.float64)
+        if len(times) == 0:
+            raise ValueError("empty trajectory")
+        elevation = np.asarray(elevation, dtype=np.float64)
+        limit = math.pi / 2 + 1e-12
+        if not np.all((-limit <= elevation) & (elevation <= limit)):
+            raise ValueError("elevation outside [-pi/2, pi/2]")
+        order = np.argsort(times, kind="stable")
+        self = cls.__new__(cls)
+        self._points = None
+        self.times = times[order]
+        self.azimuth = wrap_azimuth(np.asarray(azimuth, dtype=np.float64)[order])
+        self.elevation = elevation[order]
+        return self
+
+    @property
+    def points(self):
+        """(time_s, Direction) breakpoints in time order."""
+        if self._points is None:
+            self._points = tuple(
+                (float(t), Direction(a, e))
+                for t, a, e in zip(self.times, self.azimuth, self.elevation)
+            )
+        return self._points
+
+    def index_at(self, t):
+        """Index of the breakpoint in force at time(s) t: the last one (in
+        sorted order) with time <= t, within 1e-12 s. A time before the first
+        breakpoint is a gap and raises ValueError."""
+        first = float(np.min(t))
+        if first < self.times[0] - 1e-12:
+            raise ValueError(f"trajectory gap: no direction at t={first}")
+        i = np.searchsorted(self.times, np.asarray(t) + 1e-12, side="right")
+        return np.maximum(i, 1) - 1
 
     def direction_at(self, t):
-        """Direction in force at time t: the last breakpoint (in sorted order)
-        with time <= t, within 1e-12 s."""
-        if t < self._times[0] - 1e-12:
-            raise ValueError(f"trajectory gap: no direction at t={t}")
-        i = bisect.bisect_right(self._times, t + 1e-12)
-        return self.points[max(i, 1) - 1][1]
+        """Direction in force at time t (see index_at)."""
+        return self.points[int(self.index_at(t))][1]
 
     @staticmethod
     def constant(direction):
         return Trajectory(((0.0, direction),))
 
 
+TRAJECTORY_COLUMNS = ("time_s", "azimuth_deg", "elevation_deg")
+
+
 def load_trajectory_csv(path):
     """Read a `time_s,azimuth_deg,elevation_deg` CSV into a Trajectory; a
     missing, non-numeric or non-finite value raises ValueError naming the
-    file and line."""
-    points = []
+    file and line.
+
+    The rows are read with one np.loadtxt call. A file it cannot take, or
+    one holding a bad value, goes through the row-by-row reader instead,
+    which raises at the first bad line.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        body = fh.read()
+    if header is None or not set(TRAJECTORY_COLUMNS).issubset(header):
+        raise ValueError(f"{path}: expected header time_s,azimuth_deg,elevation_deg")
+    # As in csv.DictReader, the last of repeated column names wins.
+    cols = [len(header) - 1 - header[::-1].index(name) for name in TRAJECTORY_COLUMNS]
+    table = None
+    # Without quote characters a CSV row is its line split at the commas.
+    if '"' not in body and body.strip("\r\n"):
+        try:
+            table = np.loadtxt(
+                io.StringIO(body), delimiter=",", comments=None, usecols=cols, ndmin=2
+            )
+        except ValueError:
+            pass
+    if table is None or not np.all(np.isfinite(table)):
+        table = _read_trajectory_rows(path)
+    return Trajectory.from_arrays(table[:, 0], np.radians(table[:, 1]), np.radians(table[:, 2]))
+
+
+def _read_trajectory_rows(path):
+    """The T x 3 table of a trajectory CSV read row by row with
+    csv.DictReader, raising at the first bad line."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = ("time_s", "azimuth_deg", "elevation_deg")
-        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected header time_s,azimuth_deg,elevation_deg")
         for row in reader:
             try:
-                time_s, az_deg, el_deg = (float(row[key]) for key in required)
+                values = [float(row[key]) for key in TRAJECTORY_COLUMNS]
             except (TypeError, ValueError):
                 raise ValueError(f"{path}:{reader.line_num}: non-numeric value") from None
-            if not all(math.isfinite(v) for v in (time_s, az_deg, el_deg)):
+            if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{path}:{reader.line_num}: non-finite value")
-            points.append((time_s, Direction(math.radians(az_deg), math.radians(el_deg))))
-    return Trajectory(tuple(points))
+            Direction(math.radians(values[1]), math.radians(values[2]))  # elevation check
+            rows.append(values)
+    return np.array(rows).reshape(-1, 3)
 
 
 def save_trajectory_csv(path, trajectory):
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time_s", "azimuth_deg", "elevation_deg"])
-        for time_s, direction in trajectory.points:
-            writer.writerow(
-                [
-                    f"{time_s:.9g}",
-                    f"{math.degrees(direction.azimuth):.9g}",
-                    f"{math.degrees(direction.elevation):.9g}",
-                ]
-            )
+        writer.writerow(TRAJECTORY_COLUMNS)
+        for row in zip(trajectory.times, trajectory.azimuth, trajectory.elevation):
+            writer.writerow([f"{row[0]:.9g}"] + [f"{math.degrees(v):.9g}" for v in row[1:]])

@@ -106,15 +106,16 @@ def read_wav(path):
             f"unsupported WAV encoding {data.dtype} in {path} (PCM-16 or float-32 only)"
         )
 
-    if samples.ndim == 1:
-        return AudioBuffer(samples, rate)
-    if samples.shape[1] == 1:
-        return AudioBuffer(samples[:, 0], rate)
-    if samples.shape[1] == 2:
-        return BinauralBuffer(
-            AudioBuffer(samples[:, 0], rate), AudioBuffer(samples[:, 1], rate)
-        )
-    raise AudioFormatError(f"{path} has {samples.shape[1]} channels, at most 2 supported")
+    if samples.ndim == 2 and samples.shape[1] > 2:
+        raise AudioFormatError(f"{path} has {samples.shape[1]} channels, at most 2 supported")
+    try:  # the buffers' own checks (finite samples, positive rate), naming the file
+        if samples.ndim == 1:
+            return AudioBuffer(samples, rate)
+        if samples.shape[1] == 1:
+            return AudioBuffer(samples[:, 0], rate)
+        return BinauralBuffer(AudioBuffer(samples[:, 0], rate), AudioBuffer(samples[:, 1], rate))
+    except ValueError as exc:
+        raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
 
 
 @contextmanager
@@ -169,8 +170,10 @@ def fft_convolve(signal, kernel):
 
     - AudioBuffer of N samples and a 1-D kernel of L taps: returns an
       AudioBuffer of N + L - 1 samples.
-    - N x K array and an E x K x L bank: returns an E x (N + L - 1) array
-      whose row e is sum_k x[:, k] * bank[e, k].
+    - N x K array, or N x K row source, and an E x K x L bank: returns an
+      E x (N + L - 1) array whose row e is sum_k x[:, k] * bank[e, k]. A row
+      source stands in for an array that is never built whole: it has
+      `shape` (N, K) and `rows(lo, hi)`, which returns rows lo..hi-1.
 
     The first form is the E = K = 1 case of the second. The signal is cut
     into hops of nfft - L + 1 samples, with nfft = next_pow2(16 L) (less for
@@ -184,20 +187,25 @@ def fft_convolve(signal, kernel):
         kernel = np.asarray(kernel, dtype=np.float64)
         if kernel.ndim != 1 or len(kernel) == 0:
             raise ValueError("kernel must be a non-empty 1-D sequence")
-        y = _overlap_add(signal.samples[:, None], kernel[None, None, :])
+        x = signal.samples[:, None]
+        y = _overlap_add(lambda lo, hi: x[lo:hi], x.shape, kernel[None, None, :])
         return AudioBuffer(y[0], signal.sample_rate)
-    x = np.asarray(signal, dtype=np.float64)
     bank = np.asarray(kernel, dtype=np.float64)
-    if x.ndim != 2 or bank.ndim != 3 or bank.shape[1] != x.shape[1] or bank.shape[2] == 0:
+    if hasattr(signal, "rows"):
+        rows, shape = signal.rows, signal.shape
+    else:
+        x = np.asarray(signal, dtype=np.float64)
+        rows, shape = (lambda lo, hi: x[lo:hi]), x.shape
+    if len(shape) != 2 or bank.ndim != 3 or bank.shape[1] != shape[1] or bank.shape[2] == 0:
         raise ValueError("expected an N x K signal and an E x K x L bank with L >= 1")
-    return _overlap_add(x, bank)
+    return _overlap_add(rows, shape, bank)
 
 
 _OLA_GROUP = 64  # blocks per group in _overlap_add
 
 
-def _overlap_add(x, bank):
-    n, k = x.shape
+def _overlap_add(rows, shape, bank):
+    n, k = shape
     e, _, taps = bank.shape
     # A short signal fits one block; a hop of at least L - 1 samples keeps
     # each block's tail inside the next block.
@@ -206,15 +214,18 @@ def _overlap_add(x, bank):
     n_blocks = -(-n // hop)
     responses = np.fft.rfft(bank, nfft, axis=-1)
     out = np.zeros((e, n_blocks + 1, hop))
-    # Blocks go through in groups, so the spectra of a long signal never
-    # sit in memory all at once.
+    # Blocks go through in groups, and each group's rows are taken from the
+    # source just before its transform, so neither the spectra nor (from a
+    # row source) the signal of a long clip sit in memory all at once.
     for lo in range(0, n_blocks, _OLA_GROUP):
         hi = min(lo + _OLA_GROUP, n_blocks)
-        blocks = np.zeros(((hi - lo) * hop, k))
-        group = x[lo * hop : hi * hop]
-        blocks[: len(group)] = group
-        spectra = np.fft.rfft(blocks.reshape(hi - lo, hop, k), nfft, axis=1)
-        y = np.fft.irfft(np.einsum("bfk,ekf->ebf", spectra, responses), nfft, axis=-1)
+        blocks = rows(lo * hop, min(hi * hop, n))
+        if len(blocks) < (hi - lo) * hop:  # the last group ends inside a hop
+            blocks = np.concatenate([blocks, np.zeros(((hi - lo) * hop - len(blocks), k))])
+        # B x K x hop: a channel-major row source gives each transform a
+        # contiguous row.
+        spectra = np.fft.rfft(blocks.reshape(hi - lo, hop, k).transpose(0, 2, 1), nfft, axis=-1)
+        y = np.fft.irfft(np.einsum("bkf,ekf->ebf", spectra, responses), nfft, axis=-1)
         out[:, lo:hi] += y[:, :, :hop]
         out[:, lo + 1 : hi + 1, : taps - 1] += y[:, :, hop:]
     return out.reshape(e, -1)[:, : n + taps - 1]

@@ -50,6 +50,8 @@ def _checked(convert, ok, requirement):
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _FINITE = _checked(float, math.isfinite, "finite")
 _RATE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_SPEAKERS = _checked(int, lambda v: v >= 2, ">= 2")
 
 
 def _build_parser():
@@ -70,9 +72,9 @@ def _build_parser():
     p = sub.add_parser("render", help="batch-render manifest clips to stereo WAVs")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--fov-deg", type=float, default=90.0)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--speakers", type=int, default=8)
+    p.add_argument("--fov-deg", type=_FINITE, default=90.0)
+    p.add_argument("--order", type=int, choices=(0, 1, 2), default=1)
+    p.add_argument("--speakers", type=_SPEAKERS, default=8)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--encoding", choices=["float32", "pcm16"], default="float32")
     p.add_argument("--strict", action="store_true")
@@ -86,7 +88,7 @@ def _build_parser():
     p = sub.add_parser("features", help="extract spatial features from a heatmap file")
     p.add_argument("--hmap", required=True)
     p.add_argument("--out", required=True, help="feature CSV")
-    p.add_argument("--frame-rate", type=float, default=31.25)
+    p.add_argument("--frame-rate", type=_POSITIVE, default=31.25)
 
     p = sub.add_parser("cfm-train", help="train the toy dual-channel flow matcher")
     p.add_argument("--checkpoint", required=True)

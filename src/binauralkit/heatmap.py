@@ -4,11 +4,18 @@ Five per-frame features are extracted from each H x W non-negative map:
 horizontal position (column centroid / width), active-area fraction,
 spatial variance, left-right energy bias and the horizontal/vertical
 spread ratio. Pixel coordinates are 1-based throughout.
+
+A HeatmapSequence holds its frames as one T x H x W array: the HMAP loader
+reads all data rows with one np.loadtxt call, and extract_features computes
+every frame's features at once from the row and column marginals of the
+stack. The per-frame functions (centroid, spatial_variance, ...,
+frame_features) give the same values for a single Heatmap.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,24 +56,38 @@ class Heatmap:
 
 @dataclass(frozen=True)
 class HeatmapSequence:
-    """T heatmaps of identical shape at a fixed frame rate."""
+    """T heatmaps of identical shape at a fixed frame rate, held as one
+    T x H x W array. `values` may also be given as a sequence of Heatmaps."""
 
-    frames: tuple
+    values: np.ndarray
     frame_rate: float = 31.25
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise ValueError("sequence must contain at least one frame")
-        shape = frames[0].values.shape
-        if any(f.values.shape != shape for f in frames):
-            raise ValueError("all frames must share one shape")
+        values = self.values
+        if isinstance(values, np.ndarray):
+            values = np.asarray(values, dtype=np.float64)
+            if values.ndim != 3 or len(values) == 0:
+                raise ValueError("sequence must be a non-empty T x H x W array")
+            if not np.all(np.isfinite(values)) or np.any(values < 0):
+                raise ValueError("heatmap values must be finite and non-negative")
+        else:  # Heatmaps, each of which has checked its own values
+            frames = tuple(values)
+            if not frames:
+                raise ValueError("sequence must contain at least one frame")
+            if any(f.values.shape != frames[0].values.shape for f in frames):
+                raise ValueError("all frames must share one shape")
+            values = np.stack([f.values for f in frames])
         if self.frame_rate <= 0:
             raise ValueError("frame_rate must be positive")
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "values", values)
+
+    @functools.cached_property
+    def frames(self):
+        """The frames as Heatmaps, views into `values`."""
+        return tuple(Heatmap(v) for v in self.values)
 
     def __len__(self):
-        return len(self.frames)
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -98,7 +119,12 @@ class FeatureConfig:
 
 def load_heatmap_sequence(path, frame_rate=31.25):
     """Parse an HMAP v1 text file: header `hmap 1 T H W`, then T blocks of
-    H rows with W floats each; only blank lines may follow them."""
+    H rows with W floats each; only blank lines may follow them.
+
+    The T*H data rows are read with one np.loadtxt call and checked as one
+    array. When that fails, the rows are read one by one, which raises at
+    the first bad line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -117,37 +143,47 @@ def load_heatmap_sequence(path, frame_rate=31.25):
     for line_no, line in enumerate(lines[1 + t * h :], start=2 + t * h):
         if line.strip():
             raise HeatmapFormatError(f"{path}:{line_no}: data beyond the {t * h} declared rows")
-    frames = []
-    line_no = 1
-    for _ in range(t):
-        rows = []
-        for _ in range(h):
-            line_no += 1
-            fields = lines[line_no - 1].split()
-            if len(fields) != w:
-                raise HeatmapFormatError(
-                    f"{path}:{line_no}: expected {w} values, found {len(fields)}"
-                )
-            try:
-                row = [float(v) for v in fields]
-            except ValueError:
-                raise HeatmapFormatError(f"{path}:{line_no}: non-numeric value") from None
-            if not all(0.0 <= v < math.inf for v in row):
-                problem = "negative" if any(v < 0 for v in row) else "non-finite"
-                raise HeatmapFormatError(f"{path}:{line_no}: {problem} heatmap value")
-            rows.append(row)
-        frames.append(Heatmap(np.array(rows)))
-    return HeatmapSequence(tuple(frames), frame_rate)
+    rows = lines[1 : 1 + t * h]
+    values = None
+    # np.loadtxt skips blank lines, so a blank data row shows as a short
+    # table; it warns when no row holds data, so a blank first row skips it.
+    if rows[0].strip():
+        try:
+            values = np.loadtxt(rows, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    valid = values is not None and values.shape == (t * h, w)
+    if not (valid and np.all(np.isfinite(values) & (values >= 0))):
+        values = _read_rows(path, rows, w)
+    return HeatmapSequence(values.reshape(t, h, w), frame_rate)
+
+
+def _read_rows(path, rows, w):
+    """The data rows read one by one (line 2 onward), raising at the first
+    bad line."""
+    values = []
+    for line_no, line in enumerate(rows, start=2):
+        fields = line.split()
+        if len(fields) != w:
+            raise HeatmapFormatError(f"{path}:{line_no}: expected {w} values, found {len(fields)}")
+        try:
+            row = [float(v) for v in fields]
+        except ValueError:
+            raise HeatmapFormatError(f"{path}:{line_no}: non-numeric value") from None
+        if not all(0.0 <= v < math.inf for v in row):
+            problem = "negative" if any(v < 0 for v in row) else "non-finite"
+            raise HeatmapFormatError(f"{path}:{line_no}: {problem} heatmap value")
+        values.append(row)
+    return np.array(values)
 
 
 def save_heatmap_sequence(path, seq):
     """Write HMAP v1 with 9 significant decimal digits."""
-    first = seq.frames[0]
+    t, h, w = seq.values.shape
     with atomic_write(path) as fh:
-        fh.write(f"hmap 1 {len(seq)} {first.height} {first.width}\n")
-        for frame in seq.frames:
-            for row in frame.values:
-                fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+        fh.write(f"hmap 1 {t} {h} {w}\n")
+        for row in seq.values.reshape(t * h, w):
+            fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
 
 
 def centroid(h):
@@ -244,10 +280,43 @@ def frame_features(h, cfg=None):
 
 
 def extract_features(seq, cfg=None):
-    """Per-frame feature vectors for a whole sequence."""
+    """Per-frame feature vectors for a whole sequence, from the row and column
+    marginals of the T x H x W stack; the same values as frame_features
+    applied to each frame."""
     cfg = cfg or FeatureConfig()
-    rows = np.stack([frame_features(f, cfg) for f in seq.frames])
-    return SpatialFeatureSequence(rows, seq.frame_rate)
+    m = seq.values
+    t, h, w = m.shape
+    total = m.reshape(t, -1).sum(axis=1)
+    live = total > 0.0
+    denom = np.where(live, total, 1.0)
+    cols = m.sum(axis=1)  # T x W
+    rows = m.sum(axis=2)  # T x H
+    xs = np.arange(1, w + 1)
+    ys = np.arange(1, h + 1)
+    cx = (cols @ xs) / denom
+    cy = (rows @ ys) / denom
+    var_x = np.einsum("tw,tw->t", cols, (xs - cx[:, None]) ** 2) / denom
+    var_y = np.einsum("th,th->t", rows, (ys - cy[:, None]) ** 2) / denom
+    peak = m.reshape(t, -1).max(axis=1)
+    area = np.count_nonzero(m >= (cfg.mask_threshold_rel * peak)[:, None, None], axis=(1, 2))
+    half = w // 2
+    left = cols[:, :half].sum(axis=1)
+    right = cols[:, w - half :].sum(axis=1)
+    if w % 2 == 1:
+        left = left + 0.5 * cols[:, half]
+        right = right + 0.5 * cols[:, half]
+    features = np.stack(
+        [
+            cx / w,
+            area / (h * w),
+            var_x + var_y,
+            (right - left) / denom,
+            var_x / (var_y + cfg.shape_epsilon),
+        ],
+        axis=1,
+    )
+    features[~live] = NEUTRAL_FEATURES
+    return SpatialFeatureSequence(features, seq.frame_rate)
 
 
 def save_features_csv(path, features):

@@ -9,6 +9,13 @@ holds the speaker HRIRs zero-padded to the longest. Each clip is then one
 multichannel convolution of the SH signal with that bank, the same sum as
 the speaker-by-speaker render in fewer transforms (the virtual-loudspeaker /
 SH-domain equivalence of Noisternig et al., VECIMS 2003).
+
+The source direction is constant over each block of `block_size` samples:
+one search over the trajectory's breakpoint arrays finds every block's
+direction, and one vectorised SH evaluation gives its gains. The SH signal
+itself, crossfades included, is built one overlap-add group at a time
+inside the convolution (ambisonic.EncodedRows), so a render holds the 2 x N
+output but never the N x K encoded signal.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ from .audio import AudioBuffer, BinauralBuffer, fft_convolve
 from .ambisonic import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_CROSSFADE,
+    EncodedRows,
     Trajectory,
     decode_matrix,
-    encode_mono,
     ring_layout,
+    sh_basis,
 )
 from .hrir import HeadModelConfig, HrirSet, lookup
 
@@ -66,13 +74,15 @@ def _ear_bank(pairs, projection):
     return np.einsum("mk,eml->ekl", projection, hrirs)
 
 
-def _render_blockwise(mono, per_block_directions, cfg):
+def _render_blockwise(mono, azimuth, elevation, cfg):
+    """Render along per-block directions (radians), one entry per block."""
     if len(mono) == 0:
         raise ValueError("cannot render an empty signal")
     pairs = [lookup(cfg.hrir_source, d, mono.sample_rate) for d in cfg.layout.directions]
     dm = decode_matrix(cfg.layout, cfg.order)
-    sh = encode_mono(mono, per_block_directions, cfg.order, cfg.block_size, cfg.crossfade)
-    left, right = fft_convolve(sh.frames, _ear_bank(pairs, dm.projection))
+    gains = sh_basis(azimuth, elevation, cfg.order)
+    sh = EncodedRows(mono.samples, gains, cfg.block_size, cfg.crossfade)
+    left, right = fft_convolve(sh, _ear_bank(pairs, dm.projection))
 
     if cfg.trim_to_input:
         left, right = left[: len(mono)], right[: len(mono)]
@@ -85,26 +95,29 @@ def _render_blockwise(mono, per_block_directions, cfg):
     return BinauralBuffer(AudioBuffer(left, rate), AudioBuffer(right, rate))
 
 
+def _n_blocks(mono, cfg):
+    return max(1, -(-len(mono) // cfg.block_size))
+
+
 def render_static(mono, direction, cfg=None):
     """Render a mono buffer at a fixed direction."""
     cfg = cfg or RenderConfig()
-    n_blocks = max(1, -(-len(mono) // cfg.block_size))
-    return _render_blockwise(mono, [direction] * n_blocks, cfg)
+    n_blocks = _n_blocks(mono, cfg)
+    return _render_blockwise(
+        mono, np.full(n_blocks, direction.azimuth), np.full(n_blocks, direction.elevation), cfg
+    )
 
 
 def render_trajectory(mono, trajectory, cfg=None):
     """Render a mono buffer along a time-varying trajectory.
 
-    The trajectory is sampled at block starts; a constant trajectory
-    reproduces render_static bit-for-bit.
+    The trajectory is sampled at block starts, all blocks with one search;
+    a constant trajectory reproduces render_static bit-for-bit.
     """
     cfg = cfg or RenderConfig()
-    n_blocks = max(1, -(-len(mono) // cfg.block_size))
-    directions = [
-        trajectory.direction_at(b * cfg.block_size / mono.sample_rate)
-        for b in range(n_blocks)
-    ]
-    return _render_blockwise(mono, directions, cfg)
+    starts = np.arange(_n_blocks(mono, cfg)) * cfg.block_size / mono.sample_rate
+    i = trajectory.index_at(starts)
+    return _render_blockwise(mono, trajectory.azimuth[i], trajectory.elevation[i], cfg)
 
 
 def direction_from_features(features, field_of_view=DEFAULT_FIELD_OF_VIEW):
@@ -114,12 +127,8 @@ def direction_from_features(features, field_of_view=DEFAULT_FIELD_OF_VIEW):
     s_h = 0.5 is straight ahead; s_h = 0 (left edge of the frame) maps to
     +fov/2 under the left-positive azimuth convention.
     """
-    from .ambisonic import Direction
-
-    if len(features.features) == 0:
+    rows = features.features
+    if len(rows) == 0:
         raise ValueError("empty feature sequence")
-    points = []
-    for i, row in enumerate(features.features):
-        azimuth = (0.5 - float(row[0])) * field_of_view
-        points.append((i / features.frame_rate, Direction(azimuth)))
-    return Trajectory(tuple(points))
+    times = np.arange(len(rows)) / features.frame_rate
+    return Trajectory.from_arrays(times, (0.5 - rows[:, 0]) * field_of_view, np.zeros(len(rows)))

@@ -1,10 +1,14 @@
 """Independent direct-summation references used to check the library
 implementations. Everything here is written as plain loops over the
-documented definitions, deliberately sharing no code with the package."""
+documented definitions, deliberately sharing no code with the package
+beyond its exception types."""
 
+import csv
 import math
 
 import numpy as np
+
+from binauralkit.heatmap import HeatmapFormatError
 
 
 def direct_convolve(x, k):
@@ -205,3 +209,75 @@ def oracle_speaker_render(sh_frames, projection, hrir_pairs):
         left[: len(yl)] += yl
         right[: len(yr)] += yr
     return left, right
+
+
+def oracle_load_hmap(path):
+    """HMAP v1 parsed line by line with the loader's exact messages: returns
+    the T x H x W values."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise HeatmapFormatError(f"{path}:1: empty file")
+    header = lines[0].split()
+    if len(header) != 5 or header[0] != "hmap" or header[1] != "1":
+        raise HeatmapFormatError(f"{path}:1: expected header 'hmap 1 <T> <H> <W>'")
+    try:
+        t, h, w = (int(v) for v in header[2:])
+    except ValueError:
+        raise HeatmapFormatError(f"{path}:1: non-integer dimensions") from None
+    if t < 1 or h < 1 or w < 1:
+        raise HeatmapFormatError(f"{path}:1: dimensions must be positive")
+    if len(lines) - 1 < t * h:
+        raise HeatmapFormatError(f"{path}: expected {t * h} data rows, found {len(lines) - 1}")
+    for line_no, line in enumerate(lines[1 + t * h :], start=2 + t * h):
+        if line.strip():
+            raise HeatmapFormatError(f"{path}:{line_no}: data beyond the {t * h} declared rows")
+    frames = []
+    line_no = 1
+    for _ in range(t):
+        rows = []
+        for _ in range(h):
+            line_no += 1
+            fields = lines[line_no - 1].split()
+            if len(fields) != w:
+                raise HeatmapFormatError(
+                    f"{path}:{line_no}: expected {w} values, found {len(fields)}"
+                )
+            try:
+                row = [float(v) for v in fields]
+            except ValueError:
+                raise HeatmapFormatError(f"{path}:{line_no}: non-numeric value") from None
+            if not all(0.0 <= v < math.inf for v in row):
+                problem = "negative" if any(v < 0 for v in row) else "non-finite"
+                raise HeatmapFormatError(f"{path}:{line_no}: {problem} heatmap value")
+            rows.append(row)
+        frames.append(rows)
+    return np.array(frames)
+
+
+def oracle_load_trajectory(path):
+    """A trajectory CSV read row by row with csv.DictReader, with the
+    loader's exact messages: returns (times, azimuth, elevation), sorted by
+    time (stable), angles in radians, azimuth wrapped into [-pi, pi)."""
+    points = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = ("time_s", "azimuth_deg", "elevation_deg")
+        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+            raise ValueError(f"{path}: expected header time_s,azimuth_deg,elevation_deg")
+        for row in reader:
+            try:
+                time_s, az_deg, el_deg = (float(row[key]) for key in required)
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: non-numeric value") from None
+            if not all(math.isfinite(v) for v in (time_s, az_deg, el_deg)):
+                raise ValueError(f"{path}:{reader.line_num}: non-finite value")
+            elevation = math.radians(el_deg)
+            if not (-math.pi / 2 - 1e-12 <= elevation <= math.pi / 2 + 1e-12):
+                raise ValueError("elevation outside [-pi/2, pi/2]")
+            azimuth = (math.radians(az_deg) + math.pi) % (2.0 * math.pi) - math.pi
+            points.append((time_s, azimuth, elevation))
+    if not points:
+        raise ValueError("empty trajectory")
+    points.sort(key=lambda p: p[0])
+    return tuple(np.array(column) for column in zip(*points))

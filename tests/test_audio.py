@@ -321,3 +321,15 @@ class TestFilterBankConvolution:
     def test_bad_shapes_rejected(self, x_shape, bank_shape):
         with pytest.raises(ValueError):
             fft_convolve(np.zeros(x_shape), np.zeros(bank_shape))
+
+
+class TestNonFiniteWav:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_read_names_the_file(self, tmp_path, bad, channels):
+        data = np.zeros((100, channels), dtype=np.float32)
+        data[40, channels - 1] = bad
+        path = tmp_path / "damaged.wav"
+        wavfile.write(path, 16000, data[:, 0] if channels == 1 else data)
+        with pytest.raises(AudioFormatError, match=r"damaged\.wav.*finite"):
+            read_wav(path)

@@ -256,3 +256,31 @@ class TestValidateCommand:
         manifest.write_text(json.dumps(items))
         assert main(["validate", "--manifest", str(manifest)]) == 1
         assert "ghost.wav" in capsys.readouterr().err
+
+
+class TestRenderAndFeatureUsageErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--speakers", "0"],
+            ["--speakers", "1"],
+            ["--order", "3"],
+            ["--fov-deg", "nan"],
+            ["--fov-deg", "inf"],
+        ],
+    )
+    def test_render_flag_out_of_range_exits_2(self, dataset, capsys, flags):
+        base, manifest = dataset
+        out_dir = base / "rendered"
+        assert main(["render", "--manifest", str(manifest), "--out", str(out_dir)] + flags) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("rate", ["0", "-31.25", "nan", "inf"])
+    def test_features_frame_rate_out_of_range_exits_2(self, dataset, capsys, rate):
+        base, _ = dataset
+        out = base / "features.csv"
+        argv = ["features", "--hmap", str(base / "two.hmap"), "--out", str(out)]
+        assert main(argv + ["--frame-rate", rate]) == 2
+        assert "--frame-rate" in capsys.readouterr().err
+        assert not out.exists()

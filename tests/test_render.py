@@ -329,3 +329,23 @@ class TestDirectionFromFeatures:
             direction_from_features(
                 SpatialFeatureSequence(np.zeros((0, 5)).reshape(0, 5))
             )
+
+
+def test_trajectory_render_memory_peak():
+    # The SH-encoded signal is built one overlap-add group at a time: beyond
+    # the 2 x N output, a 60 s render may hold a few MB of group buffers,
+    # never an N x K encoded array.
+    import tracemalloc
+
+    n = 60 * FS
+    mono = noise_buffer(np.random.default_rng(7), n=n)
+    times = np.arange(0.0, 60.0, 0.02)
+    azimuth = np.cumsum(np.random.default_rng(8).normal(0.0, 0.07, len(times)))
+    traj = Trajectory(tuple((t, Direction(a)) for t, a in zip(times, azimuth)))
+    tracemalloc.start()
+    try:
+        render_trajectory(mono, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * n * 8
