@@ -333,8 +333,8 @@ TRAJECTORY_COLUMNS = ("time_s", "azimuth_deg", "elevation_deg")
 
 def load_trajectory_csv(path):
     """Read a `time_s,azimuth_deg,elevation_deg` CSV into a Trajectory; a
-    missing, non-numeric or non-finite value raises ValueError naming the
-    file and line.
+    missing, non-numeric or non-finite value, or an elevation outside
+    [-90, 90] degrees, raises ValueError naming the file and line.
 
     The rows are read with one np.loadtxt call. A file it cannot take, or
     one holding a bad value, goes through the row-by-row reader instead,
@@ -356,9 +356,14 @@ def load_trajectory_csv(path):
             )
         except ValueError:
             pass
-    if table is None or not np.all(np.isfinite(table)):
+    if table is None or not np.all(np.isfinite(table)) or not _elevation_ok(table[:, 2]):
         table = _read_trajectory_rows(path)
     return Trajectory.from_arrays(table[:, 0], np.radians(table[:, 1]), np.radians(table[:, 2]))
+
+
+def _elevation_ok(degrees):
+    """Whether elevations in degrees pass Direction's check once in radians."""
+    return bool(np.all(np.abs(np.radians(degrees)) <= math.pi / 2 + 1e-12))
 
 
 def _read_trajectory_rows(path):
@@ -374,7 +379,8 @@ def _read_trajectory_rows(path):
                 raise ValueError(f"{path}:{reader.line_num}: non-numeric value") from None
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{path}:{reader.line_num}: non-finite value")
-            Direction(math.radians(values[1]), math.radians(values[2]))  # elevation check
+            if not _elevation_ok(values[2]):
+                raise ValueError(f"{path}:{reader.line_num}: elevation outside [-90, 90] degrees")
             rows.append(values)
     return np.array(rows).reshape(-1, 3)
 

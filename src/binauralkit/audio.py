@@ -1,14 +1,20 @@
 """Sampled-signal containers, WAV I/O, atomic file writes, framing, STFT and
-FFT convolution."""
+FFT convolution.
+
+Framing builds no copies: `frames` is a strided view of the signal, and
+`frame_energy` (under `frame_rms`) sums squares per frame from chunk sums.
+"""
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
 DEFAULT_SAMPLE_RATE = 16000
@@ -138,25 +144,28 @@ def write_wav(path, buffer, encoding="float32"):
     """Write an AudioBuffer or BinauralBuffer as WAV.
 
     encoding is "pcm16" (round to nearest, clipped at full scale) or
-    "float32". float-32 round-trips bit-exactly through read_wav.
+    "float32". float-32 round-trips bit-exactly through read_wav. Each
+    channel is converted straight into one interleaved array of the target
+    type, so no float64 copy of the whole buffer is made.
     """
     if isinstance(buffer, BinauralBuffer):
-        data = np.stack([buffer.left.samples, buffer.right.samples], axis=1)
-        rate = buffer.sample_rate
+        channels = (buffer.left.samples, buffer.right.samples)
     else:
-        data = buffer.samples
-        rate = buffer.sample_rate
-    if data.size == 0:
+        channels = (buffer.samples,)
+    if len(channels[0]) == 0:
         raise ValueError("refusing to write an empty buffer")
-
-    if encoding == "pcm16":
-        data = np.clip(np.rint(data * _PCM16_SCALE), -32768, 32767).astype(np.int16)
-    elif encoding == "float32":
-        data = data.astype(np.float32)
-    else:
+    if encoding not in ("pcm16", "float32"):
         raise ValueError(f"unknown encoding {encoding!r}")
+
+    dtype = np.int16 if encoding == "pcm16" else np.float32
+    data = np.empty((len(channels[0]), len(channels)), dtype)
+    for c, samples in enumerate(channels):
+        if encoding == "pcm16":
+            samples = samples * _PCM16_SCALE
+            np.clip(np.rint(samples, out=samples), -32768, 32767, out=samples)
+        data[:, c] = samples
     with atomic_write(path, "wb") as fh:
-        wavfile.write(fh, rate, data)
+        wavfile.write(fh, buffer.sample_rate, data if len(channels) > 1 else data[:, 0])
 
 
 def next_pow2(n):
@@ -246,10 +255,38 @@ def window_samples(name, frame_size):
 
 
 def frames(samples, size, hop):
-    """T x size copy of the full frames of `samples`, frame t starting at
-    sample t * hop; tail samples that do not fill a frame are dropped."""
-    t = 0 if len(samples) < size else 1 + (len(samples) - size) // hop
-    return samples[np.arange(size)[None, :] + hop * np.arange(t)[:, None]]
+    """T x size read-only view of the full frames of `samples`, frame t
+    starting at sample t * hop; tail samples that do not fill a frame are
+    dropped. Indexing rows with a mask copies only those rows."""
+    if len(samples) < size:
+        return np.empty((0, size), dtype=samples.dtype)
+    return sliding_window_view(samples, size)[::hop]
+
+
+def frame_energy(samples, size, hop):
+    """Sum of squares of each frame of frames(samples, size, hop), without
+    building the frames.
+
+    x^2 is summed in chunks of g = gcd(size, hop) samples, and frame t adds
+    the size/g chunks that start at chunk t * hop/g. There is no running sum
+    to subtract from, so nothing cancels: a frame of digital silence gives
+    exactly 0, and every frame is within rounding of its direct sum.
+    """
+    if size < 1:
+        raise ValueError("frame_size must be >= 1")
+    if hop < 1:
+        raise ValueError("hop must be >= 1")
+    if len(samples) < size:
+        return np.zeros(0)
+    t = 1 + (len(samples) - size) // hop
+    g = math.gcd(size, hop)
+    chunks = samples[: (t - 1) * hop + size].reshape(-1, g)
+    sums = np.einsum("ij,ij->i", chunks, chunks)
+    step, span = hop // g, (t - 1) * (hop // g) + 1
+    energy = sums[:span:step].copy()
+    for j in range(1, size // g):
+        energy += sums[j : j + span : step]
+    return energy
 
 
 def stft(signal, frame_size=512, hop=160, window="hann"):
@@ -268,6 +305,4 @@ def stft(signal, frame_size=512, hop=160, window="hann"):
 
 def frame_rms(signal, frame_size, hop):
     """Per-frame RMS values; short tail frames are dropped."""
-    if frame_size < 1:
-        raise ValueError("frame_size must be >= 1")
-    return np.sqrt(np.mean(frames(signal.samples, frame_size, hop) ** 2, axis=1))
+    return np.sqrt(frame_energy(signal.samples, frame_size, hop) / frame_size)

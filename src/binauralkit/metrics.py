@@ -5,9 +5,12 @@ units are this module's contract): larger ILD/ITD/ISD/IPD means a more
 spatialized signal, IACC near 1 means spatially undifferentiated.
 
 IACC reads the whole signal, the others only voiced frames: those whose louder
-channel reaches `silence_gate_db`, as `_voiced` alone decides. ILD and ITD use
-`frame_size`/`hop` frames, ISD and IPD Hann STFT frames; `spatial_report`
-builds the voiced frames and the voiced spectra once and shares them.
+channel reaches `silence_gate_db`, as `_gate` alone decides. ILD and ITD use
+`frame_size`/`hop` frames, ISD and IPD Hann STFT frames. `spatial_report`
+frames each channel once per (size, hop): the gate takes its frame energies
+from chunk sums of x^2 (`audio.frame_energy`) and ILD reuses them; the frames
+themselves are strided views, of which only the voiced rows are copied, for
+the ITD lag search and, windowed, for the one transform ISD and IPD share.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import frame_rms, frames, stft
+from .audio import frame_energy, frames, window_samples
 
 
 @dataclass(frozen=True)
@@ -64,25 +68,43 @@ def _lag_order(max_lag):
     return [0] + [sign * k for k in range(1, max_lag + 1) for sign in (-1, 1)]
 
 
-def _voiced(b, size, hop, cfg):
+def _gate(b, size, hop, cfg):
     """Mask of the (size, hop) frames whose louder channel reaches the
-    silence gate; raises when no frame does."""
-    rms = np.maximum(frame_rms(b.left, size, hop), frame_rms(b.right, size, hop))
+    silence gate, with both channels' frame energies; raises when no frame
+    is voiced."""
+    el, er = (frame_energy(ch.samples, size, hop) for ch in (b.left, b.right))
+    rms = np.sqrt(np.maximum(el, er) / size)
     mask = 20.0 * np.log10(rms + 1e-300) >= cfg.silence_gate_db
     if not mask.any():
         raise ValueError("all frames below the silence gate")
-    return mask
+    return mask, el, er
 
 
-def _voiced_frames(b, cfg):
-    mask = _voiced(b, cfg.frame_size, cfg.hop, cfg)
-    return tuple(frames(ch.samples, cfg.frame_size, cfg.hop)[mask] for ch in (b.left, b.right))
+def _voiced(b, size, hop, cfg):
+    """Mask of the voiced (size, hop) frames (see _gate)."""
+    return _gate(b, size, hop, cfg)[0]
+
+
+def _voiced_rows(b, size, hop, mask):
+    """Copies of the voiced (size, hop) frames of both channels."""
+    return tuple(frames(ch.samples, size, hop)[mask] for ch in (b.left, b.right))
 
 
 def _voiced_spectra(b, cfg):
-    specs = [stft(ch, cfg.stft_frame, cfg.stft_hop, "hann").frames for ch in (b.left, b.right)]
-    mask = _voiced(b, cfg.stft_frame, cfg.stft_hop, cfg)
-    return specs[0][mask], specs[1][mask]
+    """Hann-windowed spectra of the voiced STFT frames of both channels; only
+    voiced frames are windowed and transformed."""
+    size, hop = cfg.stft_frame, cfg.stft_hop
+    if hop < 1:
+        raise ValueError("hop must be >= 1")
+    if len(b) < size:
+        raise ValueError("signal shorter than one frame")
+    mask = _voiced(b, size, hop, cfg)
+    window = window_samples("hann", size)
+    spectra = []
+    for rows in _voiced_rows(b, size, hop, mask):
+        rows *= window
+        spectra.append(np.fft.rfft(rows, axis=1))
+    return spectra
 
 
 def _itd_max_lag(sample_rate, cfg):
@@ -90,6 +112,12 @@ def _itd_max_lag(sample_rate, cfg):
     if cfg.frame_size < 2 * max_lag:
         raise ValueError("frames too short for the lag search window")
     return max_lag
+
+
+def _dot(a, b):
+    # einsum, not np.dot: a BLAS dot may run threads of its own, which then
+    # contend with the worker pool's.
+    return float(np.einsum("i,i->", a, b))
 
 
 def iacc(b, cfg=None):
@@ -100,28 +128,31 @@ def iacc(b, cfg=None):
     left, right = b.left.samples, b.right.samples
     if len(left) <= max_lag:
         raise ValueError("signal shorter than the lag search window")
-    norm = math.sqrt(float(np.dot(left, left)) * float(np.dot(right, right)))
+    norm = math.sqrt(_dot(left, left) * _dot(right, right))
     if norm == 0.0:
         raise ValueError("both channels are all-zero")
-    peak = max(abs(float(np.dot(*_overlap(left, right, lag)))) for lag in _lag_order(max_lag))
+    peak = max(abs(_dot(*_overlap(left, right, lag))) for lag in _lag_order(max_lag))
     return min(peak / norm, 1.0)
 
 
-def _ild(fl, fr, cfg):
-    el, er = (np.sum(f**2, axis=1) + cfg.epsilon for f in (fl, fr))
-    return float(np.mean(np.abs(10.0 * np.log10(el / er))))
+def _ild(el, er, cfg):
+    return float(np.mean(np.abs(10.0 * np.log10((el + cfg.epsilon) / (er + cfg.epsilon)))))
 
 
 def ild(b, cfg=None):
     """Mean |10 log10(E_left / E_right)| in dB over non-gated frames."""
     cfg = cfg or MetricConfig()
-    return _ild(*_voiced_frames(b, cfg), cfg)
+    mask, el, er = _gate(b, cfg.frame_size, cfg.hop, cfg)
+    return _ild(el[mask], er[mask], cfg)
 
 
 def _itd(max_lag, sample_rate, fl, fr):
-    order = _lag_order(max_lag)
-    corr = np.stack([np.einsum("ij,ij->i", *_overlap(fl, fr, lag)) for lag in order])
-    lags = np.abs(np.array(order))[np.argmax(np.abs(corr), axis=0)]
+    # Row l of corr holds every frame's lagged dot at lag l - max_lag; the
+    # zero padding only adds exact zeros, so exact ties stay exact.
+    padded = np.pad(fr, ((0, 0), (max_lag, max_lag)))
+    corr = np.einsum("in,iln->li", fl, sliding_window_view(padded, fl.shape[1], axis=1))
+    order = np.array(_lag_order(max_lag))
+    lags = np.abs(order)[np.argmax(np.abs(corr[order + max_lag]), axis=0)]
     return float(np.mean(lags)) / sample_rate * 1e3
 
 
@@ -129,42 +160,48 @@ def itd(b, cfg=None):
     """Mean |per-frame cross-correlation peak lag| in ms over non-gated
     frames; ties between equal peaks break toward the smaller |lag|."""
     cfg = cfg or MetricConfig()
-    return _itd(_itd_max_lag(b.sample_rate, cfg), b.sample_rate, *_voiced_frames(b, cfg))
+    max_lag = _itd_max_lag(b.sample_rate, cfg)
+    mask = _voiced(b, cfg.frame_size, cfg.hop, cfg)
+    return _itd(max_lag, b.sample_rate, *_voiced_rows(b, cfg.frame_size, cfg.hop, mask))
 
 
-def _isd(sl, sr, cfg):
-    diff = np.abs(np.log10(np.abs(sl) + cfg.epsilon) - np.log10(np.abs(sr) + cfg.epsilon))
-    return float(np.mean(diff))
+def _isd(al, ar, cfg):
+    return float(np.mean(np.abs(np.log10((al + cfg.epsilon) / (ar + cfg.epsilon)))))
 
 
 def isd(b, cfg=None):
     """Mean over time-frequency bins of |log10(|L|+eps) - log10(|R|+eps)|
     (non-gated frames only)."""
     cfg = cfg or MetricConfig()
-    return _isd(*_voiced_spectra(b, cfg), cfg)
+    return _isd(*(np.abs(s) for s in _voiced_spectra(b, cfg)), cfg)
 
 
-def _ipd(sl, sr):
-    wrapped = np.abs(np.pi - np.mod(np.pi - (np.angle(sl) - np.angle(sr)), 2.0 * np.pi))
-    weights = np.abs(sl) * np.abs(sr)
+def _ipd(sl, sr, weights):
+    # The angle of L * conj(R) is the phase difference already wrapped to
+    # [-pi, pi]; weights holds |L| * |R|.
     total = float(np.sum(weights))
     if total == 0.0:
         raise ValueError("all spectral weights are zero")
-    return float(np.sum(weights * wrapped) / total)
+    return float(np.sum(weights * np.abs(np.angle(sl * np.conj(sr)))) / total)
 
 
 def ipd(b, cfg=None):
     """Magnitude-weighted mean |interaural phase difference| in [0, pi]
     (non-gated frames, weights |L|*|R|, phase wrapped to (-pi, pi])."""
     cfg = cfg or MetricConfig()
-    return _ipd(*_voiced_spectra(b, cfg))
+    sl, sr = _voiced_spectra(b, cfg)
+    return _ipd(sl, sr, np.abs(sl) * np.abs(sr))
 
 
 def spatial_report(b, cfg=None):
     """Compute all five metrics on one binaural buffer."""
     cfg = cfg or MetricConfig()
     coherence = iacc(b, cfg)
-    fl, fr = _voiced_frames(b, cfg)
-    level, delay = _ild(fl, fr, cfg), _itd(_itd_max_lag(b.sample_rate, cfg), b.sample_rate, fl, fr)
+    mask, el, er = _gate(b, cfg.frame_size, cfg.hop, cfg)
+    level = _ild(el[mask], er[mask], cfg)
+    max_lag = _itd_max_lag(b.sample_rate, cfg)
+    delay = _itd(max_lag, b.sample_rate, *_voiced_rows(b, cfg.frame_size, cfg.hop, mask))
     sl, sr = _voiced_spectra(b, cfg)
-    return SpatialMetricsReport(coherence, level, delay, _isd(sl, sr, cfg), _ipd(sl, sr), len(fl))
+    al, ar = np.abs(sl), np.abs(sr)
+    spread, phase = _isd(al, ar, cfg), _ipd(sl, sr, al * ar)
+    return SpatialMetricsReport(coherence, level, delay, spread, phase, int(mask.sum()))

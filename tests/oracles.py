@@ -274,7 +274,7 @@ def oracle_load_trajectory(path):
                 raise ValueError(f"{path}:{reader.line_num}: non-finite value")
             elevation = math.radians(el_deg)
             if not (-math.pi / 2 - 1e-12 <= elevation <= math.pi / 2 + 1e-12):
-                raise ValueError("elevation outside [-pi/2, pi/2]")
+                raise ValueError(f"{path}:{reader.line_num}: elevation outside [-90, 90] degrees")
             azimuth = (math.radians(az_deg) + math.pi) % (2.0 * math.pi) - math.pi
             points.append((time_s, azimuth, elevation))
     if not points:

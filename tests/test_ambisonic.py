@@ -317,3 +317,10 @@ class TestTrajectory:
         path.write_text(f"time_s,azimuth_deg,elevation_deg\n0.0,10,0\n{row}\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3:"):
             load_trajectory_csv(path)
+
+    @pytest.mark.parametrize("elevation", ["91", "-90.5"])
+    def test_csv_bad_elevation_cites_line(self, tmp_path, elevation):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time_s,azimuth_deg,elevation_deg\n0.0,10,0\n0.5,10,{elevation}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: elevation outside \[-90, 90\] degrees"):
+            load_trajectory_csv(path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,6 +11,7 @@ from binauralkit.audio import (
     AudioFormatError,
     BinauralBuffer,
     fft_convolve,
+    frame_energy,
     frame_rms,
     frames,
     read_wav,
@@ -217,6 +220,69 @@ class TestFrames:
         got = frames(x, size, hop)
         assert got.shape == (len(want), size)
         assert all(np.array_equal(row, w) for row, w in zip(got, want))
+
+
+class TestFrameEnergy:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 3000),
+        size=st.integers(1, 600),
+        hop=st.integers(1, 300),
+        silent=st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 800)), max_size=4),
+    )
+    def test_chunk_sums_match_direct_frame_sums(self, seed, n, size, hop, silent):
+        """Energies from chunk sums equal the squared-frame sums within
+        1e-12 relative, and exactly 0 on frames of digital silence."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 3.0, n)
+        for start, length in silent:
+            x[start : start + length] = 0.0
+        want = np.sum(frames(x, size, hop) ** 2, axis=1)
+        got = frame_energy(x, size, hop)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.all(got[want == 0.0] == 0.0)
+
+    def test_bad_size_and_hop_rejected(self):
+        with pytest.raises(ValueError, match="frame_size must be >= 1"):
+            frame_energy(np.ones(10), 0, 1)
+        with pytest.raises(ValueError, match="hop must be >= 1"):
+            frame_energy(np.ones(10), 4, 0)
+
+
+def _stacked_write(path, columns, rate, encoding):
+    """WAV bytes as written from a float64 stack of the channels, then cast."""
+    data = columns[:, 0] if columns.shape[1] == 1 else columns
+    if encoding == "pcm16":
+        data = np.clip(np.rint(data * 32768.0), -32768, 32767).astype(np.int16)
+    else:
+        data = data.astype(np.float32)
+    wavfile.write(path, rate, data)
+    return path.read_bytes()
+
+
+class TestWriteWav:
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_bytes_match_stacked_cast(self, tmp_path, rng, encoding, channels):
+        columns = rng.uniform(-1.2, 1.2, (3001, channels))
+        columns[:8, 0] = [0.5 / 32768, 1.5 / 32768, -0.5 / 32768, 1.0, -1.0, 1.5, -1.5, 0.0]
+        path = tmp_path / "out.wav"
+        write_wav(path, _as_buffer(columns, 22050), encoding)
+        assert path.read_bytes() == _stacked_write(tmp_path / "ref.wav", columns, 22050, encoding)
+
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_memory_peak_below_one_float64_copy_of_both_channels(self, tmp_path, rng, encoding):
+        # A float64 stack of both channels alone is 2 * N * 8 bytes.
+        n = 200_000
+        buffer = _as_buffer(rng.uniform(-1.0, 1.0, (n, 2)), 16000)
+        tracemalloc.start()
+        try:
+            write_wav(tmp_path / "out.wav", buffer, encoding)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * 8
 
 
 def _as_buffer(columns, rate):

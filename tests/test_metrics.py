@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from binauralkit import audio, metrics
 from binauralkit.audio import AudioBuffer, BinauralBuffer
 from binauralkit.metrics import (
     MetricConfig,
@@ -249,3 +250,52 @@ class TestItdTies:
         left[::97] = 1.0
         right = np.roll(left, 2) + np.roll(left, 5)
         assert itd(stereo(left, right)) == pytest.approx(0.125, rel=1e-12)
+
+
+class TestOneFramingPass:
+    def test_each_channel_framed_once_per_size_and_hop(self, monkeypatch, rng):
+        calls = {}
+        real = audio.frames
+
+        def counting(samples, size, hop):
+            key = (id(samples), size, hop)
+            calls[key] = calls.get(key, 0) + 1
+            return real(samples, size, hop)
+
+        monkeypatch.setattr(audio, "frames", counting)
+        monkeypatch.setattr(metrics, "frames", counting)
+        x = rng.standard_normal(8000)
+        x[2000:4000] = 0.0
+        b = stereo(x, 0.5 * np.roll(x, 3))
+        spatial_report(b)
+        assert calls and max(calls.values()) == 1
+
+
+@st.composite
+def _impulse_pairs(draw):
+    """Sparse small-integer signals: every lagged product sum is an exact
+    integer, so correlation ties are exact in any summation order."""
+    n = draw(st.integers(400, 1600))
+    channels = []
+    for _ in range(2):
+        spikes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=24))
+        x = np.zeros(n)
+        for i, v in spikes:
+            x[i] = v
+        channels.append(x)
+    return channels
+
+
+class TestItdAgainstOracle:
+    @given(pair=_impulse_pairs())
+    def test_integer_impulses_match_exactly(self, pair):
+        left, right = pair
+        cfg = MetricConfig()
+        lag = cfg.max_lag_samples(FS)
+        b = stereo(left, right)
+        if not _oracle_mask(left, right, cfg.frame_size, cfg.hop, cfg.silence_gate_db).any():
+            with pytest.raises(ValueError, match="all frames below the silence gate"):
+                itd(b, cfg)
+            return
+        want = oracle_itd(left, right, cfg.frame_size, cfg.hop, lag, cfg.silence_gate_db, FS)
+        assert itd(b, cfg) == want
