@@ -18,7 +18,6 @@ from .render import RenderConfig, direction_from_features, render_static, render
 from .metrics import MetricConfig, SpatialMetricsReport, spatial_report
 from .heatmap import (
     FeatureConfig,
-    Heatmap,
     HeatmapSequence,
     SpatialFeatureSequence,
     extract_features,

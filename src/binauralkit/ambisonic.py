@@ -7,11 +7,11 @@ measured counterclockwise from front (positive = listener's left), elevation
 up from the horizontal plane.
 
 sh_basis evaluates the SH channels for whole arrays of directions. A
-Trajectory holds its breakpoints as time, azimuth and elevation arrays (the
-CSV loader reads them with one np.loadtxt call and builds no Direction per
-row), and index_at finds the breakpoint in force at many times with one
-search. EncodedRows is the mono signal encoded along per-block gains,
-built on demand a range of rows at a time; encode_mono builds all of it.
+Trajectory is built from, and holds, its breakpoints as time, azimuth and
+elevation arrays (the CSV loader reads them with one np.loadtxt call), and
+index_at finds the breakpoint in force at many times with one search.
+EncodedRows is the mono signal encoded along per-block gains, built on
+demand a range of rows at a time; encode_mono builds all of it.
 """
 
 from __future__ import annotations
@@ -42,12 +42,15 @@ def wrap_azimuth(azimuth):
 
 @dataclass(frozen=True)
 class Direction:
-    """Azimuth/elevation pair in radians."""
+    """Azimuth/elevation pair in radians: a finite azimuth, wrapped into
+    [-pi, pi), and an elevation within [-pi/2, pi/2]."""
 
     azimuth: float
     elevation: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.azimuth):
+            raise ValueError("azimuth must be finite")
         if not (-math.pi / 2 - 1e-12 <= self.elevation <= math.pi / 2 + 1e-12):
             raise ValueError("elevation outside [-pi/2, pi/2]")
         object.__setattr__(self, "azimuth", float(wrap_azimuth(self.azimuth)))
@@ -265,49 +268,26 @@ def encode_mono(
 class Trajectory:
     """Piecewise-constant direction of time, held as breakpoint arrays sorted
     by time (stable): `times` in seconds, `azimuth` (wrapped into [-pi, pi))
-    and `elevation` in radians.
+    and `elevation` in radians. Times and azimuths must be finite, and
+    elevations within [-pi/2, pi/2], as for Direction."""
 
-    `Trajectory(points)` takes (time_s, Direction) pairs;
-    `Trajectory.from_arrays` takes the three arrays and builds no Direction.
-    """
-
-    def __init__(self, points):
-        pts = tuple(sorted(points, key=lambda p: p[0]))
-        if not pts:
-            raise ValueError("empty trajectory")
-        self._points = pts
-        self.times = np.array([p[0] for p in pts], dtype=np.float64)
-        self.azimuth = np.array([p[1].azimuth for p in pts])
-        self.elevation = np.array([p[1].elevation for p in pts])
-
-    @classmethod
-    def from_arrays(cls, times, azimuth, elevation):
-        """Breakpoints from time (s), azimuth and elevation (rad) arrays;
-        the same checks and wrapping as Direction, applied to whole arrays."""
+    def __init__(self, times, azimuth, elevation):
         times = np.asarray(times, dtype=np.float64)
+        azimuth = np.asarray(azimuth, dtype=np.float64)
+        elevation = np.asarray(elevation, dtype=np.float64)
+        if times.ndim != 1 or azimuth.shape != times.shape or elevation.shape != times.shape:
+            raise ValueError("times, azimuth and elevation must be 1-D arrays of one length")
         if len(times) == 0:
             raise ValueError("empty trajectory")
-        elevation = np.asarray(elevation, dtype=np.float64)
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(azimuth))):
+            raise ValueError("trajectory times and azimuths must be finite")
         limit = math.pi / 2 + 1e-12
         if not np.all((-limit <= elevation) & (elevation <= limit)):
             raise ValueError("elevation outside [-pi/2, pi/2]")
         order = np.argsort(times, kind="stable")
-        self = cls.__new__(cls)
-        self._points = None
         self.times = times[order]
-        self.azimuth = wrap_azimuth(np.asarray(azimuth, dtype=np.float64)[order])
+        self.azimuth = wrap_azimuth(azimuth[order])
         self.elevation = elevation[order]
-        return self
-
-    @property
-    def points(self):
-        """(time_s, Direction) breakpoints in time order."""
-        if self._points is None:
-            self._points = tuple(
-                (float(t), Direction(a, e))
-                for t, a, e in zip(self.times, self.azimuth, self.elevation)
-            )
-        return self._points
 
     def index_at(self, t):
         """Index of the breakpoint in force at time(s) t: the last one (in
@@ -321,11 +301,8 @@ class Trajectory:
 
     def direction_at(self, t):
         """Direction in force at time t (see index_at)."""
-        return self.points[int(self.index_at(t))][1]
-
-    @staticmethod
-    def constant(direction):
-        return Trajectory(((0.0, direction),))
+        i = int(self.index_at(t))
+        return Direction(self.azimuth[i], self.elevation[i])
 
 
 TRAJECTORY_COLUMNS = ("time_s", "azimuth_deg", "elevation_deg")
@@ -358,7 +335,9 @@ def load_trajectory_csv(path):
             pass
     if table is None or not np.all(np.isfinite(table)) or not _elevation_ok(table[:, 2]):
         table = _read_trajectory_rows(path)
-    return Trajectory.from_arrays(table[:, 0], np.radians(table[:, 1]), np.radians(table[:, 2]))
+    if len(table) == 0:
+        raise ValueError(f"{path}: empty trajectory")
+    return Trajectory(table[:, 0], np.radians(table[:, 1]), np.radians(table[:, 2]))
 
 
 def _elevation_ok(degrees):

@@ -243,7 +243,6 @@ def _overlap_add(rows, shape, bank):
 _WINDOWS = {
     "rectangular": lambda n: np.ones(n),
     "hann": lambda n: 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n),
-    "hamming": lambda n: 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n),
 }
 
 

@@ -6,16 +6,14 @@ spatial variance, left-right energy bias and the horizontal/vertical
 spread ratio. Pixel coordinates are 1-based throughout.
 
 A HeatmapSequence holds its frames as one T x H x W array: the HMAP loader
-reads all data rows with one np.loadtxt call, and extract_features computes
-every frame's features at once from the row and column marginals of the
-stack. The per-frame functions (centroid, spatial_variance, ...,
-frame_features) give the same values for a single Heatmap.
+reads all data rows with one np.loadtxt call, and extract_features, the one
+implementation of the features, computes every frame at once from the row
+and column marginals of the stack.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,60 +29,27 @@ class HeatmapFormatError(ValueError):
     """Malformed HMAP file."""
 
 
-@dataclass(frozen=True)
-class Heatmap:
-    """One H x W non-negative map."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("heatmap must be 2-D")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("heatmap values must be finite and non-negative")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def height(self):
-        return self.values.shape[0]
-
-    @property
-    def width(self):
-        return self.values.shape[1]
+def _check_frame_rate(frame_rate):
+    if not (math.isfinite(frame_rate) and frame_rate > 0):
+        raise ValueError("frame_rate must be finite and positive")
 
 
 @dataclass(frozen=True)
 class HeatmapSequence:
     """T heatmaps of identical shape at a fixed frame rate, held as one
-    T x H x W array. `values` may also be given as a sequence of Heatmaps."""
+    T x H x W array of finite, non-negative values."""
 
     values: np.ndarray
     frame_rate: float = 31.25
 
     def __post_init__(self):
-        values = self.values
-        if isinstance(values, np.ndarray):
-            values = np.asarray(values, dtype=np.float64)
-            if values.ndim != 3 or len(values) == 0:
-                raise ValueError("sequence must be a non-empty T x H x W array")
-            if not np.all(np.isfinite(values)) or np.any(values < 0):
-                raise ValueError("heatmap values must be finite and non-negative")
-        else:  # Heatmaps, each of which has checked its own values
-            frames = tuple(values)
-            if not frames:
-                raise ValueError("sequence must contain at least one frame")
-            if any(f.values.shape != frames[0].values.shape for f in frames):
-                raise ValueError("all frames must share one shape")
-            values = np.stack([f.values for f in frames])
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 3 or values.size == 0:
+            raise ValueError("sequence must be a non-empty T x H x W array")
+        if not np.all(np.isfinite(values)) or np.any(values < 0):
+            raise ValueError("heatmap values must be finite and non-negative")
+        _check_frame_rate(self.frame_rate)
         object.__setattr__(self, "values", values)
-
-    @functools.cached_property
-    def frames(self):
-        """The frames as Heatmaps, views into `values`."""
-        return tuple(Heatmap(v) for v in self.values)
 
     def __len__(self):
         return len(self.values)
@@ -101,6 +66,7 @@ class SpatialFeatureSequence:
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != 5:
             raise ValueError("features must be T x 5")
+        _check_frame_rate(self.frame_rate)
         object.__setattr__(self, "features", features)
 
     def __len__(self):
@@ -186,103 +152,14 @@ def save_heatmap_sequence(path, seq):
             fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
 
 
-def centroid(h):
-    """Mass centroid (cx, cy) in 1-based pixel coordinates."""
-    m = h.values
-    total = float(m.sum())
-    if total <= 0.0:
-        raise ValueError("centroid of an all-zero heatmap is undefined")
-    xs = np.arange(1, h.width + 1)
-    ys = np.arange(1, h.height + 1)
-    cx = float(np.dot(m.sum(axis=0), xs)) / total
-    cy = float(np.dot(m.sum(axis=1), ys)) / total
-    return cx, cy
-
-
-def horizontal_position(h):
-    """S_h = cx / W, in (0, 1]."""
-    cx, _ = centroid(h)
-    return cx / h.width
-
-
-def area_fraction(h, cfg=None):
-    """Fraction of pixels at or above mask_threshold_rel * max; 0 for an
-    all-zero map."""
-    cfg = cfg or FeatureConfig()
-    peak = float(h.values.max())
-    if peak <= 0.0:
-        return 0.0
-    mask = h.values >= cfg.mask_threshold_rel * peak
-    return float(mask.sum()) / (h.height * h.width)
-
-
-def spatial_variance(h):
-    """Marginal variances (var_x, var_y) and their sum.
-
-    var_x uses the column marginal M(x) = sum_y M(x, y); var_y analogous.
-    """
-    m = h.values
-    total = float(m.sum())
-    if total <= 0.0:
-        raise ValueError("variance of an all-zero heatmap is undefined")
-    cx, cy = centroid(h)
-    xs = np.arange(1, h.width + 1)
-    ys = np.arange(1, h.height + 1)
-    var_x = float(np.dot(m.sum(axis=0), (xs - cx) ** 2)) / total
-    var_y = float(np.dot(m.sum(axis=1), (ys - cy) ** 2)) / total
-    return var_x, var_y, var_x + var_y
-
-
-def lr_energy_bias(h):
-    """(right-half mass - left-half mass) / total mass, in [-1, 1].
-
-    For odd widths the middle column contributes half to each side, which
-    preserves mirror antisymmetry.
-    """
-    m = h.values
-    total = float(m.sum())
-    if total <= 0.0:
-        raise ValueError("energy bias of an all-zero heatmap is undefined")
-    cols = m.sum(axis=0)
-    half = h.width // 2
-    left = float(cols[:half].sum())
-    right = float(cols[h.width - half :].sum())
-    if h.width % 2 == 1:
-        mid = float(cols[half])
-        left += 0.5 * mid
-        right += 0.5 * mid
-    return (right - left) / total
-
-
-def shape_ratio(h, cfg=None):
-    """S_shape = var_x / (var_y + shape_epsilon)."""
-    cfg = cfg or FeatureConfig()
-    var_x, var_y, _ = spatial_variance(h)
-    return var_x / (var_y + cfg.shape_epsilon)
-
-
-def frame_features(h, cfg=None):
-    """The five features of one frame; all-zero frames get the neutral
-    vector (0.5, 0, 0, 0, 0)."""
-    cfg = cfg or FeatureConfig()
-    if float(h.values.sum()) <= 0.0:
-        return np.array(NEUTRAL_FEATURES)
-    var_x, var_y, s_var = spatial_variance(h)
-    return np.array(
-        [
-            horizontal_position(h),
-            area_fraction(h, cfg),
-            s_var,
-            lr_energy_bias(h),
-            var_x / (var_y + cfg.shape_epsilon),
-        ]
-    )
-
-
 def extract_features(seq, cfg=None):
-    """Per-frame feature vectors for a whole sequence, from the row and column
-    marginals of the T x H x W stack; the same values as frame_features
-    applied to each frame."""
+    """The five features of every frame, from the row and column marginals
+    M(x), M(y) of the T x H x W stack (1-based pixel coordinates): s_h = cx/W;
+    s_area, the fraction of pixels >= mask_threshold_rel * max; s_var =
+    var_x + var_y, the variances of M(x) and M(y); s_lr = (right-half mass -
+    left-half mass) / total, the middle column of an odd width counting half
+    to each side; s_shape = var_x / (var_y + shape_epsilon). All-zero frames
+    get the neutral vector (0.5, 0, 0, 0, 0)."""
     cfg = cfg or FeatureConfig()
     m = seq.values
     t, h, w = m.shape

@@ -115,17 +115,28 @@ def load_hrir_manifest(path):
 
     The manifest is an array of `{"azimuth_deg", "elevation_deg", "file"}`
     objects; files are 2-channel (left, right) WAVs relative to the manifest.
+    A malformed manifest raises ValueError naming the file and the entry.
     """
     with open(path) as fh:
         items = json.load(fh)
+    if not isinstance(items, list):
+        raise ValueError(f"{path}: HRIR manifest must be a JSON array")
     base = os.path.dirname(os.path.abspath(path))
     entries = {}
     sample_rate = None
-    for item in items:
-        direction = Direction(
-            math.radians(float(item["azimuth_deg"])),
-            math.radians(float(item["elevation_deg"])),
-        )
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict) and {"azimuth_deg", "elevation_deg"} <= item.keys()
+                and isinstance(item.get("file"), str)):
+            raise ValueError(
+                f"{path}: entry {i} needs 'azimuth_deg', 'elevation_deg' and a string 'file'"
+            )
+        try:
+            direction = Direction(
+                math.radians(float(item["azimuth_deg"])),
+                math.radians(float(item["elevation_deg"])),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: entry {i}: bad direction ({exc})") from None
         wav_path = os.path.join(base, item["file"])
         if not os.path.exists(wav_path):
             raise FileNotFoundError(f"HRIR manifest references missing file {wav_path}")
@@ -133,7 +144,7 @@ def load_hrir_manifest(path):
         if not isinstance(loaded, BinauralBuffer):
             raise ValueError(f"HRIR file {wav_path} must be 2-channel")
         if direction in entries:
-            raise ValueError(f"duplicate HRIR direction {direction}")
+            raise ValueError(f"{path}: entry {i}: duplicate HRIR direction {direction}")
         pair = HrirPair(loaded.left.samples, loaded.right.samples, loaded.sample_rate)
         if sample_rate is None:
             sample_rate = pair.sample_rate

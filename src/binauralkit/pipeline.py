@@ -67,9 +67,11 @@ class ClipManifest:
 
     def __post_init__(self):
         entries = tuple(self.entries)
-        ids = [e.id for e in entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("manifest ids must be unique")
+        seen = set()
+        for e in entries:
+            if e.id in seen:
+                raise ValueError(f"manifest id {e.id!r} is repeated")
+            seen.add(e.id)
         object.__setattr__(self, "entries", entries)
 
     def __len__(self):
@@ -81,15 +83,19 @@ class ClipManifest:
 
 def load_manifest(path):
     """Read a JSON-array manifest; relative paths resolve against its
-    directory."""
+    directory. A malformed manifest raises ValueError naming the file and
+    the entry index or repeated id."""
     with open(path) as fh:
         items = json.load(fh)
     if not isinstance(items, list):
         raise ValueError(f"{path}: manifest must be a JSON array")
     entries = []
-    for item in items:
-        if "id" not in item or "audio" not in item:
-            raise ValueError(f"{path}: every entry needs 'id' and 'audio'")
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict) and "id" in item and isinstance(item.get("audio"), str)):
+            raise ValueError(f"{path}: entry {i} needs an 'id' and a string 'audio'")
+        for key in ("heatmap", "trajectory", "caption"):
+            if item.get(key) is not None and not isinstance(item[key], str):
+                raise ValueError(f"{path}: entry {i}: '{key}' must be a string")
         entries.append(
             ClipEntry(
                 id=str(item["id"]),
@@ -99,7 +105,10 @@ def load_manifest(path):
                 caption=item.get("caption"),
             )
         )
-    return ClipManifest(tuple(entries), os.path.dirname(os.path.abspath(path)))
+    try:
+        return ClipManifest(tuple(entries), os.path.dirname(os.path.abspath(path)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_manifest(path, manifest):

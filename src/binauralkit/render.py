@@ -131,4 +131,4 @@ def direction_from_features(features, field_of_view=DEFAULT_FIELD_OF_VIEW):
     if len(rows) == 0:
         raise ValueError("empty feature sequence")
     times = np.arange(len(rows)) / features.frame_rate
-    return Trajectory.from_arrays(times, (0.5 - rows[:, 0]) * field_of_view, np.zeros(len(rows)))
+    return Trajectory(times, (0.5 - rows[:, 0]) * field_of_view, np.zeros(len(rows)))

@@ -26,6 +26,12 @@ def sine_buffer(freq, n=16000, amplitude=0.5, sample_rate=16000):
     return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq * t), sample_rate)
 
 
+def breakpoints(points):
+    """(times, azimuths, elevations) arrays of (time_s, Direction) pairs, the
+    arguments of Trajectory."""
+    return tuple(np.array(col) for col in zip(*((t, d.azimuth, d.elevation) for t, d in points)))
+
+
 def pytest_terminal_summary(terminalreporter):
     """One pass/fail line per acceptance criterion in the final summary."""
     results = {}

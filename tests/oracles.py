@@ -278,6 +278,6 @@ def oracle_load_trajectory(path):
             azimuth = (math.radians(az_deg) + math.pi) % (2.0 * math.pi) - math.pi
             points.append((time_s, azimuth, elevation))
     if not points:
-        raise ValueError("empty trajectory")
+        raise ValueError(f"{path}: empty trajectory")
     points.sort(key=lambda p: p[0])
     return tuple(np.array(column) for column in zip(*points))

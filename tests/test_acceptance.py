@@ -22,7 +22,7 @@ from binauralkit.flow import (
     sample_euler,
     train,
 )
-from binauralkit.heatmap import Heatmap, frame_features
+from binauralkit.heatmap import HeatmapSequence, extract_features
 from binauralkit.hrir import HeadModelConfig, woodworth_delay
 from binauralkit.metrics import MetricConfig, iacc, ild, ipd, isd, itd
 from binauralkit.pipeline import ClipEntry, ClipManifest, preprocess
@@ -101,19 +101,24 @@ def test_criterion_03_sh_round_trip():
     report(3, "SH encode/project/re-encode", ok)
 
 
+def features_of(m):
+    """(s_h, s_area, s_var, s_lr, s_shape) of one H x W map."""
+    return extract_features(HeatmapSequence(m[None])).features[0]
+
+
 def test_criterion_04_heatmap_oracles():
     rng = np.random.default_rng(4)
     ok = True
     for _ in range(1000):
         m = rng.uniform(0.0, 1.0, (8, 8))
-        got = frame_features(Heatmap(m))
+        got = features_of(m)
         want = oracle_heatmap_features(m.tolist())
         ok &= bool(np.all(np.abs(got - np.asarray(want)) <= 1e-12))
     # scale invariance and mirror antisymmetry
     m = rng.uniform(0.0, 1.0, (8, 8))
-    a = frame_features(Heatmap(m))
-    ok &= bool(np.allclose(a, frame_features(Heatmap(7.0 * m)), atol=1e-10))
-    b = frame_features(Heatmap(m[:, ::-1]))
+    a = features_of(m)
+    ok &= bool(np.allclose(a, features_of(7.0 * m), atol=1e-10))
+    b = features_of(m[:, ::-1])
     ok &= abs(b[3] + a[3]) <= 1e-12 and abs(b[1] - a[1]) <= 1e-12
     report(4, "heatmap feature oracles", ok)
 
@@ -121,7 +126,7 @@ def test_criterion_04_heatmap_oracles():
 def test_criterion_05_feature_spot_values():
     m = np.zeros((10, 10))
     m[4, 2] = 1.0  # pixel (x=3, y=5), 1-based
-    feats = frame_features(Heatmap(m))
+    feats = features_of(m)
     ok = bool(np.allclose(feats, [0.3, 0.01, 0.0, -1.0, 0.0], atol=1e-12))
     report(5, "point-mass feature spot values", ok)
 

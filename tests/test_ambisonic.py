@@ -20,6 +20,7 @@ from binauralkit.ambisonic import (
     sh_encode,
     wrap_azimuth,
 )
+from conftest import breakpoints
 from oracles import oracle_direction_at
 
 
@@ -30,6 +31,11 @@ class TestDirection:
     def test_elevation_range_enforced(self):
         with pytest.raises(ValueError):
             Direction(0.0, 2.0)
+
+    @pytest.mark.parametrize("azimuth", [math.nan, math.inf])
+    def test_azimuth_must_be_finite(self, azimuth):
+        with pytest.raises(ValueError, match="azimuth must be finite"):
+            Direction(azimuth)
 
 
 class TestShEncode:
@@ -219,17 +225,17 @@ class TestEncodeMono:
 
 class TestTrajectory:
     def test_piecewise_constant(self):
-        traj = Trajectory(((0.0, Direction(0.0)), (1.0, Direction(1.0))))
+        traj = Trajectory([0.0, 1.0], [0.0, 1.0], [0.0, 0.0])
         assert traj.direction_at(0.5).azimuth == 0.0
         assert traj.direction_at(1.5).azimuth == pytest.approx(1.0)
 
     def test_gap(self):
-        traj = Trajectory(((1.0, Direction(0.0)),))
+        traj = Trajectory([1.0], [0.0], [0.0])
         with pytest.raises(ValueError):
             traj.direction_at(0.0)
 
     def test_equal_times_last_point_wins(self):
-        traj = Trajectory(((0.0, Direction(0.0)), (1.0, Direction(1.0)), (1.0, Direction(2.0))))
+        traj = Trajectory([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         assert traj.direction_at(1.0).azimuth == pytest.approx(2.0)
         assert traj.direction_at(1.0 - 5e-13).azimuth == pytest.approx(2.0)
         assert traj.direction_at(1.0 - 2e-12).azimuth == 0.0
@@ -253,7 +259,7 @@ class TestTrajectory:
     def test_lookup_matches_linear_scan(self, times, queries, free):
         # Distinct azimuths tell apart the points that share a time.
         points = tuple((t, Direction(0.01 * i)) for i, t in enumerate(times))
-        traj = Trajectory(points)
+        traj = Trajectory(*breakpoints(points))
         ts = [times[i % len(times)] + offset for i, offset in queries] + free
         for t in ts:
             try:
@@ -262,19 +268,17 @@ class TestTrajectory:
                 with pytest.raises(ValueError, match="gap"):
                     traj.direction_at(t)
                 continue
-            assert traj.direction_at(t) is expected
+            # Breakpoint azimuths are 0.01 rad apart, so this names one of them.
+            assert traj.direction_at(t).azimuth == pytest.approx(expected.azimuth, abs=1e-12)
 
     def test_csv_roundtrip(self, tmp_path):
-        traj = Trajectory(
-            ((0.0, Direction(0.1, 0.02)), (0.5, Direction(-1.2, -0.3)))
-        )
+        traj = Trajectory([0.0, 0.5], [0.1, -1.2], [0.02, -0.3])
         path = tmp_path / "traj.csv"
         save_trajectory_csv(path, traj)
         loaded = load_trajectory_csv(path)
-        for (t0, d0), (t1, d1) in zip(traj.points, loaded.points):
-            assert t1 == pytest.approx(t0)
-            assert d1.azimuth == pytest.approx(d0.azimuth)
-            assert d1.elevation == pytest.approx(d0.elevation)
+        np.testing.assert_allclose(loaded.times, traj.times, rtol=1e-6)
+        np.testing.assert_allclose(loaded.azimuth, traj.azimuth, rtol=1e-6)
+        np.testing.assert_allclose(loaded.elevation, traj.elevation, rtol=1e-6)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -291,19 +295,40 @@ class TestTrajectory:
     def test_csv_keeps_nine_significant_digits(self, tmp_path, rows):
         # Azimuth is compared after wrapping: a value just below 180 degrees
         # may print as 180 and load back as -180.
-        traj = Trajectory(
-            tuple((t, Direction(math.radians(az), math.radians(el))) for t, az, el in rows)
-        )
+        traj = Trajectory(*breakpoints(
+            (t, Direction(math.radians(az), math.radians(el))) for t, az, el in rows
+        ))
         path = tmp_path / "rt.csv"
         save_trajectory_csv(path, traj)
         loaded = load_trajectory_csv(path)
-        assert len(loaded.points) == len(traj.points)
-        for (t0, d0), (t1, d1) in zip(traj.points, loaded.points):
+        assert len(loaded.times) == len(traj.times)
+        for t0, a0, e0, t1, a1, e1 in zip(
+            traj.times, traj.azimuth, traj.elevation,
+            loaded.times, loaded.azimuth, loaded.elevation,
+        ):
             assert t1 == pytest.approx(t0, rel=5e-9, abs=0.0)
-            az_err = math.degrees(abs(wrap_azimuth(d1.azimuth - d0.azimuth)))
-            assert az_err <= 5e-9 * abs(math.degrees(d0.azimuth)) + 1e-12
-            el_err = math.degrees(abs(d1.elevation - d0.elevation))
-            assert el_err <= 5e-9 * abs(math.degrees(d0.elevation)) + 1e-12
+            az_err = math.degrees(abs(wrap_azimuth(a1 - a0)))
+            assert az_err <= 5e-9 * abs(math.degrees(a0)) + 1e-12
+            el_err = math.degrees(abs(e1 - e0))
+            assert el_err <= 5e-9 * abs(math.degrees(e0)) + 1e-12
+
+    @pytest.mark.parametrize(
+        "times,azimuth", [([math.nan], [0.0]), ([0.0], [math.nan]), ([0.0, math.inf], [0.0, 0.0])]
+    )
+    def test_non_finite_breakpoint_rejected(self, times, azimuth):
+        with pytest.raises(ValueError, match="must be finite"):
+            Trajectory(times, azimuth, np.zeros(len(times)))
+
+    @pytest.mark.parametrize("azimuth", [[0.0], [0.0, 0.0, 0.0], 0.0])
+    def test_arrays_must_share_one_length(self, azimuth):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            Trajectory([0.0, 1.0], azimuth, [0.0, 0.0])
+
+    def test_csv_header_only_names_file(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("time_s,azimuth_deg,elevation_deg\n")
+        with pytest.raises(ValueError, match=r"bare\.csv: empty trajectory"):
+            load_trajectory_csv(path)
 
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

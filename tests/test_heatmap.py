@@ -5,27 +5,21 @@ from hypothesis.extra.numpy import arrays
 
 from binauralkit.heatmap import (
     FeatureConfig,
-    Heatmap,
     HeatmapFormatError,
     HeatmapSequence,
     NEUTRAL_FEATURES,
-    area_fraction,
-    centroid,
+    SpatialFeatureSequence,
     extract_features,
-    frame_features,
-    horizontal_position,
     load_heatmap_sequence,
-    lr_energy_bias,
     save_features_csv,
     save_heatmap_sequence,
-    shape_ratio,
-    spatial_variance,
 )
 from oracles import oracle_heatmap_features
 
 
-def hm(values):
-    return Heatmap(np.asarray(values, float))
+def features_of(m):
+    """(s_h, s_area, s_var, s_lr, s_shape) of one H x W map."""
+    return extract_features(HeatmapSequence(np.asarray(m, float)[None])).features[0]
 
 
 class TestHmapFormat:
@@ -37,14 +31,14 @@ class TestHmapFormat:
     def test_minimal_file(self, tmp_path):
         seq = load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 1\n0.5\n"))
         assert len(seq) == 1
-        assert seq.frames[0].values[0, 0] == 0.5
+        assert seq.values[0, 0, 0] == 0.5
 
     def test_two_frames(self, tmp_path):
         text = "hmap 1 2 2 3\n1 2 3\n4 5 6\n0 0 0\n0 0 1\n"
         seq = load_heatmap_sequence(self._write(tmp_path, text))
         assert len(seq) == 2
-        np.testing.assert_array_equal(seq.frames[0].values, [[1, 2, 3], [4, 5, 6]])
-        assert seq.frames[1].values[1, 2] == 1.0
+        np.testing.assert_array_equal(seq.values[0], [[1, 2, 3], [4, 5, 6]])
+        assert seq.values[1, 1, 2] == 1.0
 
     def test_default_frame_rate(self, tmp_path):
         seq = load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 1\n1\n"))
@@ -90,14 +84,12 @@ class TestHmapFormat:
         assert len(seq) == 1
 
     def test_roundtrip(self, tmp_path, rng):
-        frames = tuple(hm(rng.uniform(0, 1, (6, 8))) for _ in range(3))
-        seq = HeatmapSequence(frames, 25.0)
+        seq = HeatmapSequence(rng.uniform(0, 1, (3, 6, 8)), 25.0)
         path = tmp_path / "rt.hmap"
         save_heatmap_sequence(path, seq)
         loaded = load_heatmap_sequence(path, frame_rate=25.0)
         assert len(loaded) == 3
-        for a, b in zip(seq.frames, loaded.frames):
-            np.testing.assert_allclose(b.values, a.values, rtol=1e-8)
+        np.testing.assert_allclose(loaded.values, seq.values, rtol=1e-8)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -109,70 +101,54 @@ class TestHmapFormat:
     )
     def test_save_load_keeps_nine_significant_digits(self, tmp_path, values):
         path = tmp_path / "rt.hmap"
-        save_heatmap_sequence(path, HeatmapSequence(tuple(hm(v) for v in values)))
+        save_heatmap_sequence(path, HeatmapSequence(values))
         loaded = load_heatmap_sequence(path)
-        got = np.stack([f.values for f in loaded.frames])
-        np.testing.assert_allclose(got, values, rtol=5e-9, atol=0.0)
+        np.testing.assert_allclose(loaded.values, values, rtol=5e-9, atol=0.0)
 
 
 class TestFeatureTrivials:
     def test_uniform_map(self):
-        h = hm(np.ones((4, 4)))
-        assert horizontal_position(h) == pytest.approx((1 + 2 + 3 + 4) / 4 / 4)
-        assert area_fraction(h) == 1.0
-        var_x, var_y, s_var = spatial_variance(h)
-        assert var_x == pytest.approx(1.25)
-        assert var_y == pytest.approx(1.25)
-        assert s_var == pytest.approx(2.5)
-        assert lr_energy_bias(h) == 0.0
-        assert shape_ratio(h) == pytest.approx(1.0, rel=1e-6)
+        s_h, s_area, s_var, s_lr, s_shape = features_of(np.ones((4, 4)))
+        assert s_h == pytest.approx((1 + 2 + 3 + 4) / 4 / 4)
+        assert s_area == 1.0
+        assert s_var == pytest.approx(2.5)  # var_x = var_y = 1.25
+        assert s_lr == 0.0
+        assert s_shape == pytest.approx(1.0, rel=1e-6)
 
     def test_point_mass(self):
         m = np.zeros((10, 10))
         m[4, 2] = 7.0  # 1-based pixel (x=3, y=5)
-        feats = frame_features(hm(m))
+        feats = features_of(m)
         np.testing.assert_allclose(feats, [0.3, 0.01, 0.0, -1.0, 0.0], atol=1e-12)
-        assert centroid(hm(m)) == (3.0, 5.0)
 
     def test_all_zero_neutral(self):
-        np.testing.assert_array_equal(
-            frame_features(hm(np.zeros((5, 7)))), NEUTRAL_FEATURES
-        )
+        np.testing.assert_array_equal(features_of(np.zeros((5, 7))), NEUTRAL_FEATURES)
 
     def test_odd_width_middle_column_neutral_bias(self):
         m = np.zeros((3, 5))
         m[:, 2] = 1.0  # everything in the middle column splits evenly
-        assert lr_energy_bias(hm(m)) == 0.0
+        assert features_of(m)[3] == 0.0
 
     def test_right_heavy_bias_positive(self):
         m = np.zeros((2, 4))
         m[:, 3] = 1.0
-        assert lr_energy_bias(hm(m)) == 1.0
+        assert features_of(m)[3] == 1.0
 
     def test_area_threshold_boundary_inclusive(self):
-        h = hm([[1.0, 0.5, 0.49]])
         # 0.5 == 0.5 * max counts; 0.49 does not
-        assert area_fraction(h) == pytest.approx(2.0 / 3.0)
+        assert features_of([[1.0, 0.5, 0.49]])[1] == pytest.approx(2.0 / 3.0)
 
     def test_wide_blob_shape_ratio(self):
         m = np.zeros((5, 5))
         m[2, :] = 1.0  # horizontal line: var_y = 0
-        assert shape_ratio(hm(m)) > 1e6
-
-    def test_zero_map_errors(self):
-        with pytest.raises(ValueError):
-            centroid(hm(np.zeros((3, 3))))
-        with pytest.raises(ValueError):
-            spatial_variance(hm(np.zeros((3, 3))))
-        with pytest.raises(ValueError):
-            lr_energy_bias(hm(np.zeros((3, 3))))
+        assert features_of(m)[4] > 1e6
 
 
 class TestFeatureProperties:
     def test_matches_loop_oracle(self, rng):
         for _ in range(20):
             m = rng.uniform(0.0, 1.0, (8, 8))
-            feats = frame_features(hm(m))
+            feats = features_of(m)
             expected = oracle_heatmap_features(m.tolist())
             np.testing.assert_allclose(feats, expected, atol=1e-12)
 
@@ -180,19 +156,17 @@ class TestFeatureProperties:
         for _ in range(10):
             m = rng.uniform(0.0, 1.0, (6, 7))
             np.testing.assert_allclose(
-                frame_features(hm(m)), oracle_heatmap_features(m.tolist()), atol=1e-12
+                features_of(m), oracle_heatmap_features(m.tolist()), atol=1e-12
             )
 
     def test_scale_invariance(self, rng):
         m = rng.uniform(0.0, 1.0, (9, 11))
-        np.testing.assert_allclose(
-            frame_features(hm(m)), frame_features(hm(5.0 * m)), atol=1e-10
-        )
+        np.testing.assert_allclose(features_of(m), features_of(5.0 * m), atol=1e-10)
 
     def test_mirror_property(self, rng):
         m = rng.uniform(0.0, 1.0, (6, 9))
-        a = frame_features(hm(m))
-        b = frame_features(hm(m[:, ::-1]))
+        a = features_of(m)
+        b = features_of(m[:, ::-1])
         assert b[0] == pytest.approx(1.0 + 1.0 / 9.0 - a[0], rel=1e-9)  # cx mirrors
         assert b[1] == pytest.approx(a[1])
         assert b[2] == pytest.approx(a[2])
@@ -202,20 +176,18 @@ class TestFeatureProperties:
 
 class TestSequences:
     def test_extract_features_shape(self, rng):
-        frames = tuple(hm(rng.uniform(0, 1, (4, 6))) for _ in range(5))
-        feats = extract_features(HeatmapSequence(frames, 31.25))
+        feats = extract_features(HeatmapSequence(rng.uniform(0, 1, (5, 4, 6)), 31.25))
         assert feats.features.shape == (5, 5)
         assert feats.frame_rate == 31.25
 
     def test_mixed_zero_frames(self):
-        frames = (hm(np.zeros((3, 3))), hm(np.ones((3, 3))))
-        feats = extract_features(HeatmapSequence(frames, 31.25))
+        values = np.stack([np.zeros((3, 3)), np.ones((3, 3))])
+        feats = extract_features(HeatmapSequence(values, 31.25))
         np.testing.assert_array_equal(feats.features[0], NEUTRAL_FEATURES)
         assert feats.features[1][1] == 1.0
 
     def test_features_csv(self, tmp_path, rng):
-        frames = tuple(hm(rng.uniform(0, 1, (4, 4))) for _ in range(3))
-        feats = extract_features(HeatmapSequence(frames, 31.25))
+        feats = extract_features(HeatmapSequence(rng.uniform(0, 1, (3, 4, 4)), 31.25))
         path = tmp_path / "f.csv"
         save_features_csv(path, feats)
         lines = path.read_text().strip().splitlines()
@@ -226,8 +198,15 @@ class TestSequences:
         assert float(first[1]) == pytest.approx(feats.features[0][0], rel=1e-10)
 
     def test_frame_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            HeatmapSequence((hm(np.ones((3, 3))), hm(np.ones((3, 4)))), 31.25)
+        with pytest.raises(ValueError, match="T x H x W"):
+            HeatmapSequence(np.ones((3, 3)), 31.25)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_frame_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="frame_rate"):
+            HeatmapSequence(np.ones((1, 2, 2)), rate)
+        with pytest.raises(ValueError, match="frame_rate"):
+            SpatialFeatureSequence(np.zeros((3, 5)), rate)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -109,6 +109,26 @@ class TestMeasuredSets:
         with pytest.raises(ValueError):
             load_hrir_manifest(path)
 
+    @pytest.mark.parametrize(
+        "items,match",
+        [
+            ({"azimuth_deg": 0.0}, r"HRIR manifest must be a JSON array"),
+            ([{"azimuth_deg": 0.0, "file": "a.wav"}], r"entry 0 needs"),
+            ([{"azimuth_deg": math.nan, "elevation_deg": 0.0, "file": "a.wav"}], r"entry 0: bad"),
+            ([{"azimuth_deg": "x", "elevation_deg": 0.0, "file": "a.wav"}], r"entry 0: bad"),
+        ],
+    )
+    def test_malformed_manifest_names_file(self, tmp_path, items, match):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(items))
+        with pytest.raises(ValueError, match=r"manifest\.json: " + match):
+            load_hrir_manifest(path)
+
+    def test_duplicate_direction_names_entry(self, tmp_path):
+        path = _write_manifest(tmp_path, [(10.0, 0.0), (10.0, 0.0)])
+        with pytest.raises(ValueError, match=r"manifest\.json: entry 1: duplicate"):
+            load_hrir_manifest(path)
+
     def test_lookup_exact_direction(self, tmp_path):
         hset = load_hrir_manifest(_write_manifest(tmp_path, [(90.0, 0.0), (-90.0, 0.0)]))
         stored = hset.entries[Direction(math.radians(90.0), 0.0)]

@@ -8,13 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from binauralkit.ambisonic import load_trajectory_csv
-from binauralkit.heatmap import (
-    Heatmap,
-    HeatmapSequence,
-    extract_features,
-    frame_features,
-    load_heatmap_sequence,
-)
+from binauralkit.heatmap import HeatmapSequence, extract_features, load_heatmap_sequence
 from oracles import oracle_load_hmap, oracle_load_trajectory
 
 # A loader that warns on some input fails here: warnings are not errors.
@@ -251,9 +245,9 @@ class TestTrajectoryCsvAgainstOracle:
     zero=st.lists(st.booleans(), min_size=4, max_size=4),
 )
 def test_extract_features_matches_frame_features(values, zero):
+    # The features of a stack equal those of each frame taken alone.
     values = values.copy()
     values[np.array(zero[: len(values)])] = 0.0
-    seq = HeatmapSequence(values)
-    got = extract_features(seq).features
-    want = np.stack([frame_features(Heatmap(v)) for v in values])
+    got = extract_features(HeatmapSequence(values)).features
+    want = np.stack([extract_features(HeatmapSequence(v[None])).features[0] for v in values])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from binauralkit import ambisonic, audio, flow, heatmap, pipeline
-from binauralkit.ambisonic import Direction, Trajectory
+from binauralkit.ambisonic import Trajectory
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.cli import main as cli_main
 from binauralkit.metrics import SpatialMetricsReport
@@ -77,6 +77,24 @@ class TestManifests:
         path = tmp_path / "obj.json"
         path.write_text(json.dumps({"id": "a"}))
         with pytest.raises(ValueError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "items,match",
+        [
+            ([1, 2], r"entry 0 needs an 'id' and a string 'audio'"),
+            ([{"id": "a", "audio": "a.wav"}, {"id": "b", "audio": 5}], r"entry 1 needs"),
+            ([{"id": "a", "audio": "a.wav", "heatmap": 3}], r"entry 0: 'heatmap' must be"),
+            (
+                [{"id": "x", "audio": "1.wav"}, {"id": "x", "audio": "2.wav"}],
+                r"manifest id 'x' is repeated",
+            ),
+        ],
+    )
+    def test_malformed_entry_names_file(self, tmp_path, items, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(items))
+        with pytest.raises(ValueError, match=r"bad\.json: " + match):
             load_manifest(path)
 
     def test_validate_reports_missing_files(self, tmp_path):
@@ -196,7 +214,7 @@ class TestClipTrajectory:
             (ClipEntry("a", "a.wav", trajectory="t.csv"),), str(tmp_path)
         )
         traj = clip_trajectory(manifest, manifest.entries[0])
-        assert traj.points[0][1].azimuth == pytest.approx(math.radians(45.0))
+        assert traj.azimuth[0] == pytest.approx(math.radians(45.0))
 
     def test_heatmap_fallback(self, tmp_path):
         # all mass in the left column of a 1x4 map: s_h = 0.25 -> +fov/4
@@ -205,7 +223,7 @@ class TestClipTrajectory:
             (ClipEntry("a", "a.wav", heatmap="h.hmap"),), str(tmp_path)
         )
         traj = clip_trajectory(manifest, manifest.entries[0], fov=math.pi / 2)
-        assert traj.points[0][1].azimuth == pytest.approx(math.pi / 8)
+        assert traj.azimuth[0] == pytest.approx(math.pi / 8)
 
     def test_neither_raises(self, tmp_path):
         manifest = ClipManifest((ClipEntry("a", "a.wav"),), str(tmp_path))
@@ -394,9 +412,9 @@ def _fail_sample_csv(tmp_path, monkeypatch, path):
 def _fail_heatmap_sequence(tmp_path, monkeypatch, path):
     # The header and the first frame are written before the second frame's
     # value cannot be formatted.
-    frames = (heatmap.Heatmap(np.ones((1, 2))), heatmap.Heatmap(np.ones((1, 2))))
-    object.__setattr__(frames[1], "values", np.array([[1.0, None]], dtype=object))
-    heatmap.save_heatmap_sequence(path, heatmap.HeatmapSequence(frames))
+    seq = heatmap.HeatmapSequence(np.ones((2, 1, 2)))
+    object.__setattr__(seq, "values", np.array([[[1.0, 1.0]], [[1.0, None]]], dtype=object))
+    heatmap.save_heatmap_sequence(path, seq)
 
 
 def _fail_features_csv(tmp_path, monkeypatch, path):
@@ -406,7 +424,7 @@ def _fail_features_csv(tmp_path, monkeypatch, path):
 
 def _fail_trajectory_csv(tmp_path, monkeypatch, path):
     monkeypatch.setattr(ambisonic.csv, "writer", _partial_then_fail("time_s,"))
-    ambisonic.save_trajectory_csv(path, Trajectory.constant(Direction(0.0, 0.0)))
+    ambisonic.save_trajectory_csv(path, Trajectory([0.0], [0.0], [0.0]))
 
 
 class TestAtomicWrites:

@@ -21,7 +21,7 @@ from binauralkit.render import (
     render_static,
     render_trajectory,
 )
-from conftest import noise_buffer
+from conftest import breakpoints, noise_buffer
 from oracles import oracle_direction_at, oracle_speaker_render
 
 FS = 16000
@@ -146,7 +146,7 @@ class TestRenderStatic:
 class TestRenderTrajectory:
     def test_constant_trajectory_matches_static(self, rng):
         mono = noise_buffer(rng, 6000)
-        traj = Trajectory.constant(Direction(0.6))
+        traj = Trajectory([0.0], [0.6], [0.0])
         a = render_trajectory(mono, traj)
         b = render_static(mono, Direction(0.6))
         np.testing.assert_array_equal(a.left.samples, b.left.samples)
@@ -154,12 +154,9 @@ class TestRenderTrajectory:
 
     def test_sweep_flips_ild_sign(self, rng):
         mono = noise_buffer(rng, 32000)
-        traj = Trajectory(
-            tuple(
-                (i * 0.1, Direction(math.pi / 2 - i * (math.pi / 19)))
-                for i in range(20)
-            )
-        )
+        traj = Trajectory(*breakpoints(
+            (i * 0.1, Direction(math.pi / 2 - i * (math.pi / 19))) for i in range(20)
+        ))
         out = render_trajectory(mono, traj)
         frame = 1600
 
@@ -174,14 +171,14 @@ class TestRenderTrajectory:
 
     def test_trajectory_gap_rejected(self, rng):
         mono = noise_buffer(rng, 4000)
-        traj = Trajectory(((1.0, Direction(0.0)),))
+        traj = Trajectory([1.0], [0.0], [0.0])
         with pytest.raises(ValueError):
             render_trajectory(mono, traj)
 
     def test_jump_bounded_by_crossfade_convexity(self, rng):
         mono = noise_buffer(rng, 8192)
         cfg = RenderConfig(normalize_output=False)
-        jump = Trajectory(((0.0, Direction(0.0)), (0.2, Direction(math.pi / 2))))
+        jump = Trajectory([0.0, 0.2], [0.0, math.pi / 2], [0.0, 0.0])
         out = render_trajectory(mono, jump, cfg)
         seg_a = render_static(mono, Direction(0.0), cfg)
         seg_b = render_static(mono, Direction(math.pi / 2), cfg)
@@ -273,7 +270,7 @@ class TestSpeakerLoopOracle:
             (0.02 * i, Direction(1.3 - 0.4 * i, 0.25 * (i % 3) if cfg.order == 2 else 0.0))
             for i in range(8)
         )
-        out = render_trajectory(mono, Trajectory(points), cfg)
+        out = render_trajectory(mono, Trajectory(*breakpoints(points)), cfg)
         n_blocks = -(-n // cfg.block_size)
         directions = [
             oracle_direction_at(points, b * cfg.block_size / FS) for b in range(n_blocks)
@@ -310,19 +307,17 @@ class TestDirectionFromFeatures:
 
     def test_center(self):
         traj = direction_from_features(self._features([0.5, 0.5, 0.5]))
-        for _, d in traj.points:
-            assert d.azimuth == 0.0
+        assert np.all(traj.azimuth == 0.0)
 
     def test_left_edge(self):
         traj = direction_from_features(self._features([0.0]), field_of_view=math.pi / 2)
-        assert traj.points[0][1].azimuth == pytest.approx(math.pi / 4)
+        assert traj.azimuth[0] == pytest.approx(math.pi / 4)
 
     def test_linear_ramp(self):
         values = np.linspace(0.0, 1.0, 11)
         traj = direction_from_features(self._features(values), field_of_view=math.pi / 2)
-        azimuths = [d.azimuth for _, d in traj.points]
         expected = (0.5 - values) * math.pi / 2
-        np.testing.assert_allclose(azimuths, expected, atol=1e-12)
+        np.testing.assert_allclose(traj.azimuth, expected, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -341,7 +336,7 @@ def test_trajectory_render_memory_peak():
     mono = noise_buffer(np.random.default_rng(7), n=n)
     times = np.arange(0.0, 60.0, 0.02)
     azimuth = np.cumsum(np.random.default_rng(8).normal(0.0, 0.07, len(times)))
-    traj = Trajectory(tuple((t, Direction(a)) for t, a in zip(times, azimuth)))
+    traj = Trajectory(times, azimuth, np.zeros(len(times)))
     tracemalloc.start()
     try:
         render_trajectory(mono, traj)
