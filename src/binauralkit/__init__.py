@@ -13,11 +13,10 @@ from .ambisonic import (
     ring_layout,
     sh_encode,
 )
-from .hrir import HeadModelConfig, HrirPair, HrirSet, analytic_hrir, lookup
+from .hrir import HrirPair, HrirSet, analytic_hrir, lookup
 from .render import RenderConfig, direction_from_features, render_static, render_trajectory
-from .metrics import MetricConfig, SpatialMetricsReport, spatial_report
+from .metrics import SpatialMetricsReport, spatial_report
 from .heatmap import (
-    FeatureConfig,
     HeatmapSequence,
     SpatialFeatureSequence,
     extract_features,

@@ -18,7 +18,6 @@ from . import flow
 from .ambisonic import ring_layout
 from .audio import atomic_write
 from .heatmap import extract_features, load_heatmap_sequence, save_features_csv
-from .metrics import MetricConfig
 from .pipeline import (
     PreprocessConfig,
     batch_metrics,
@@ -160,7 +159,7 @@ def _cmd_metrics(args):
     source = args.input
     if source.endswith(".json"):
         source = load_manifest(source)
-    per_clip, aggregate, failures = batch_metrics(source, MetricConfig())
+    per_clip, aggregate, failures = batch_metrics(source)
     if args.json_out:
         write_metrics_json(args.json_out, per_clip, failures)
     if args.csv_out:

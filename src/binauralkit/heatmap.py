@@ -23,6 +23,8 @@ from .audio import atomic_write
 
 NEUTRAL_FEATURES = (0.5, 0.0, 0.0, 0.0, 0.0)
 FEATURE_NAMES = ("s_h", "s_area", "s_var", "s_lr", "s_shape")
+MASK_THRESHOLD_REL = 0.5
+SHAPE_EPSILON = 1e-8
 
 
 class HeatmapFormatError(ValueError):
@@ -71,16 +73,6 @@ class SpatialFeatureSequence:
 
     def __len__(self):
         return len(self.features)
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    mask_threshold_rel: float = 0.5
-    shape_epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.mask_threshold_rel <= 1.0):
-            raise ValueError("mask_threshold_rel must be in (0, 1]")
 
 
 def load_heatmap_sequence(path, frame_rate=31.25):
@@ -152,15 +144,14 @@ def save_heatmap_sequence(path, seq):
             fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
 
 
-def extract_features(seq, cfg=None):
+def extract_features(seq):
     """The five features of every frame, from the row and column marginals
     M(x), M(y) of the T x H x W stack (1-based pixel coordinates): s_h = cx/W;
-    s_area, the fraction of pixels >= mask_threshold_rel * max; s_var =
+    s_area, the fraction of pixels >= MASK_THRESHOLD_REL * max; s_var =
     var_x + var_y, the variances of M(x) and M(y); s_lr = (right-half mass -
     left-half mass) / total, the middle column of an odd width counting half
-    to each side; s_shape = var_x / (var_y + shape_epsilon). All-zero frames
+    to each side; s_shape = var_x / (var_y + SHAPE_EPSILON). All-zero frames
     get the neutral vector (0.5, 0, 0, 0, 0)."""
-    cfg = cfg or FeatureConfig()
     m = seq.values
     t, h, w = m.shape
     total = m.reshape(t, -1).sum(axis=1)
@@ -175,7 +166,7 @@ def extract_features(seq, cfg=None):
     var_x = np.einsum("tw,tw->t", cols, (xs - cx[:, None]) ** 2) / denom
     var_y = np.einsum("th,th->t", rows, (ys - cy[:, None]) ** 2) / denom
     peak = m.reshape(t, -1).max(axis=1)
-    area = np.count_nonzero(m >= (cfg.mask_threshold_rel * peak)[:, None, None], axis=(1, 2))
+    area = np.count_nonzero(m >= (MASK_THRESHOLD_REL * peak)[:, None, None], axis=(1, 2))
     half = w // 2
     left = cols[:, :half].sum(axis=1)
     right = cols[:, w - half :].sum(axis=1)
@@ -188,7 +179,7 @@ def extract_features(seq, cfg=None):
             area / (h * w),
             var_x + var_y,
             (right - left) / denom,
-            var_x / (var_y + cfg.shape_epsilon),
+            var_x / (var_y + SHAPE_EPSILON),
         ],
         axis=1,
     )

@@ -1,6 +1,7 @@
 """Left/right head-related impulse responses from one of two sources: the
-data-free spherical-head model (HeadModelConfig: Woodworth delay + broadband
-head-shadow gain) or a measured HrirSet loaded from a JSON manifest."""
+data-free spherical-head model (Woodworth delay + broadband head-shadow gain,
+fixed by the module constants below) or a measured HrirSet loaded from a JSON
+manifest."""
 
 from __future__ import annotations
 
@@ -16,6 +17,15 @@ from .ambisonic import Direction, angular_distance
 
 _LEFT_EAR = Direction(math.pi / 2)
 _RIGHT_EAR = Direction(-math.pi / 2)
+
+# Spherical-head model: 0.0875 m is the standard average human head radius,
+# 343 m/s the speed of sound at 20 C. The contralateral ear is attenuated by
+# a broadband gain reaching -CONTRALATERAL_ATTENUATION dB directly opposite
+# the ear.
+HEAD_RADIUS = 0.0875
+SPEED_OF_SOUND = 343.0
+CONTRALATERAL_ATTENUATION = 6.0
+IR_LENGTH = 64
 
 
 @dataclass(frozen=True)
@@ -35,64 +45,38 @@ class HrirPair:
         object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class HeadModelConfig:
-    """Spherical-head parameters.
-
-    head_radius 0.0875 m is the standard average human head; 343 m/s is the
-    speed of sound at 20 C. The contralateral ear is attenuated by a broadband
-    gain reaching -contralateral_attenuation dB directly opposite the ear.
-    """
-
-    head_radius: float = 0.0875
-    speed_of_sound: float = 343.0
-    contralateral_attenuation: float = 6.0
-    ir_length: int = 64
-    base_delay: int = 0
-
-    def __post_init__(self):
-        if self.head_radius <= 0 or self.speed_of_sound <= 0 or self.ir_length <= 0:
-            raise ValueError("head model parameters must be positive")
-        if self.contralateral_attenuation < 0:
-            raise ValueError("contralateral_attenuation must be >= 0")
-        if self.base_delay < 0:
-            raise ValueError("base_delay must be >= 0")
-
-
-def woodworth_delay(lateral_angle, cfg):
+def woodworth_delay(lateral_angle):
     """Spherical-head far-ear extra delay in seconds: (a/c)(theta + sin theta)."""
     theta = abs(lateral_angle)
-    return cfg.head_radius / cfg.speed_of_sound * (theta + math.sin(theta))
+    return HEAD_RADIUS / SPEED_OF_SOUND * (theta + math.sin(theta))
 
 
-def analytic_hrir(direction, sample_rate, cfg=None):
+def analytic_hrir(direction, sample_rate):
     """Single-impulse HRIR pair from the spherical-head model.
 
     The lateral incidence angle phi satisfies sin phi = sin(az) cos(el)
-    (positive toward the listener's left). The near ear gets delay
-    cfg.base_delay; the far ear additionally gets the Woodworth delay rounded
-    to the nearest sample.
+    (positive toward the listener's left). The near ear's impulse sits at
+    sample 0; the far ear's is delayed by the Woodworth delay rounded to the
+    nearest sample.
     """
-    if cfg is None:
-        cfg = HeadModelConfig()
     phi = math.asin(max(-1.0, min(1.0, math.sin(direction.azimuth) * math.cos(direction.elevation))))
-    extra = int(round(woodworth_delay(phi, cfg) * sample_rate))
+    extra = int(round(woodworth_delay(phi) * sample_rate))
     if phi >= 0:  # source toward the left: left ear is near
-        delay_l, delay_r = cfg.base_delay, cfg.base_delay + extra
+        delay_l, delay_r = 0, extra
     else:
-        delay_l, delay_r = cfg.base_delay + extra, cfg.base_delay
+        delay_l, delay_r = extra, 0
 
     u = direction.unit_vector()
     gains = []
     for ear in (_LEFT_EAR, _RIGHT_EAR):
         cos_delta = float(np.clip(np.dot(u, ear.unit_vector()), -1.0, 1.0))
-        gain_db = -cfg.contralateral_attenuation * (1.0 - cos_delta) / 2.0
+        gain_db = -CONTRALATERAL_ATTENUATION * (1.0 - cos_delta) / 2.0
         gains.append(10.0 ** (gain_db / 20.0))
 
-    if max(delay_l, delay_r) >= cfg.ir_length:
+    if extra >= IR_LENGTH:
         raise ValueError("ir_length too short for the modeled delay")
-    left = np.zeros(cfg.ir_length)
-    right = np.zeros(cfg.ir_length)
+    left = np.zeros(IR_LENGTH)
+    right = np.zeros(IR_LENGTH)
     left[delay_l] = gains[0]
     right[delay_r] = gains[1]
     return HrirPair(left, right, sample_rate)
@@ -155,12 +139,12 @@ def load_hrir_manifest(path):
 
 
 def lookup(source, direction, sample_rate):
-    """HRIR pair for a direction at sample_rate: exact synthesis from a
-    HeadModelConfig, or the nearest great-circle neighbor stored in a measured
-    HrirSet (ties broken by smallest (azimuth, elevation)), whose rate must
-    equal sample_rate."""
-    if isinstance(source, HeadModelConfig):
-        return analytic_hrir(direction, sample_rate, source)
+    """HRIR pair for a direction at sample_rate: exact synthesis from the
+    spherical-head model when source is None, or the nearest great-circle
+    neighbor stored in a measured HrirSet (ties broken by smallest
+    (azimuth, elevation)), whose rate must equal sample_rate."""
+    if source is None:
+        return analytic_hrir(direction, sample_rate)
     if source.sample_rate != sample_rate:
         raise ValueError(f"HRIR sample rate {source.sample_rate} != signal rate {sample_rate}")
     best = min(

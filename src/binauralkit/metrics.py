@@ -1,16 +1,18 @@
 """Binaural spatialization metrics: IACC, ILD, ITD, ISD and IPD.
 
-All definitions are fixed here (the aggregation rules, lag window, gating and
-units are this module's contract): larger ILD/ITD/ISD/IPD means a more
-spatialized signal, IACC near 1 means spatially undifferentiated.
+All definitions are fixed here, framing and gating included, as module
+constants (the aggregation rules, lag window, gating and units are this
+module's contract): larger ILD/ITD/ISD/IPD means a more spatialized signal,
+IACC near 1 means spatially undifferentiated.
 
 IACC reads the whole signal, the others only voiced frames: those whose louder
-channel reaches `silence_gate_db`, as `_gate` alone decides. ILD and ITD use
-`frame_size`/`hop` frames, ISD and IPD Hann STFT frames. `spatial_report`
-frames each channel once per (size, hop): the gate takes its frame energies
-from chunk sums of x^2 (`audio.frame_energy`) and ILD reuses them; the frames
-themselves are strided views, of which only the voiced rows are copied, for
-the ITD lag search and, windowed, for the one transform ISD and IPD share.
+channel reaches `SILENCE_GATE_DB`, as `_gate` alone decides. ILD and ITD use
+`FRAME_SIZE`/`HOP` frames, ISD and IPD Hann `STFT_FRAME`/`STFT_HOP` frames.
+`spatial_report` frames each channel once per (size, hop): the gate takes its
+frame energies from chunk sums of x^2 (`audio.frame_energy`) and ILD reuses
+them; the frames themselves are strided views, of which only the voiced rows
+are copied, for the ITD lag search and, windowed, for the one transform ISD
+and IPD share.
 """
 
 from __future__ import annotations
@@ -24,22 +26,21 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import frame_energy, frames, window_samples
 
+FRAME_SIZE = 400  # 25 ms at 16 kHz
+HOP = 160  # 10 ms
+MAX_LAG_MS = 1.0
+SILENCE_GATE_DB = -60.0
+STFT_FRAME = 512
+STFT_HOP = 160
+EPSILON = 1e-10
 
-@dataclass(frozen=True)
-class MetricConfig:
-    frame_size: int = 400  # 25 ms at 16 kHz
-    hop: int = 160  # 10 ms
-    max_lag_ms: float = 1.0
-    silence_gate_db: float = -60.0
-    stft_frame: int = 512
-    stft_hop: int = 160
-    epsilon: float = 1e-10
 
-    def max_lag_samples(self, sample_rate):
-        lag = int(round(self.max_lag_ms * 1e-3 * sample_rate))
-        if lag < 1:
-            raise ValueError("max_lag must be at least one sample")
-        return lag
+def max_lag_samples(sample_rate):
+    """The +-MAX_LAG_MS lag search window in samples at sample_rate."""
+    lag = int(round(MAX_LAG_MS * 1e-3 * sample_rate))
+    if lag < 1:
+        raise ValueError("max_lag must be at least one sample")
+    return lag
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,21 @@ def _lag_order(max_lag):
     return [0] + [sign * k for k in range(1, max_lag + 1) for sign in (-1, 1)]
 
 
-def _gate(b, size, hop, cfg):
+def _gate(b, size, hop):
     """Mask of the (size, hop) frames whose louder channel reaches the
     silence gate, with both channels' frame energies; raises when no frame
     is voiced."""
     el, er = (frame_energy(ch.samples, size, hop) for ch in (b.left, b.right))
     rms = np.sqrt(np.maximum(el, er) / size)
-    mask = 20.0 * np.log10(rms + 1e-300) >= cfg.silence_gate_db
+    mask = 20.0 * np.log10(rms + 1e-300) >= SILENCE_GATE_DB
     if not mask.any():
         raise ValueError("all frames below the silence gate")
     return mask, el, er
 
 
-def _voiced(b, size, hop, cfg):
+def _voiced(b, size, hop):
     """Mask of the voiced (size, hop) frames (see _gate)."""
-    return _gate(b, size, hop, cfg)[0]
+    return _gate(b, size, hop)[0]
 
 
 def _voiced_rows(b, size, hop, mask):
@@ -90,15 +91,13 @@ def _voiced_rows(b, size, hop, mask):
     return tuple(frames(ch.samples, size, hop)[mask] for ch in (b.left, b.right))
 
 
-def _voiced_spectra(b, cfg):
+def _voiced_spectra(b):
     """Hann-windowed spectra of the voiced STFT frames of both channels; only
     voiced frames are windowed and transformed."""
-    size, hop = cfg.stft_frame, cfg.stft_hop
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
+    size, hop = STFT_FRAME, STFT_HOP
     if len(b) < size:
         raise ValueError("signal shorter than one frame")
-    mask = _voiced(b, size, hop, cfg)
+    mask = _voiced(b, size, hop)
     window = window_samples("hann", size)
     spectra = []
     for rows in _voiced_rows(b, size, hop, mask):
@@ -107,9 +106,9 @@ def _voiced_spectra(b, cfg):
     return spectra
 
 
-def _itd_max_lag(sample_rate, cfg):
-    max_lag = cfg.max_lag_samples(sample_rate)
-    if cfg.frame_size < 2 * max_lag:
+def _itd_max_lag(sample_rate):
+    max_lag = max_lag_samples(sample_rate)
+    if FRAME_SIZE < 2 * max_lag:
         raise ValueError("frames too short for the lag search window")
     return max_lag
 
@@ -120,11 +119,10 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a, b))
 
 
-def iacc(b, cfg=None):
+def iacc(b):
     """Peak |normalized cross-correlation| over lags within +-max_lag,
     computed on the full signal."""
-    cfg = cfg or MetricConfig()
-    max_lag = cfg.max_lag_samples(b.sample_rate)
+    max_lag = max_lag_samples(b.sample_rate)
     left, right = b.left.samples, b.right.samples
     if len(left) <= max_lag:
         raise ValueError("signal shorter than the lag search window")
@@ -135,15 +133,14 @@ def iacc(b, cfg=None):
     return min(peak / norm, 1.0)
 
 
-def _ild(el, er, cfg):
-    return float(np.mean(np.abs(10.0 * np.log10((el + cfg.epsilon) / (er + cfg.epsilon)))))
+def _ild(el, er):
+    return float(np.mean(np.abs(10.0 * np.log10((el + EPSILON) / (er + EPSILON)))))
 
 
-def ild(b, cfg=None):
+def ild(b):
     """Mean |10 log10(E_left / E_right)| in dB over non-gated frames."""
-    cfg = cfg or MetricConfig()
-    mask, el, er = _gate(b, cfg.frame_size, cfg.hop, cfg)
-    return _ild(el[mask], er[mask], cfg)
+    mask, el, er = _gate(b, FRAME_SIZE, HOP)
+    return _ild(el[mask], er[mask])
 
 
 def _itd(max_lag, sample_rate, fl, fr):
@@ -156,24 +153,22 @@ def _itd(max_lag, sample_rate, fl, fr):
     return float(np.mean(lags)) / sample_rate * 1e3
 
 
-def itd(b, cfg=None):
+def itd(b):
     """Mean |per-frame cross-correlation peak lag| in ms over non-gated
     frames; ties between equal peaks break toward the smaller |lag|."""
-    cfg = cfg or MetricConfig()
-    max_lag = _itd_max_lag(b.sample_rate, cfg)
-    mask = _voiced(b, cfg.frame_size, cfg.hop, cfg)
-    return _itd(max_lag, b.sample_rate, *_voiced_rows(b, cfg.frame_size, cfg.hop, mask))
+    max_lag = _itd_max_lag(b.sample_rate)
+    mask = _voiced(b, FRAME_SIZE, HOP)
+    return _itd(max_lag, b.sample_rate, *_voiced_rows(b, FRAME_SIZE, HOP, mask))
 
 
-def _isd(al, ar, cfg):
-    return float(np.mean(np.abs(np.log10((al + cfg.epsilon) / (ar + cfg.epsilon)))))
+def _isd(al, ar):
+    return float(np.mean(np.abs(np.log10((al + EPSILON) / (ar + EPSILON)))))
 
 
-def isd(b, cfg=None):
+def isd(b):
     """Mean over time-frequency bins of |log10(|L|+eps) - log10(|R|+eps)|
     (non-gated frames only)."""
-    cfg = cfg or MetricConfig()
-    return _isd(*(np.abs(s) for s in _voiced_spectra(b, cfg)), cfg)
+    return _isd(*(np.abs(s) for s in _voiced_spectra(b)))
 
 
 def _ipd(sl, sr, weights):
@@ -185,23 +180,21 @@ def _ipd(sl, sr, weights):
     return float(np.sum(weights * np.abs(np.angle(sl * np.conj(sr)))) / total)
 
 
-def ipd(b, cfg=None):
+def ipd(b):
     """Magnitude-weighted mean |interaural phase difference| in [0, pi]
     (non-gated frames, weights |L|*|R|, phase wrapped to (-pi, pi])."""
-    cfg = cfg or MetricConfig()
-    sl, sr = _voiced_spectra(b, cfg)
+    sl, sr = _voiced_spectra(b)
     return _ipd(sl, sr, np.abs(sl) * np.abs(sr))
 
 
-def spatial_report(b, cfg=None):
+def spatial_report(b):
     """Compute all five metrics on one binaural buffer."""
-    cfg = cfg or MetricConfig()
-    coherence = iacc(b, cfg)
-    mask, el, er = _gate(b, cfg.frame_size, cfg.hop, cfg)
-    level = _ild(el[mask], er[mask], cfg)
-    max_lag = _itd_max_lag(b.sample_rate, cfg)
-    delay = _itd(max_lag, b.sample_rate, *_voiced_rows(b, cfg.frame_size, cfg.hop, mask))
-    sl, sr = _voiced_spectra(b, cfg)
+    coherence = iacc(b)
+    mask, el, er = _gate(b, FRAME_SIZE, HOP)
+    level = _ild(el[mask], er[mask])
+    max_lag = _itd_max_lag(b.sample_rate)
+    delay = _itd(max_lag, b.sample_rate, *_voiced_rows(b, FRAME_SIZE, HOP, mask))
+    sl, sr = _voiced_spectra(b)
     al, ar = np.abs(sl), np.abs(sr)
-    spread, phase = _isd(al, ar, cfg), _ipd(sl, sr, al * ar)
+    spread, phase = _isd(al, ar), _ipd(sl, sr, al * ar)
     return SpatialMetricsReport(coherence, level, delay, spread, phase, int(mask.sum()))

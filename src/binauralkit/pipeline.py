@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio import BinauralBuffer, atomic_write, frame_rms, read_wav, write_wav
 from .heatmap import extract_features, load_heatmap_sequence
-from .metrics import MetricConfig, spatial_report
+from .metrics import spatial_report
 from .render import RenderConfig, direction_from_features, render_trajectory
 from .ambisonic import load_trajectory_csv
 
@@ -260,14 +260,13 @@ def _stereo_inputs(source):
     return [(os.path.splitext(name)[0], os.path.join(source, name)) for name in paths]
 
 
-def batch_metrics(source, cfg=None):
+def batch_metrics(source):
     """Spatial metric report per stereo clip plus the dataset aggregate.
 
     `source` is a directory of WAVs or a ClipManifest. Returns
     (per_clip, aggregate, failures) where aggregate maps metric name to
     (mean, count).
     """
-    cfg = cfg or MetricConfig()
     inputs = _stereo_inputs(source)
     if not inputs:
         raise ValueError("no stereo inputs")
@@ -278,7 +277,7 @@ def batch_metrics(source, cfg=None):
             loaded = read_wav(path)
             if not isinstance(loaded, BinauralBuffer):
                 raise ValueError("not a stereo file")
-            return clip_id, spatial_report(loaded, cfg), None
+            return clip_id, spatial_report(loaded), None
         except Exception as exc:
             return clip_id, None, str(exc)
 

@@ -10,12 +10,14 @@ multichannel convolution of the SH signal with that bank, the same sum as
 the speaker-by-speaker render in fewer transforms (the virtual-loudspeaker /
 SH-domain equivalence of Noisternig et al., VECIMS 2003).
 
-The source direction is constant over each block of `block_size` samples:
+The source direction is constant over each block of DEFAULT_BLOCK_SIZE
+samples, with a DEFAULT_CROSSFADE-sample linear crossfade into the next:
 one search over the trajectory's breakpoint arrays finds every block's
 direction, and one vectorised SH evaluation gives its gains. The SH signal
 itself, crossfades included, is built one overlap-add group at a time
 inside the convolution (ambisonic.EncodedRows), so a render holds the 2 x N
-output but never the N x K encoded signal.
+output but never the N x K encoded signal. The convolution tail is dropped:
+a render is as long as its mono input.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .ambisonic import (
     ring_layout,
     sh_basis,
 )
-from .hrir import HeadModelConfig, HrirSet, lookup
+from .hrir import HrirSet, lookup
 
 DEFAULT_FIELD_OF_VIEW = math.pi / 2
 
@@ -44,24 +46,19 @@ DEFAULT_FIELD_OF_VIEW = math.pi / 2
 class RenderConfig:
     """Rendering hyperparameters.
 
-    hrir_source is the analytic head model or a measured set at the input
-    sample rate. Output is trimmed to the input length by default so rendered
-    files stay aligned with their mono sources.
+    hrir_source is a measured set at the input sample rate, or None for the
+    analytic head model. Output is always trimmed to the input length so
+    rendered files stay aligned with their mono sources.
     """
 
     order: int = 1
     layout: object = field(default_factory=lambda: ring_layout(8))
-    hrir_source: HeadModelConfig | HrirSet = field(default_factory=HeadModelConfig)
-    block_size: int = DEFAULT_BLOCK_SIZE
-    crossfade: int = DEFAULT_CROSSFADE
+    hrir_source: HrirSet | None = None
     normalize_output: bool = False
-    trim_to_input: bool = True
 
     def __post_init__(self):
         if len(self.layout) < 2:
             raise ValueError("layout needs at least 2 speakers")
-        if not (0 <= self.crossfade < self.block_size):
-            raise ValueError("crossfade must be in [0, block_size)")
 
 
 def _ear_bank(pairs, projection):
@@ -81,11 +78,9 @@ def _render_blockwise(mono, azimuth, elevation, cfg):
     pairs = [lookup(cfg.hrir_source, d, mono.sample_rate) for d in cfg.layout.directions]
     dm = decode_matrix(cfg.layout, cfg.order)
     gains = sh_basis(azimuth, elevation, cfg.order)
-    sh = EncodedRows(mono.samples, gains, cfg.block_size, cfg.crossfade)
+    sh = EncodedRows(mono.samples, gains, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
     left, right = fft_convolve(sh, _ear_bank(pairs, dm.projection))
-
-    if cfg.trim_to_input:
-        left, right = left[: len(mono)], right[: len(mono)]
+    left, right = left[: len(mono)], right[: len(mono)]
     if cfg.normalize_output:
         peak = max(np.max(np.abs(left)), np.max(np.abs(right)))
         if peak > 1.0:
@@ -95,14 +90,14 @@ def _render_blockwise(mono, azimuth, elevation, cfg):
     return BinauralBuffer(AudioBuffer(left, rate), AudioBuffer(right, rate))
 
 
-def _n_blocks(mono, cfg):
-    return max(1, -(-len(mono) // cfg.block_size))
+def _n_blocks(mono):
+    return max(1, -(-len(mono) // DEFAULT_BLOCK_SIZE))
 
 
 def render_static(mono, direction, cfg=None):
     """Render a mono buffer at a fixed direction."""
     cfg = cfg or RenderConfig()
-    n_blocks = _n_blocks(mono, cfg)
+    n_blocks = _n_blocks(mono)
     return _render_blockwise(
         mono, np.full(n_blocks, direction.azimuth), np.full(n_blocks, direction.elevation), cfg
     )
@@ -115,7 +110,7 @@ def render_trajectory(mono, trajectory, cfg=None):
     a constant trajectory reproduces render_static bit-for-bit.
     """
     cfg = cfg or RenderConfig()
-    starts = np.arange(_n_blocks(mono, cfg)) * cfg.block_size / mono.sample_rate
+    starts = np.arange(_n_blocks(mono)) * DEFAULT_BLOCK_SIZE / mono.sample_rate
     i = trajectory.index_at(starts)
     return _render_blockwise(mono, trajectory.azimuth[i], trajectory.elevation[i], cfg)
 

@@ -23,8 +23,21 @@ from binauralkit.flow import (
     train,
 )
 from binauralkit.heatmap import HeatmapSequence, extract_features
-from binauralkit.hrir import HeadModelConfig, woodworth_delay
-from binauralkit.metrics import MetricConfig, iacc, ild, ipd, isd, itd
+from binauralkit.hrir import woodworth_delay
+from binauralkit.metrics import (
+    EPSILON,
+    FRAME_SIZE,
+    HOP,
+    SILENCE_GATE_DB,
+    STFT_FRAME,
+    STFT_HOP,
+    iacc,
+    ild,
+    ipd,
+    isd,
+    itd,
+    max_lag_samples,
+)
 from binauralkit.pipeline import ClipEntry, ClipManifest, preprocess
 from binauralkit.render import RenderConfig, render_static
 from oracles import (
@@ -54,14 +67,13 @@ def aligned_layout(azimuth):
 def test_criterion_01_analytic_itd_ild():
     rng = np.random.default_rng(11)
     mono = AudioBuffer(0.3 * rng.standard_normal(2 * FS), FS)
-    head = HeadModelConfig()
     ok = True
     for deg in (0, 30, -30, 60, -60, 90, -90):
         az = math.radians(deg)
         start = time.perf_counter()
         out = render_static(mono, Direction(az), RenderConfig(layout=aligned_layout(az)))
         elapsed = time.perf_counter() - start
-        expected = round(woodworth_delay(abs(az), head) * FS)
+        expected = round(woodworth_delay(abs(az)) * FS)
         measured = itd(out) * FS / 1e3
         ok &= abs(measured - expected) <= 1.0
         ok &= elapsed < 1.0
@@ -264,8 +276,7 @@ def test_criterion_09_batch_determinism(tmp_path, monkeypatch):
 
 def test_criterion_10_metric_oracle_equivalence():
     rng = np.random.default_rng(10)
-    cfg = MetricConfig()
-    lag = cfg.max_lag_samples(FS)
+    lag = max_lag_samples(FS)
     ok = True
     for _ in range(50):
         shared = rng.standard_normal(4000)
@@ -277,21 +288,21 @@ def test_criterion_10_metric_oracle_equivalence():
         def close(a, bb):
             return abs(a - bb) <= 1e-9 * max(abs(a), abs(bb), 1e-12)
 
-        ok &= close(iacc(b, cfg), oracle_iacc(left, right, lag))
+        ok &= close(iacc(b), oracle_iacc(left, right, lag))
         ok &= close(
-            ild(b, cfg),
-            oracle_ild(left, right, cfg.frame_size, cfg.hop, cfg.silence_gate_db, cfg.epsilon),
+            ild(b),
+            oracle_ild(left, right, FRAME_SIZE, HOP, SILENCE_GATE_DB, EPSILON),
         )
         ok &= close(
-            itd(b, cfg),
-            oracle_itd(left, right, cfg.frame_size, cfg.hop, lag, cfg.silence_gate_db, FS),
+            itd(b),
+            oracle_itd(left, right, FRAME_SIZE, HOP, lag, SILENCE_GATE_DB, FS),
         )
         ok &= close(
-            isd(b, cfg),
-            oracle_isd(left, right, cfg.stft_frame, cfg.stft_hop, cfg.silence_gate_db, cfg.epsilon),
+            isd(b),
+            oracle_isd(left, right, STFT_FRAME, STFT_HOP, SILENCE_GATE_DB, EPSILON),
         )
         ok &= close(
-            ipd(b, cfg),
-            oracle_ipd(left, right, cfg.stft_frame, cfg.stft_hop, cfg.silence_gate_db),
+            ipd(b),
+            oracle_ipd(left, right, STFT_FRAME, STFT_HOP, SILENCE_GATE_DB),
         )
     report(10, "metric oracle equivalence", ok)

@@ -4,7 +4,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from binauralkit.heatmap import (
-    FeatureConfig,
     HeatmapFormatError,
     HeatmapSequence,
     NEUTRAL_FEATURES,
@@ -207,7 +206,3 @@ class TestSequences:
             HeatmapSequence(np.ones((1, 2, 2)), rate)
         with pytest.raises(ValueError, match="frame_rate"):
             SpatialFeatureSequence(np.zeros((3, 5)), rate)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(mask_threshold_rel=1.5)

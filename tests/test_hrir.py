@@ -7,7 +7,6 @@ import pytest
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.ambisonic import Direction
 from binauralkit.hrir import (
-    HeadModelConfig,
     HrirSet,
     analytic_hrir,
     load_hrir_manifest,
@@ -25,10 +24,9 @@ class TestAnalyticModel:
 
     def test_hard_left_delay(self):
         # (0.0875/343)(pi/2 + 1) ~ 0.6558 ms ~ 10 samples at 16 kHz
-        cfg = HeadModelConfig()
-        tau = woodworth_delay(math.pi / 2, cfg)
+        tau = woodworth_delay(math.pi / 2)
         assert tau == pytest.approx(6.558e-4, rel=1e-3)
-        pair = analytic_hrir(Direction(math.pi / 2), FS, cfg)
+        pair = analytic_hrir(Direction(math.pi / 2), FS)
         assert np.argmax(np.abs(pair.left)) == 0
         assert np.argmax(np.abs(pair.right)) == 10
 
@@ -47,9 +45,8 @@ class TestAnalyticModel:
             np.testing.assert_allclose(a.right, b.left, atol=1e-12)
 
     def test_monotonic_far_ear_delay(self):
-        cfg = HeadModelConfig()
         delays = [
-            np.argmax(np.abs(analytic_hrir(Direction(az), FS, cfg).right))
+            np.argmax(np.abs(analytic_hrir(Direction(az), FS).right))
             for az in np.linspace(0.0, math.pi / 2, 30)
         ]
         assert all(b >= a for a, b in zip(delays, delays[1:]))
@@ -60,10 +57,6 @@ class TestAnalyticModel:
             pair = analytic_hrir(d, FS)
             assert np.sum(pair.left**2) <= 1.0 + 1e-12
             assert np.sum(pair.right**2) <= 1.0 + 1e-12
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            HeadModelConfig(head_radius=-1.0)
 
 
 def _write_manifest(tmp_path, entries):
@@ -147,7 +140,7 @@ class TestMeasuredSets:
 
     def test_analytic_lookup_is_exact_synthesis(self):
         d = Direction(0.123, 0.045)
-        found = lookup(HeadModelConfig(), d, FS)
+        found = lookup(None, d, FS)
         direct = analytic_hrir(d, FS)
         np.testing.assert_array_equal(found.left, direct.left)
         np.testing.assert_array_equal(found.right, direct.right)

@@ -7,13 +7,20 @@ from hypothesis import assume, given, strategies as st
 from binauralkit import audio, metrics
 from binauralkit.audio import AudioBuffer, BinauralBuffer
 from binauralkit.metrics import (
-    MetricConfig,
+    EPSILON,
+    FRAME_SIZE,
+    HOP,
+    MAX_LAG_MS,
+    SILENCE_GATE_DB,
+    STFT_FRAME,
+    STFT_HOP,
     _voiced,
     iacc,
     ild,
     ipd,
     isd,
     itd,
+    max_lag_samples,
     spatial_report,
 )
 from conftest import noise_buffer
@@ -119,8 +126,7 @@ class TestProperties:
 
     def test_itd_bounded_by_max_lag(self, rng):
         b = self._random_pair(rng)
-        cfg = MetricConfig()
-        assert itd(b, cfg) <= cfg.max_lag_ms
+        assert itd(b) <= MAX_LAG_MS
 
 
 class TestOracleEquivalence:
@@ -131,21 +137,20 @@ class TestOracleEquivalence:
         left[800:1600] = 0.0
         right[800:1600] = 0.0
         b = stereo(left, right)
-        cfg = MetricConfig()
-        lag = cfg.max_lag_samples(FS)
-        assert iacc(b, cfg) == pytest.approx(oracle_iacc(left, right, lag), rel=1e-9)
-        assert ild(b, cfg) == pytest.approx(
-            oracle_ild(left, right, cfg.frame_size, cfg.hop,
-                       cfg.silence_gate_db, cfg.epsilon), rel=1e-9)
-        assert itd(b, cfg) == pytest.approx(
-            oracle_itd(left, right, cfg.frame_size, cfg.hop, lag,
-                       cfg.silence_gate_db, FS), rel=1e-9)
-        assert isd(b, cfg) == pytest.approx(
-            oracle_isd(left, right, cfg.stft_frame, cfg.stft_hop,
-                       cfg.silence_gate_db, cfg.epsilon), rel=1e-9)
-        assert ipd(b, cfg) == pytest.approx(
-            oracle_ipd(left, right, cfg.stft_frame, cfg.stft_hop,
-                       cfg.silence_gate_db), rel=1e-9)
+        lag = max_lag_samples(FS)
+        assert iacc(b) == pytest.approx(oracle_iacc(left, right, lag), rel=1e-9)
+        assert ild(b) == pytest.approx(
+            oracle_ild(left, right, FRAME_SIZE, HOP,
+                       SILENCE_GATE_DB, EPSILON), rel=1e-9)
+        assert itd(b) == pytest.approx(
+            oracle_itd(left, right, FRAME_SIZE, HOP, lag,
+                       SILENCE_GATE_DB, FS), rel=1e-9)
+        assert isd(b) == pytest.approx(
+            oracle_isd(left, right, STFT_FRAME, STFT_HOP,
+                       SILENCE_GATE_DB, EPSILON), rel=1e-9)
+        assert ipd(b) == pytest.approx(
+            oracle_ipd(left, right, STFT_FRAME, STFT_HOP,
+                       SILENCE_GATE_DB), rel=1e-9)
 
 
 class TestReport:
@@ -224,21 +229,20 @@ class TestGate:
                 channel.append(scale * rng.standard_normal(n))
         left, right = (np.concatenate(c) for c in channels)
         assume(len(left) >= 512 and np.any(left))
-        cfg = MetricConfig()
-        for frame in (cfg.frame_size, cfg.stft_frame):
-            for s in range(0, len(left) - frame + 1, cfg.hop):
+        for frame in (FRAME_SIZE, STFT_FRAME):
+            for s in range(0, len(left) - frame + 1, HOP):
                 power = max(np.mean(left[s : s + frame] ** 2), np.mean(right[s : s + frame] ** 2))
-                assume(abs(10.0 * math.log10(power + 1e-300) - cfg.silence_gate_db) > 1e-9)
+                assume(abs(10.0 * math.log10(power + 1e-300) - SILENCE_GATE_DB) > 1e-9)
         b = stereo(left, right)
-        frame_mask = _oracle_mask(left, right, cfg.frame_size, cfg.hop, cfg.silence_gate_db)
-        stft_mask = _oracle_mask(left, right, cfg.stft_frame, cfg.stft_hop, cfg.silence_gate_db)
+        frame_mask = _oracle_mask(left, right, FRAME_SIZE, HOP, SILENCE_GATE_DB)
+        stft_mask = _oracle_mask(left, right, STFT_FRAME, STFT_HOP, SILENCE_GATE_DB)
         if stft_mask.any():
-            assert np.array_equal(_voiced(b, cfg.stft_frame, cfg.stft_hop, cfg), stft_mask)
+            assert np.array_equal(_voiced(b, STFT_FRAME, STFT_HOP), stft_mask)
         if frame_mask.any() and stft_mask.any():
-            assert spatial_report(b, cfg).frames_used == int(frame_mask.sum())
+            assert spatial_report(b).frames_used == int(frame_mask.sum())
         else:
             with pytest.raises(ValueError, match="all frames below the silence gate"):
-                spatial_report(b, cfg)
+                spatial_report(b)
 
 
 class TestItdTies:
@@ -290,12 +294,11 @@ class TestItdAgainstOracle:
     @given(pair=_impulse_pairs())
     def test_integer_impulses_match_exactly(self, pair):
         left, right = pair
-        cfg = MetricConfig()
-        lag = cfg.max_lag_samples(FS)
+        lag = max_lag_samples(FS)
         b = stereo(left, right)
-        if not _oracle_mask(left, right, cfg.frame_size, cfg.hop, cfg.silence_gate_db).any():
+        if not _oracle_mask(left, right, FRAME_SIZE, HOP, SILENCE_GATE_DB).any():
             with pytest.raises(ValueError, match="all frames below the silence gate"):
-                itd(b, cfg)
+                itd(b)
             return
-        want = oracle_itd(left, right, cfg.frame_size, cfg.hop, lag, cfg.silence_gate_db, FS)
-        assert itd(b, cfg) == want
+        want = oracle_itd(left, right, FRAME_SIZE, HOP, lag, SILENCE_GATE_DB, FS)
+        assert itd(b) == want

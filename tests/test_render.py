@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from binauralkit.audio import AudioBuffer, next_pow2
 from binauralkit.ambisonic import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_CROSSFADE,
     Direction,
     SpeakerLayout,
     Trajectory,
@@ -14,7 +16,7 @@ from binauralkit.ambisonic import (
     ring_layout,
 )
 from binauralkit.heatmap import SpatialFeatureSequence
-from binauralkit.hrir import HeadModelConfig, HrirPair, HrirSet, lookup, woodworth_delay
+from binauralkit.hrir import HrirPair, HrirSet, lookup, woodworth_delay
 from binauralkit.render import (
     RenderConfig,
     direction_from_features,
@@ -74,12 +76,6 @@ class TestRenderStatic:
         out = render_static(mono, Direction(0.5))
         assert len(out) == 5000
 
-    def test_untrimmed_length(self, rng):
-        mono = noise_buffer(rng, 5000)
-        cfg = RenderConfig(trim_to_input=False)
-        out = render_static(mono, Direction(0.5), cfg)
-        assert len(out) == 5000 + 64 - 1  # default analytic IR length
-
     def test_linearity(self, rng):
         mono = noise_buffer(rng, 4000)
         scaled = AudioBuffer(0.37 * mono.samples, FS)
@@ -120,13 +116,12 @@ class TestRenderStatic:
         from binauralkit.metrics import ild, itd
 
         mono = noise_buffer(rng, 32000)
-        head = HeadModelConfig()
         for deg in (0, 30, -30, 60, -60, 90, -90):
             az = math.radians(deg)
             cfg = RenderConfig(layout=aligned_layout(az))
             out = render_static(mono, Direction(az), cfg)
             expected_delay = round(
-                woodworth_delay(abs(math.asin(math.sin(az))), head) * FS
+                woodworth_delay(abs(math.asin(math.sin(az)))) * FS
             )
             measured_samples = itd(out) * FS / 1e3
             assert abs(measured_samples - expected_delay) <= 1.0
@@ -216,12 +211,11 @@ def ola_hop(taps):
 
 def oracle_render(mono, directions, cfg):
     """The speaker-loop reference for one clip with per-block directions."""
-    sh = encode_mono(mono, directions, cfg.order, cfg.block_size, cfg.crossfade)
+    sh = encode_mono(mono, directions, cfg.order, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
     projection = decode_matrix(cfg.layout, cfg.order).projection
     pairs = [lookup(cfg.hrir_source, d, mono.sample_rate) for d in cfg.layout.directions]
     left, right = oracle_speaker_render(sh.frames, projection, [(p.left, p.right) for p in pairs])
-    n = len(mono) if cfg.trim_to_input else len(left)
-    return left[:n], right[:n]
+    return left[: len(mono)], right[: len(mono)]
 
 
 def render_cases():
@@ -236,7 +230,7 @@ def render_cases():
         ("order2", RenderConfig(order=2, layout=sphere), (500, 2 * analytic_hop)),
         (
             "measured_order1",
-            RenderConfig(layout=ring, hrir_source=measured_set(ring, rng), trim_to_input=False),
+            RenderConfig(layout=ring, hrir_source=measured_set(ring, rng)),
             (500, 3 * measured_hop),
         ),
         (
@@ -258,7 +252,7 @@ class TestSpeakerLoopOracle:
         mono = noise_buffer(rng, n)
         direction = Direction(0.7, 0.3 if cfg.order == 2 else 0.0)
         out = render_static(mono, direction, cfg)
-        n_blocks = -(-n // cfg.block_size)
+        n_blocks = -(-n // DEFAULT_BLOCK_SIZE)
         left, right = oracle_render(mono, [direction] * n_blocks, cfg)
         np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
@@ -271,9 +265,9 @@ class TestSpeakerLoopOracle:
             for i in range(8)
         )
         out = render_trajectory(mono, Trajectory(*breakpoints(points)), cfg)
-        n_blocks = -(-n // cfg.block_size)
+        n_blocks = -(-n // DEFAULT_BLOCK_SIZE)
         directions = [
-            oracle_direction_at(points, b * cfg.block_size / FS) for b in range(n_blocks)
+            oracle_direction_at(points, b * DEFAULT_BLOCK_SIZE / FS) for b in range(n_blocks)
         ]
         left, right = oracle_render(mono, directions, cfg)
         np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
