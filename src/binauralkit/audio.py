@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -20,6 +21,10 @@ from scipy.io import wavfile
 DEFAULT_SAMPLE_RATE = 16000
 
 _PCM16_SCALE = 32768.0
+
+# warnings.catch_warnings swaps process-wide state; concurrent reads hold this
+# lock so that they cannot restore each other's filters.
+_WARNINGS_LOCK = threading.Lock()
 
 
 class AudioFormatError(ValueError):
@@ -94,14 +99,22 @@ def read_wav(path):
     """Read a mono or stereo WAV file.
 
     PCM-16 samples are scaled by 1/32768; float-32 is taken as-is. Returns an
-    AudioBuffer for mono files, a BinauralBuffer for stereo.
+    AudioBuffer for mono files, a BinauralBuffer for stereo. A file that ends
+    before its RIFF header says raises AudioFormatError, where SciPy only
+    warns; SciPy's other warnings, such as a skipped unknown chunk, pass on.
     """
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
+    with _WARNINGS_LOCK, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", wavfile.WavFileWarning)
+        try:
+            rate, data = wavfile.read(path)
+        except FileNotFoundError:
+            raise
+        except Exception as exc:
+            raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
+    for w in caught:
+        if issubclass(w.category, wavfile.WavFileWarning) and "EOF prematurely" in str(w.message):
+            raise AudioFormatError(f"truncated WAV file {path}: {w.message}")
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _PCM16_SCALE

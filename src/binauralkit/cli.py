@@ -1,8 +1,9 @@
 """Command-line surface: preprocess, render, metrics, features, cfm-train,
 cfm-sample and validate subcommands.
 
-Exit codes: 0 success, 1 per-clip failures under --strict (or validation
-problems), 2 usage errors.
+Exit codes: 0 success, 1 per-clip failures under --strict, validation
+problems, or an input or output that cannot be read or written (reported on
+one stderr line, `binauralkit <command>: error: <message>`), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -247,7 +248,11 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        print(f"binauralkit {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

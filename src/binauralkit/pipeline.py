@@ -83,8 +83,9 @@ class ClipManifest:
 
 def load_manifest(path):
     """Read a JSON-array manifest; relative paths resolve against its
-    directory. A malformed manifest raises ValueError naming the file and
-    the entry index or repeated id."""
+    directory. Each id must be a string usable as a plain file name, since
+    outputs are named after it. A malformed manifest raises ValueError
+    naming the file and the entry index or repeated id."""
     with open(path) as fh:
         items = json.load(fh)
     if not isinstance(items, list):
@@ -96,9 +97,13 @@ def load_manifest(path):
         for key in ("heatmap", "trajectory", "caption"):
             if item.get(key) is not None and not isinstance(item[key], str):
                 raise ValueError(f"{path}: entry {i}: '{key}' must be a string")
+        clip_id = item["id"]
+        if not (isinstance(clip_id, str) and clip_id not in ("", ".", "..")
+                and "/" not in clip_id and os.sep not in clip_id):
+            raise ValueError(f"{path}: entry {i}: 'id' must be a plain file name, got {clip_id!r}")
         entries.append(
             ClipEntry(
-                id=str(item["id"]),
+                id=clip_id,
                 audio=item["audio"],
                 heatmap=item.get("heatmap"),
                 trajectory=item.get("trajectory"),

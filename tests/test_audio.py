@@ -78,6 +78,25 @@ class TestWavIO:
         with pytest.raises(AudioFormatError):
             read_wav(path)
 
+    def test_truncated_file_names_file(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, AudioBuffer(np.full(16000, 0.25)), "pcm16")
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size // 2)
+        with pytest.raises(AudioFormatError, match=r"truncated WAV file .*cut\.wav.*EOF"):
+            read_wav(path)
+
+    def test_unknown_chunk_skipped(self, tmp_path):
+        path = tmp_path / "extra.wav"
+        write_wav(path, AudioBuffer(np.full(100, 0.25)), "pcm16")
+        raw = bytearray(path.read_bytes())
+        raw += b"abcd" + (4).to_bytes(4, "little") + b"\0" * 4
+        raw[4:8] = (len(raw) - 8).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            loaded = read_wav(path)
+        np.testing.assert_array_equal(loaded.samples, np.full(100, 0.25))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")

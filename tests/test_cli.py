@@ -258,6 +258,30 @@ class TestValidateCommand:
         assert "ghost.wav" in capsys.readouterr().err
 
 
+class TestUnreadableInputs:
+    """An input that cannot be read ends the command with one stderr line
+    and exit code 1, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["metrics", "{base}/nonexistent"], "nonexistent"),
+            (["render", "--manifest", "{base}/missing.json", "--out", "{base}/o"], "missing.json"),
+            (["features", "--hmap", "{base}/missing.hmap", "--out", "{base}/f"], "missing.hmap"),
+            (["cfm-sample", "--checkpoint", "{base}/missing.ckpt"], "missing.ckpt"),
+            (["render", "--manifest", "{base}/escape.json", "--out", "{base}/out"], "escape.json"),
+        ],
+    )
+    def test_one_line_error_exit_1(self, tmp_path, capsys, argv, name):
+        (tmp_path / "escape.json").write_text(json.dumps([{"id": "../escaped", "audio": "a.wav"}]))
+        argv = [arg.format(base=tmp_path) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"binauralkit {argv[0]}: error: ")
+        assert name in err and err.count("\n") == 1
+        assert not (tmp_path / "escaped_binaural.wav").exists()
+
+
 class TestRenderAndFeatureUsageErrors:
     @pytest.mark.parametrize(
         "flags",

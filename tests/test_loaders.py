@@ -2,6 +2,8 @@
 equal arrays, and a file damaged on one line fails with the same exception
 type and message under both."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,16 +13,16 @@ from binauralkit.ambisonic import load_trajectory_csv
 from binauralkit.heatmap import HeatmapSequence, extract_features, load_heatmap_sequence
 from oracles import oracle_load_hmap, oracle_load_trajectory
 
-# A loader that warns on some input fails here: warnings are not errors.
-pytestmark = pytest.mark.filterwarnings("error")
-
 tmp_settings = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def outcome(load, path):
-    """('ok', arrays) or ('error', exception type, message)."""
+    """('ok', arrays) or ('error', exception type, message). A loader that
+    warns fails: its warnings are raised as errors. The filter covers only
+    the call, so a test plugin's own warnings cannot abort the run."""
     try:
-        return ("ok", load(path))
+        with warnings.catch_warnings(action="error"):
+            return ("ok", load(path))
     except ValueError as exc:
         return ("error", type(exc), str(exc))
 
@@ -248,6 +250,7 @@ def test_extract_features_matches_frame_features(values, zero):
     # The features of a stack equal those of each frame taken alone.
     values = values.copy()
     values[np.array(zero[: len(values)])] = 0.0
-    got = extract_features(HeatmapSequence(values)).features
-    want = np.stack([extract_features(HeatmapSequence(v[None])).features[0] for v in values])
+    with warnings.catch_warnings(action="error"):
+        got = extract_features(HeatmapSequence(values)).features
+        want = np.stack([extract_features(HeatmapSequence(v[None])).features[0] for v in values])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -89,6 +89,18 @@ class TestManifests:
                 [{"id": "x", "audio": "1.wav"}, {"id": "x", "audio": "2.wav"}],
                 r"manifest id 'x' is repeated",
             ),
+            ([{"id": "a", "audio": "a.wav"}, {"id": "../escaped", "audio": "b.wav"}],
+             r"entry 1: 'id' must be a plain file name, got '\.\./escaped'"),
+            ([{"id": "/tmp/anywhere", "audio": "a.wav"}], r"entry 0: 'id' must be a plain"),
+            ([{"id": "sub/clip", "audio": "a.wav"}], r"entry 0: 'id' must be a plain"),
+            ([{"id": "..", "audio": "a.wav"}], r"entry 0: 'id' must be a plain"),
+            ([{"id": ".", "audio": "a.wav"}], r"entry 0: 'id' must be a plain"),
+            ([{"id": "", "audio": "a.wav"}], r"entry 0: 'id' must be a plain"),
+            (
+                [{"id": None, "audio": "a.wav"}],
+                r"entry 0: 'id' must be a plain file name, got None",
+            ),
+            ([{"id": 1, "audio": "a.wav"}, {"id": "1", "audio": "b.wav"}], r"entry 0: 'id' must"),
         ],
     )
     def test_malformed_entry_names_file(self, tmp_path, items, match):
@@ -381,7 +393,7 @@ def _fail_preprocess_report(tmp_path, monkeypatch, path):
     manifest.write_text(json.dumps([{"id": "clip", "audio": "clip.wav"}]))
 
     def to_json(self):
-        raise OSError("disk full")
+        raise TypeError("Object of type object is not JSON serializable")
 
     monkeypatch.setattr(PreprocessReport, "to_json", to_json)
     cli_main([
