@@ -51,6 +51,12 @@ class TestAnalyticModel:
         ]
         assert all(b >= a for a, b in zip(delays, delays[1:]))
 
+    def test_delay_must_fit_the_impulse_response(self):
+        # The 0.66 ms far-ear delay needs more than 64 taps from ~98 kHz on.
+        analytic_hrir(Direction(math.pi / 2), 96000)
+        with pytest.raises(ValueError, match="ir_length too short"):
+            analytic_hrir(Direction(math.pi / 2), 192000)
+
     def test_energy_bound(self, rng):
         for _ in range(20):
             d = Direction(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2))

@@ -3,6 +3,7 @@ equal arrays, and a file damaged on one line fails with the same exception
 type and message under both."""
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,12 +17,20 @@ from oracles import oracle_load_hmap, oracle_load_trajectory
 tmp_settings = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+@contextmanager
+def warnings_as_errors():
+    """A loader that warns fails: warnings raised inside the block are
+    errors. The filter covers only the block, so a test plugin's own
+    warnings cannot abort the run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
 def outcome(load, path):
-    """('ok', arrays) or ('error', exception type, message). A loader that
-    warns fails: its warnings are raised as errors. The filter covers only
-    the call, so a test plugin's own warnings cannot abort the run."""
+    """('ok', arrays) or ('error', exception type, message)."""
     try:
-        with warnings.catch_warnings(action="error"):
+        with warnings_as_errors():
             return ("ok", load(path))
     except ValueError as exc:
         return ("error", type(exc), str(exc))
@@ -250,7 +259,7 @@ def test_extract_features_matches_frame_features(values, zero):
     # The features of a stack equal those of each frame taken alone.
     values = values.copy()
     values[np.array(zero[: len(values)])] = 0.0
-    with warnings.catch_warnings(action="error"):
+    with warnings_as_errors():
         got = extract_features(HeatmapSequence(values)).features
         want = np.stack([extract_features(HeatmapSequence(v[None])).features[0] for v in values])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

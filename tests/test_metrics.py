@@ -199,6 +199,21 @@ class TestShortInputs:
         with pytest.raises(ValueError, match=message):
             fn(stereo(x, 0.5 * x))
 
+    @pytest.mark.parametrize(
+        "rate, fn, message",
+        [
+            (400, iacc, "max_lag must be at least one sample"),
+            (250_000, itd, "frames too short for the lag search window"),
+            (250_000, spatial_report, "frames too short for the lag search window"),
+        ],
+    )
+    def test_lag_window_fits_the_rate(self, rng, rate, fn, message):
+        # The +-1 ms lag window is under one sample below 500 Hz and wider
+        # than half a 400-sample frame above 200 kHz.
+        x = rng.standard_normal(4000)
+        with pytest.raises(ValueError, match=message):
+            fn(stereo(x, 0.5 * x, rate))
+
 
 # (samples, (left dB, right dB)) per segment; None is digital silence in both.
 _LEVELS = st.one_of(st.none(), st.tuples(st.floats(-90.0, -30.0), st.floats(-90.0, -30.0)))
