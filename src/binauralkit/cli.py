@@ -2,8 +2,9 @@
 cfm-sample and validate subcommands.
 
 Exit codes: 0 success, 1 per-clip failures under --strict, validation
-problems, or an input or output that cannot be read or written (reported on
-one stderr line, `binauralkit <command>: error: <message>`), 2 usage errors.
+problems, an input or output that cannot be read or written, or flow
+training or sampling that diverges (each reported on one stderr line,
+`binauralkit <command>: error: <message>`), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def main(argv=None):
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, flow.FlowDivergence) as exc:
         print(f"binauralkit {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,8 @@
 """Toy-scale conditional flow matching: linear interpolation paths, a small
 velocity-field perceptron per channel with exact reverse-mode gradients, the
 dual-channel training objective (one forward and one backward pass per net
-per training step), Euler sampling and a weight checkpoint format."""
+per training step, both nets fed one timestep embedding), an Adam step on
+flat moment vectors, Euler sampling and a weight checkpoint format."""
 
 from __future__ import annotations
 
@@ -18,6 +19,11 @@ CHECKPOINT_VERSION = 1
 DEFAULT_EMBED_DIM = 8
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+class FlowDivergence(RuntimeError):
+    """Training or sampling left the finite range: the loss passed the
+    divergence limit or an Euler state became non-finite."""
 
 
 def timestep_embedding(t, dim):
@@ -78,10 +84,12 @@ class VelocityFieldNet:
         self.w3 = rng.normal(0.0, 1.0 / np.sqrt(hidden_width), (hidden_width, latent_dim))
         self.b3 = np.zeros(latent_dim)
 
-    def _inputs(self, x, t, cond):
+    def _inputs(self, x, t, cond, emb=None):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (len(x),))
-        parts = [x, timestep_embedding(t, self.embed_dim)]
+        if emb is None:
+            t = np.broadcast_to(np.asarray(t, dtype=np.float64), (len(x),))
+            emb = timestep_embedding(t, self.embed_dim)
+        parts = [x, emb]
         if self.cond_dim:
             if cond is None:
                 raise ValueError("net expects a condition vector")
@@ -91,8 +99,8 @@ class VelocityFieldNet:
             parts.append(cond)
         return np.concatenate(parts, axis=1)
 
-    def _forward_cached(self, x, t, cond):
-        z = self._inputs(x, t, cond)
+    def _forward_cached(self, x, t, cond, emb=None):
+        z = self._inputs(x, t, cond, emb)
         a1 = np.tanh(z @ self.w1 + self.b1)
         a2 = np.tanh(a1 @ self.w2 + self.b2)
         v = a2 @ self.w3 + self.b3
@@ -112,14 +120,15 @@ class VelocityFieldNet:
             setattr(self, name, np.array(params[name], dtype=np.float64))
 
 
-def _loss_and_grads(net, x0, x1, t, cond):
-    """cfm_loss and backward from one forward pass: the residual gives both."""
+def _loss_and_grads(net, x0, x1, t, cond, emb=None):
+    """cfm_loss and backward from one forward pass: the residual gives both.
+    `emb`, when given, is timestep_embedding(t, net.embed_dim)."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     if len(x0) == 0:
         raise ValueError("empty batch")
     xt = interpolate(x0, x1, np.asarray(t, dtype=np.float64))
-    z, a1, a2, v = net._forward_cached(xt, t, cond)
+    z, a1, a2, v = net._forward_cached(xt, t, cond, emb)
     residual = v - target_velocity(x0, x1)
     dv = 2.0 * residual / len(x0)
     grads = {"w3": a2.T @ dv, "b3": dv.sum(axis=0)}
@@ -151,27 +160,52 @@ def binaural_cfm_loss(net_l, net_r, x0_l, x1_l, x0_r, x1_r, t, cond=None):
 
 
 class AdamState:
-    """Adaptive-moment gradient descent state for one parameter set."""
+    """Adaptive-moment gradient descent state for one parameter set.
+
+    The first and second moments are flat float64 vectors laid out at
+    construction as (key, slice, shape) per parameter, so one update is a
+    handful of whole-vector operations however many arrays the set holds.
+    """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.layout = []
+        size = 0
+        for key, value in params.items():
+            n = np.size(value)
+            self.layout.append((key, slice(size, size + n), np.shape(value)))
+            size += n
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def update(self, params, grads, learning_rate):
+        """New parameters from one step; params and grads are dicts keyed as
+        at construction and are left unmodified."""
         self.step_count += 1
         bias1 = 1.0 - self.beta1**self.step_count
         bias2 = 1.0 - self.beta2**self.step_count
-        out = {}
-        for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g**2
-            m_hat = self.m[k] / bias1
-            v_hat = self.v[k] / bias2
-            out[k] = p - learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-        return out
+        p = np.concatenate([params[key] for key, _, _ in self.layout], axis=None)
+        g = np.concatenate([grads[key] for key, _, _ in self.layout], axis=None)
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        # p - (lr m_hat) / (sqrt(v_hat) + eps) in that operation order, with
+        # g and tmp as the only scratch vectors: each further full-length
+        # temporary shows in the training run's peak memory.
+        self.m *= self.beta1
+        tmp = (1.0 - self.beta1) * g
+        self.m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        self.v *= self.beta2
+        self.v += tmp
+        np.divide(self.m, bias1, out=g)
+        g *= learning_rate
+        np.divide(self.v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        g /= tmp
+        p -= g
+        return {key: p[span].reshape(shape) for key, span, shape in self.layout}
 
 
 @dataclass(frozen=True)
@@ -273,9 +307,10 @@ def train(net_l, net_r, dataset, cfg):
     """Single-threaded, seed-deterministic dual-channel training loop.
 
     Each step draws a batch of target pairs, fresh standard-normal noise per
-    channel and one shared timestep per pair, then runs one forward pass, one
-    backward pass and one adaptive-moment update per net. Aborts before any
-    update if the loss exceeds cfg.divergence_limit.
+    channel and one shared timestep per pair, embeds the timesteps once, then
+    runs one forward pass, one backward pass and one adaptive-moment update
+    per net. Raises FlowDivergence before any update if the loss exceeds
+    cfg.divergence_limit.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     shared = net_l is net_r
@@ -295,11 +330,15 @@ def train(net_l, net_r, dataset, cfg):
         cond_l = _channel_cond(cond, 1.0, shared, cfg.batch_size)
         cond_r = _channel_cond(cond, -1.0, shared, cfg.batch_size)
 
-        loss_l, grads_l = _loss_and_grads(net_l, x0_l, x1_l, t, cond_l)
-        loss_r, grads_r = _loss_and_grads(net_r, x0_r, x1_r, t, cond_r)
+        emb_l = timestep_embedding(t, net_l.embed_dim)
+        emb_r = (emb_l if net_r.embed_dim == net_l.embed_dim
+                 else timestep_embedding(t, net_r.embed_dim))
+
+        loss_l, grads_l = _loss_and_grads(net_l, x0_l, x1_l, t, cond_l, emb_l)
+        loss_r, grads_r = _loss_and_grads(net_r, x0_r, x1_r, t, cond_r, emb_r)
         loss = loss_l + loss_r
         if not np.isfinite(loss) or loss > cfg.divergence_limit:
-            raise RuntimeError(f"training diverged at step {step}: loss {loss}")
+            raise FlowDivergence(f"training diverged at step {step}: loss {loss}")
         trace[step] = loss
 
         if shared:
@@ -319,7 +358,7 @@ def sample_euler(net, x0, cond=None, steps=32):
     for k in range(steps):
         x = x + net.forward(x, k / steps, cond) / steps
         if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"non-finite state at Euler step {k}")
+            raise FlowDivergence(f"non-finite state at Euler step {k}")
     return x
 
 

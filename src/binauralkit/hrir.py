@@ -57,7 +57,8 @@ def analytic_hrir(direction, sample_rate):
     The lateral incidence angle phi satisfies sin phi = sin(az) cos(el)
     (positive toward the listener's left). The near ear's impulse sits at
     sample 0; the far ear's is delayed by the Woodworth delay rounded to the
-    nearest sample.
+    nearest sample. Both responses have IR_LENGTH taps, or more when the
+    rate makes the largest (pi/2) delay reach past them.
     """
     phi = math.asin(max(-1.0, min(1.0, math.sin(direction.azimuth) * math.cos(direction.elevation))))
     extra = int(round(woodworth_delay(phi) * sample_rate))
@@ -73,10 +74,9 @@ def analytic_hrir(direction, sample_rate):
         gain_db = -CONTRALATERAL_ATTENUATION * (1.0 - cos_delta) / 2.0
         gains.append(10.0 ** (gain_db / 20.0))
 
-    if extra >= IR_LENGTH:
-        raise ValueError("ir_length too short for the modeled delay")
-    left = np.zeros(IR_LENGTH)
-    right = np.zeros(IR_LENGTH)
+    taps = max(IR_LENGTH, int(round(woodworth_delay(math.pi / 2) * sample_rate)) + 1)
+    left = np.zeros(taps)
+    right = np.zeros(taps)
     left[delay_l] = gains[0]
     right[delay_r] = gains[1]
     return HrirPair(left, right, sample_rate)

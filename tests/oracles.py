@@ -178,6 +178,25 @@ def oracle_cfm_loss(v_out, u):
     return total / len(v_out)
 
 
+def oracle_adam_update(state, params, grads, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step with per-array moment dicts. `state` starts as {} and
+    carries the step count and the moments between calls."""
+    state["step"] = state.get("step", 0) + 1
+    m = state.setdefault("m", {k: np.zeros_like(v) for k, v in params.items()})
+    v = state.setdefault("v", {k: np.zeros_like(p) for k, p in params.items()})
+    bias1 = 1.0 - beta1**state["step"]
+    bias2 = 1.0 - beta2**state["step"]
+    out = {}
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        v[k] = beta2 * v[k] + (1.0 - beta2) * g**2
+        m_hat = m[k] / bias1
+        v_hat = v[k] / bias2
+        out[k] = p - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return out
+
+
 def oracle_direction_at(points, t):
     """Linear scan over breakpoints sorted by time (stable): the last one
     with time <= t + 1e-12; a time before the first breakpoint is a gap."""

@@ -232,6 +232,17 @@ class TestFlowCommands:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_divergence_is_one_line_error_without_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        trace = tmp_path / "trace.csv"
+        argv = ["cfm-train", "--checkpoint", str(ckpt), "--trace", str(trace),
+                "--lr", "1000", "--steps", "200"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("binauralkit cfm-train: error: training diverged at step ")
+        assert err.count("\n") == 1
+        assert not ckpt.exists() and not trace.exists()
+
     def test_shared_weights_single_net_checkpoint(self, tmp_path):
         from binauralkit.flow import load_checkpoint
 

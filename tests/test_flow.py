@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from binauralkit import flow
 from binauralkit.flow import (
     AdamState,
     FlowDataset,
+    FlowDivergence,
     TrainConfig,
     VelocityFieldNet,
     backward,
@@ -26,7 +28,7 @@ from binauralkit.flow import (
     timestep_embedding,
     train,
 )
-from oracles import oracle_cfm_loss
+from oracles import oracle_adam_update, oracle_cfm_loss
 
 
 def constant_field_net(latent_dim, value):
@@ -218,6 +220,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_euler(constant_field_net(2, 0.0), np.zeros(2), steps=0)
 
+    def test_non_finite_state_raises_flow_divergence(self):
+        with pytest.raises(FlowDivergence, match="non-finite state"):
+            sample_euler(constant_field_net(2, np.inf), np.zeros(2), steps=4)
+
 
 class TestTraining:
     def test_loss_decreases_on_constant_target(self):
@@ -321,12 +327,101 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_timestep_embedding_per_step(self, monkeypatch, shared):
+        calls = []
+        real = flow.timestep_embedding
+
+        def counting(t, dim):
+            calls.append(dim)
+            return real(t, dim)
+
+        monkeypatch.setattr(flow, "timestep_embedding", counting)
+        cfg = TrainConfig(steps=5, batch_size=8, hidden_width=8, shared_weights=shared)
+        train(*make_nets(2, 0, cfg), constant_target_dataset(16, 2, 1.0), cfg)
+        assert len(calls) == cfg.steps
+
+    def test_nets_with_different_embed_dims_get_their_own_embedding(self):
+        cfg = TrainConfig(steps=3, batch_size=8, hidden_width=8)
+        net_l = VelocityFieldNet(2, hidden_width=8, embed_dim=4, rng_seed=1)
+        net_r = VelocityFieldNet(2, hidden_width=8, embed_dim=6, rng_seed=2)
+        trace = train(net_l, net_r, constant_target_dataset(16, 2, 1.0), cfg)
+        assert np.all(np.isfinite(trace))
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_replay_through_oracle_adam(self, shared):
+        data = constant_target_dataset(64, 3, 2.0, rng_seed=5)
+        cfg = TrainConfig(steps=50, batch_size=16, learning_rate=5e-3, hidden_width=8,
+                          rng_seed=6, shared_weights=shared)
+        net_l, net_r = make_nets(3, 0, cfg)
+        trace = train(net_l, net_r, data, cfg)
+
+        ref_l, ref_r = make_nets(3, 0, cfg)
+        state_l, state_r = {}, {}
+        rng = np.random.default_rng(cfg.rng_seed)
+        flag = np.ones((cfg.batch_size, 1))
+        cond_l, cond_r = (flag, -flag) if shared else (None, None)
+        replay = []
+        for _ in range(cfg.steps):
+            idx = rng.integers(0, len(data), cfg.batch_size)
+            t = rng.uniform(0.0, 1.0, cfg.batch_size)
+            args_l = (data.x0_left[idx], data.x1_left[idx], t, cond_l)
+            args_r = (data.x0_right[idx], data.x1_right[idx], t, cond_r)
+            replay.append(cfm_loss(ref_l, *args_l) + cfm_loss(ref_r, *args_r))
+            grads_l, grads_r = backward(ref_l, *args_l), backward(ref_r, *args_r)
+            if shared:
+                grads = {k: grads_l[k] + grads_r[k] for k in grads_l}
+                ref_l.set_parameters(oracle_adam_update(
+                    state_l, ref_l.parameters(), grads, cfg.learning_rate))
+            else:
+                ref_l.set_parameters(oracle_adam_update(
+                    state_l, ref_l.parameters(), grads_l, cfg.learning_rate))
+                ref_r.set_parameters(oracle_adam_update(
+                    state_r, ref_r.parameters(), grads_r, cfg.learning_rate))
+        np.testing.assert_array_equal(trace, replay)
+        for net, ref in ((net_l, ref_l), (net_r, ref_r)):
+            for k, v in ref.parameters().items():
+                np.testing.assert_array_equal(net.parameters()[k], v)
+
     def test_adam_first_step_is_signed_lr(self):
         # bias correction makes the very first update exactly lr * sign(g)
         params = {"w": np.array([1.0, -2.0])}
         adam = AdamState(params)
         out = adam.update(params, {"w": np.array([0.5, -3.0])}, 0.01)
         np.testing.assert_allclose(out["w"], [1.0 - 0.01, -2.0 + 0.01], rtol=1e-6)
+
+
+_ADAM_SHAPES = st.sampled_from([(), (1,), (3,), (2, 3), (4, 1), (1, 5)])
+
+
+class TestAdamOracle:
+    @given(
+        shapes=st.lists(_ADAM_SHAPES, min_size=1, max_size=6),
+        steps=st.integers(1, 4),
+        learning_rate=st.sampled_from([0.0, 1e-3, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_flat_state_equals_per_array_oracle(self, shapes, steps, learning_rate, seed, data):
+        rng = np.random.default_rng(seed)
+        keys = [f"p{i}" for i in range(len(shapes))]
+        params = {k: rng.standard_normal(shape) for k, shape in zip(keys, shapes)}
+        adam, oracle_state = AdamState(params), {}
+        oracle_params = params
+        for _ in range(steps):
+            order = data.draw(st.permutations(keys))
+            grads = {k: rng.standard_normal(np.shape(params[k])) * 10.0 ** rng.integers(-3, 3)
+                     for k in order}
+            before = {k: np.copy(v) for k, v in params.items()}
+            grads_before = {k: np.copy(v) for k, v in grads.items()}
+            expected = oracle_adam_update(oracle_state, oracle_params, grads, learning_rate)
+            out = adam.update(params, grads, learning_rate)
+            for k in keys:
+                np.testing.assert_array_equal(params[k], before[k])
+                np.testing.assert_array_equal(grads[k], grads_before[k])
+                assert np.shape(out[k]) == np.shape(params[k])
+                np.testing.assert_array_equal(out[k], expected[k])
+            params, oracle_params = out, expected
 
 
 class TestDatasets:

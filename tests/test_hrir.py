@@ -7,12 +7,14 @@ import pytest
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.ambisonic import Direction
 from binauralkit.hrir import (
+    IR_LENGTH,
     HrirSet,
     analytic_hrir,
     load_hrir_manifest,
     lookup,
     woodworth_delay,
 )
+from binauralkit.render import render_static
 
 FS = 16000
 
@@ -51,11 +53,24 @@ class TestAnalyticModel:
         ]
         assert all(b >= a for a, b in zip(delays, delays[1:]))
 
-    def test_delay_must_fit_the_impulse_response(self):
+    def test_impulse_response_grows_to_fit_the_delay(self):
         # The 0.66 ms far-ear delay needs more than 64 taps from ~98 kHz on.
-        analytic_hrir(Direction(math.pi / 2), 96000)
-        with pytest.raises(ValueError, match="ir_length too short"):
-            analytic_hrir(Direction(math.pi / 2), 192000)
+        rate = 192000
+        delay = round(woodworth_delay(math.pi / 2) * rate)
+        assert delay >= 64
+        pair = analytic_hrir(Direction(math.pi / 2), rate)
+        assert len(pair.left) == len(pair.right) == delay + 1
+        assert np.argmax(pair.left) == 0
+        assert np.argmax(pair.right) == delay
+        tone = np.sin(2 * np.pi * 440.0 * np.arange(rate // 10) / rate)
+        out = render_static(AudioBuffer(tone, rate), Direction(math.pi / 2))
+        assert out.sample_rate == rate
+        assert len(out.left.samples) == len(tone)
+        assert np.all(np.isfinite(out.left.samples)) and np.any(out.right.samples)
+
+    def test_low_rate_banks_keep_ir_length_taps(self):
+        for rate in (16000, 48000, 96000):
+            assert len(analytic_hrir(Direction(math.pi / 2), rate).left) == IR_LENGTH
 
     def test_energy_bound(self, rng):
         for _ in range(20):
