@@ -11,7 +11,6 @@ from .ambisonic import (
     encode_mono,
     project_to_speakers,
     ring_layout,
-    sh_encode,
 )
 from .hrir import HrirPair, HrirSet, analytic_hrir, lookup
 from .render import RenderConfig, direction_from_features, render_static, render_trajectory

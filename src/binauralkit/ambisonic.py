@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, atomic_write
+from .audio import AudioBuffer, atomic_write, read_text
 
 RIDGE = 1e-12
 SINGULARITY_TOL = 1e-10
@@ -99,11 +99,6 @@ def sh_basis(azimuth, elevation, order):
     return np.stack(channels, axis=-1)
 
 
-def sh_encode(direction, order):
-    """Real SH basis values for one Direction (see sh_basis)."""
-    return sh_basis(direction.azimuth, direction.elevation, order)
-
-
 @dataclass(frozen=True)
 class ShSignal:
     """Time series of SH coefficient vectors: frames is T x (order+1)^2."""
@@ -153,7 +148,7 @@ def ring_layout(m):
 
 @dataclass(frozen=True)
 class DecodeMatrix:
-    """Encoding matrix D (row m = sh_encode of speaker m) and the projection
+    """Encoding matrix D (row m = sh_basis of speaker m) and the projection
     operator P = D (D^T D + ridge I)^-1 that maps SH vectors to speaker feeds.
 
     SH channels that no layout direction excites (column norm ~ 0) are dropped
@@ -169,7 +164,8 @@ def decode_matrix(layout, order):
     """Build the speaker projection for a layout via ridge-regularized normal
     equations. Raises LayoutError when D^T D (restricted to excited channels)
     is singular beyond tolerance."""
-    d = np.stack([sh_encode(di, order) for di in layout.directions])
+    dirs = layout.directions
+    d = sh_basis([di.azimuth for di in dirs], [di.elevation for di in dirs], order)
     col_norms = np.linalg.norm(d, axis=0)
     active = col_norms > 1e-9 * max(1.0, col_norms.max())
     da = d[:, active]
@@ -317,9 +313,10 @@ def load_trajectory_csv(path):
     one holding a bad value, goes through the row-by-row reader instead,
     which raises at the first bad line.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        body = fh.read()
+    text = read_text(path)
+    fh = io.StringIO(text, newline="")
+    header = next(csv.reader(fh), None)
+    body = fh.read()
     if header is None or not set(TRAJECTORY_COLUMNS).issubset(header):
         raise ValueError(f"{path}: expected header time_s,azimuth_deg,elevation_deg")
     # As in csv.DictReader, the last of repeated column names wins.
@@ -334,7 +331,7 @@ def load_trajectory_csv(path):
         except ValueError:
             pass
     if table is None or not np.all(np.isfinite(table)) or not _elevation_ok(table[:, 2]):
-        table = _read_trajectory_rows(path)
+        table = _read_trajectory_rows(path, text)
     if len(table) == 0:
         raise ValueError(f"{path}: empty trajectory")
     return Trajectory(table[:, 0], np.radians(table[:, 1]), np.radians(table[:, 2]))
@@ -345,22 +342,21 @@ def _elevation_ok(degrees):
     return bool(np.all(np.abs(np.radians(degrees)) <= math.pi / 2 + 1e-12))
 
 
-def _read_trajectory_rows(path):
-    """The T x 3 table of a trajectory CSV read row by row with
-    csv.DictReader, raising at the first bad line."""
+def _read_trajectory_rows(path, text):
+    """The T x 3 table of the trajectory CSV `text` (read from `path`) read
+    row by row with csv.DictReader, raising at the first bad line."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                values = [float(row[key]) for key in TRAJECTORY_COLUMNS]
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}:{reader.line_num}: non-numeric value") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{reader.line_num}: non-finite value")
-            if not _elevation_ok(values[2]):
-                raise ValueError(f"{path}:{reader.line_num}: elevation outside [-90, 90] degrees")
-            rows.append(values)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for row in reader:
+        try:
+            values = [float(row[key]) for key in TRAJECTORY_COLUMNS]
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}:{reader.line_num}: non-numeric value") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}:{reader.line_num}: non-finite value")
+        if not _elevation_ok(values[2]):
+            raise ValueError(f"{path}:{reader.line_num}: elevation outside [-90, 90] degrees")
+        rows.append(values)
     return np.array(rows).reshape(-1, 3)
 
 

@@ -1,5 +1,6 @@
-"""Sampled-signal containers, WAV I/O, atomic file writes, framing, STFT and
-FFT convolution.
+"""Sampled-signal containers, WAV I/O, the shared text reader and atomic
+file writes, framing, the Hann window and Hann STFT, and multichannel FFT
+convolution.
 
 Framing builds no copies: `frames` is a strided view of the signal, and
 `frame_energy` (under `frame_rms`) sums squares per frame from chunk sums.
@@ -7,6 +8,7 @@ Framing builds no copies: `frames` is a strided view of the signal, and
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import threading
@@ -79,22 +81,6 @@ class BinauralBuffer:
         return self.left.sample_rate
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """T x F complex STFT frames with the analysis parameters that made them."""
-
-    frames: np.ndarray
-    frame_size: int
-    hop: int
-    window: str
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.complex128)
-        if frames.ndim != 2 or frames.shape[1] != self.frame_size // 2 + 1:
-            raise ValueError("spectrogram must be T x (frame_size/2 + 1)")
-        object.__setattr__(self, "frames", frames)
-
-
 def read_wav(path):
     """Read a mono or stereo WAV file.
 
@@ -153,6 +139,28 @@ def atomic_write(path, mode="w", **kwargs):
         raise
 
 
+def read_text(path):
+    """The whole text of a UTF-8 file with its line endings kept, as
+    open(path, encoding="utf-8", newline="") reads it; a byte sequence that
+    is not UTF-8 raises ValueError naming the file and its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file (see read_text); a parse error raises
+    ValueError naming the file, line and column."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON (line {exc.lineno} column {exc.colno})") from None
+
+
 def write_wav(path, buffer, encoding="float32"):
     """Write an AudioBuffer or BinauralBuffer as WAV.
 
@@ -187,31 +195,23 @@ def next_pow2(n):
 
 
 def fft_convolve(signal, kernel):
-    """Full linear convolution by block overlap-add, for one channel or a
-    multichannel filter bank.
+    """Full linear convolution of a multichannel signal with a filter bank,
+    by block overlap-add.
 
-    - AudioBuffer of N samples and a 1-D kernel of L taps: returns an
-      AudioBuffer of N + L - 1 samples.
-    - N x K array, or N x K row source, and an E x K x L bank: returns an
-      E x (N + L - 1) array whose row e is sum_k x[:, k] * bank[e, k]. A row
-      source stands in for an array that is never built whole: it has
-      `shape` (N, K) and `rows(lo, hi)`, which returns rows lo..hi-1.
+    `signal` is an N x K array, or an N x K row source, and `kernel` an
+    E x K x L bank; the result is an E x (N + L - 1) array whose row e is
+    sum_k x[:, k] * bank[e, k]. A row source stands in for an array that is
+    never built whole: it has `shape` (N, K) and `rows(lo, hi)`, which
+    returns rows lo..hi-1. One channel and one kernel is the N x 1 signal
+    with a 1 x 1 x L bank.
 
-    The first form is the E = K = 1 case of the second. The signal is cut
-    into hops of nfft - L + 1 samples, with nfft = next_pow2(16 L) (less for
-    a signal shorter than that). Each channel's blocks are transformed once,
-    multiplied into the bank and summed over k in the frequency domain; each
-    output row then takes one inverse transform per block, and the block
-    tails overlap-add into the next hop. Matches direct time-domain
-    convolution to ~1e-12 relative.
+    The signal is cut into hops of nfft - L + 1 samples, with nfft =
+    next_pow2(16 L) (less for a signal shorter than that). Each channel's
+    blocks are transformed once, multiplied into the bank and summed over k
+    in the frequency domain; each output row then takes one inverse
+    transform per block, and the block tails overlap-add into the next hop.
+    Matches direct time-domain convolution to ~1e-12 relative.
     """
-    if isinstance(signal, AudioBuffer):
-        kernel = np.asarray(kernel, dtype=np.float64)
-        if kernel.ndim != 1 or len(kernel) == 0:
-            raise ValueError("kernel must be a non-empty 1-D sequence")
-        x = signal.samples[:, None]
-        y = _overlap_add(lambda lo, hi: x[lo:hi], x.shape, kernel[None, None, :])
-        return AudioBuffer(y[0], signal.sample_rate)
     bank = np.asarray(kernel, dtype=np.float64)
     if hasattr(signal, "rows"):
         rows, shape = signal.rows, signal.shape
@@ -253,17 +253,9 @@ def _overlap_add(rows, shape, bank):
     return out.reshape(e, -1)[:, : n + taps - 1]
 
 
-_WINDOWS = {
-    "rectangular": lambda n: np.ones(n),
-    "hann": lambda n: 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n),
-}
-
-
-def window_samples(name, frame_size):
-    try:
-        return _WINDOWS[name](frame_size)
-    except KeyError:
-        raise ValueError(f"unknown window {name!r}") from None
+def hann(n):
+    """Periodic Hann window of n samples: 0.5 - 0.5 cos(2 pi i / n)."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 def frames(samples, size, hop):
@@ -301,18 +293,18 @@ def frame_energy(samples, size, hop):
     return energy
 
 
-def stft(signal, frame_size=512, hop=160, window="hann"):
-    """Short-time Fourier transform (one-sided), dropping the tail frame.
-
-    Frame t, bin f holds sum_n w(n) x(t*hop + n) exp(-2j pi f n / frame_size).
+def stft(signal, frame_size=512, hop=160):
+    """Hann-windowed short-time Fourier transform (one-sided) of an
+    AudioBuffer, dropping the tail frame: a T x (frame_size/2 + 1) complex
+    array whose frame t, bin f holds
+    sum_n hann(n) x(t*hop + n) exp(-2j pi f n / frame_size).
     """
     if hop < 1:
         raise ValueError("hop must be >= 1")
     x = frames(signal.samples, frame_size, hop)
     if len(x) == 0:
         raise ValueError("signal shorter than one frame")
-    w = window_samples(window, frame_size)
-    return Spectrogram(np.fft.rfft(x * w[None, :], frame_size, axis=1), frame_size, hop, window)
+    return np.fft.rfft(x * hann(frame_size), frame_size, axis=1)
 
 
 def frame_rms(signal, frame_size, hop):

@@ -50,8 +50,9 @@ def _checked(convert, ok, requirement):
 
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _FINITE = _checked(float, math.isfinite, "finite")
-_RATE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_FRACTION = _checked(float, lambda v: 0.0 <= v <= 1.0, "finite and in [0, 1]")
 _SPEAKERS = _checked(int, lambda v: v >= 2, ">= 2")
 
 
@@ -66,9 +67,9 @@ def _build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="filtered manifest JSON")
     p.add_argument("--report", help="preprocess report JSON")
-    p.add_argument("--min-seconds", type=float, default=10.0)
-    p.add_argument("--silence-threshold-db", type=float, default=-50.0)
-    p.add_argument("--max-silence-fraction", type=float, default=0.8)
+    p.add_argument("--min-seconds", type=_NON_NEGATIVE, default=10.0)
+    p.add_argument("--silence-threshold-db", type=_FINITE, default=-50.0)
+    p.add_argument("--max-silence-fraction", type=_FRACTION, default=0.8)
 
     p = sub.add_parser("render", help="batch-render manifest clips to stereo WAVs")
     p.add_argument("--manifest", required=True)
@@ -95,7 +96,7 @@ def _build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--trace", help="loss trace CSV")
     p.add_argument("--steps", type=_COUNT, default=2000)
-    p.add_argument("--lr", type=_RATE, default=1e-3)
+    p.add_argument("--lr", type=_NON_NEGATIVE, default=1e-3)
     p.add_argument("--batch-size", type=_COUNT, default=128)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", type=_COUNT, default=64)

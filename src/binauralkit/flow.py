@@ -17,13 +17,17 @@ from .audio import atomic_write
 CHECKPOINT_MAGIC = b"SV2A"
 CHECKPOINT_VERSION = 1
 DEFAULT_EMBED_DIM = 8
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+DIVERGENCE_LIMIT = 1e6  # a training loss above this raises FlowDivergence
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class FlowDivergence(RuntimeError):
     """Training or sampling left the finite range: the loss passed the
-    divergence limit or an Euler state became non-finite."""
+    DIVERGENCE_LIMIT or an Euler state became non-finite."""
 
 
 def timestep_embedding(t, dim):
@@ -151,24 +155,16 @@ def backward(net, x0, x1, t, cond=None):
     return _loss_and_grads(net, x0, x1, t, cond)[1]
 
 
-def binaural_cfm_loss(net_l, net_r, x0_l, x1_l, x0_r, x1_r, t, cond=None):
-    """Dual-channel objective: the sum of the per-channel losses, with the
-    timestep and condition shared across channels."""
-    if np.shape(x0_l)[0] != np.shape(x0_r)[0]:
-        raise ValueError("left/right batches must be paired")
-    return cfm_loss(net_l, x0_l, x1_l, t, cond) + cfm_loss(net_r, x0_r, x1_r, t, cond)
-
-
 class AdamState:
-    """Adaptive-moment gradient descent state for one parameter set.
+    """Adaptive-moment gradient descent state for one parameter set, with
+    the fixed hyperparameters ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
     The first and second moments are flat float64 vectors laid out at
     construction as (key, slice, shape) per parameter, so one update is a
     handful of whole-vector operations however many arrays the set holds.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params):
         self.step_count = 0
         self.layout = []
         size = 0
@@ -183,26 +179,26 @@ class AdamState:
         """New parameters from one step; params and grads are dicts keyed as
         at construction and are left unmodified."""
         self.step_count += 1
-        bias1 = 1.0 - self.beta1**self.step_count
-        bias2 = 1.0 - self.beta2**self.step_count
+        bias1 = 1.0 - ADAM_BETA1**self.step_count
+        bias2 = 1.0 - ADAM_BETA2**self.step_count
         p = np.concatenate([params[key] for key, _, _ in self.layout], axis=None)
         g = np.concatenate([grads[key] for key, _, _ in self.layout], axis=None)
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
         # p - (lr m_hat) / (sqrt(v_hat) + eps) in that operation order, with
         # g and tmp as the only scratch vectors: each further full-length
         # temporary shows in the training run's peak memory.
-        self.m *= self.beta1
-        tmp = (1.0 - self.beta1) * g
+        self.m *= ADAM_BETA1
+        tmp = (1.0 - ADAM_BETA1) * g
         self.m += tmp
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - self.beta2
-        self.v *= self.beta2
+        tmp *= 1.0 - ADAM_BETA2
+        self.v *= ADAM_BETA2
         self.v += tmp
         np.divide(self.m, bias1, out=g)
         g *= learning_rate
         np.divide(self.v, bias2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += ADAM_EPS
         g /= tmp
         p -= g
         return {key: p[span].reshape(shape) for key, span, shape in self.layout}
@@ -216,7 +212,6 @@ class TrainConfig:
     rng_seed: int = 0
     hidden_width: int = 64
     shared_weights: bool = False
-    divergence_limit: float = 1e6
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.batch_size < 1 or self.steps < 0:
@@ -309,8 +304,8 @@ def train(net_l, net_r, dataset, cfg):
     Each step draws a batch of target pairs, fresh standard-normal noise per
     channel and one shared timestep per pair, embeds the timesteps once, then
     runs one forward pass, one backward pass and one adaptive-moment update
-    per net. Raises FlowDivergence before any update if the loss exceeds
-    cfg.divergence_limit.
+    per net. Raises FlowDivergence before any update if the summed loss is
+    non-finite or exceeds DIVERGENCE_LIMIT.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     shared = net_l is net_r
@@ -337,7 +332,7 @@ def train(net_l, net_r, dataset, cfg):
         loss_l, grads_l = _loss_and_grads(net_l, x0_l, x1_l, t, cond_l, emb_l)
         loss_r, grads_r = _loss_and_grads(net_r, x0_r, x1_r, t, cond_r, emb_r)
         loss = loss_l + loss_r
-        if not np.isfinite(loss) or loss > cfg.divergence_limit:
+        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise FlowDivergence(f"training diverged at step {step}: loss {loss}")
         trace[step] = loss
 

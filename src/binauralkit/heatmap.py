@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import atomic_write
+from .audio import atomic_write, read_text
 
 NEUTRAL_FEATURES = (0.5, 0.0, 0.0, 0.0, 0.0)
 FEATURE_NAMES = ("s_h", "s_area", "s_var", "s_lr", "s_shape")
@@ -83,8 +83,7 @@ def load_heatmap_sequence(path, frame_rate=31.25):
     array. When that fails, the rows are read one by one, which raises at
     the first bad line.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise HeatmapFormatError(f"{path}:1: empty file")
     header = lines[0].split()

@@ -5,14 +5,13 @@ manifest."""
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import BinauralBuffer, read_wav
+from .audio import BinauralBuffer, read_json, read_wav
 from .ambisonic import Direction, angular_distance
 
 _LEFT_EAR = Direction(math.pi / 2)
@@ -101,8 +100,7 @@ def load_hrir_manifest(path):
     objects; files are 2-channel (left, right) WAVs relative to the manifest.
     A malformed manifest raises ValueError naming the file and the entry.
     """
-    with open(path) as fh:
-        items = json.load(fh)
+    items = read_json(path)
     if not isinstance(items, list):
         raise ValueError(f"{path}: HRIR manifest must be a JSON array")
     base = os.path.dirname(os.path.abspath(path))

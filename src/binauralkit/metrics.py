@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import frame_energy, frames, window_samples
+from .audio import frame_energy, frames, hann
 
 FRAME_SIZE = 400  # 25 ms at 16 kHz
 HOP = 160  # 10 ms
@@ -98,7 +98,7 @@ def _voiced_spectra(b):
     if len(b) < size:
         raise ValueError("signal shorter than one frame")
     mask = _voiced(b, size, hop)
-    window = window_samples("hann", size)
+    window = hann(size)
     spectra = []
     for rows in _voiced_rows(b, size, hop, mask):
         rows *= window

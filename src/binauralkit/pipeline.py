@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .audio import BinauralBuffer, atomic_write, frame_rms, read_wav, write_wav
+from .audio import BinauralBuffer, atomic_write, frame_rms, read_json, read_wav, write_wav
 from .heatmap import extract_features, load_heatmap_sequence
 from .metrics import spatial_report
 from .render import RenderConfig, direction_from_features, render_trajectory
@@ -86,8 +86,7 @@ def load_manifest(path):
     directory. Each id must be a string usable as a plain file name, since
     outputs are named after it. A malformed manifest raises ValueError
     naming the file and the entry index or repeated id."""
-    with open(path) as fh:
-        items = json.load(fh)
+    items = read_json(path)
     if not isinstance(items, list):
         raise ValueError(f"{path}: manifest must be a JSON array")
     entries = []

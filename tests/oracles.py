@@ -96,12 +96,12 @@ def oracle_itd(left, right, frame, hop, max_lag, gate_db, sample_rate):
     return float(np.mean(lags)) / sample_rate * 1e3
 
 
-def _hann(n):
+def hann_window(n):
     return np.array([0.5 - 0.5 * math.cos(2.0 * math.pi * i / n) for i in range(n)])
 
 
 def _stft_frames(x, frame, hop):
-    w = _hann(frame)
+    w = hann_window(frame)
     return [np.fft.rfft(np.array(x[s : s + frame]) * w) for s in _frame_starts(len(x), frame, hop)]
 
 

@@ -8,14 +8,14 @@ import time
 
 import numpy as np
 
-from binauralkit.ambisonic import Direction, SpeakerLayout, decode_matrix, ring_layout, sh_encode
+from binauralkit.ambisonic import Direction, SpeakerLayout, decode_matrix, ring_layout, sh_basis
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.cli import main as cli_main
 from binauralkit.flow import (
+    FlowDataset,
     TrainConfig,
     VelocityFieldNet,
     backward,
-    binaural_cfm_loss,
     cfm_loss,
     constant_target_dataset,
     make_nets,
@@ -103,9 +103,11 @@ def test_criterion_03_sh_round_trip():
         layout = ring_layout(m)
         dm = decode_matrix(layout, 1)
         for _ in range(100):
-            y = sh_encode(Direction(rng.uniform(-np.pi, np.pi)), 1)
+            y = sh_basis(rng.uniform(-np.pi, np.pi), 0.0, 1)
             gains = dm.projection @ y
-            reencoded = sum(g * sh_encode(d, 1) for g, d in zip(gains, layout.directions))
+            reencoded = sum(
+                g * sh_basis(d.azimuth, d.elevation, 1) for g, d in zip(gains, layout.directions)
+            )
             for ch in (0, 1, 3):
                 err = abs(reencoded[ch] - y[ch])
                 scale = max(abs(y[ch]), 1e-9)
@@ -148,13 +150,20 @@ def test_criterion_06_losses_and_gradients():
     d = 3
     ok = True
 
-    net_l = VelocityFieldNet(d, hidden_width=8, rng_seed=1)
-    net_r = VelocityFieldNet(d, hidden_width=8, rng_seed=2)
     x0_l, x1_l = rng.standard_normal((16, d)), rng.standard_normal((16, d))
     x0_r, x1_r = rng.standard_normal((16, d)), rng.standard_normal((16, d))
     t = rng.uniform(0.0, 1.0, 16)
-    total = binaural_cfm_loss(net_l, net_r, x0_l, x1_l, x0_r, x1_r, t)
-    ok &= total == cfm_loss(net_l, x0_l, x1_l, t) + cfm_loss(net_r, x0_r, x1_r, t)
+    # The dual-channel objective train records is the sum of the channel
+    # losses on the batch and timesteps its seeded generator draws first.
+    data = FlowDataset(x1_left=x1_l, x1_right=x1_r, x0_left=x0_l, x0_right=x0_r)
+    cfg = TrainConfig(steps=1, batch_size=16, hidden_width=8, rng_seed=6)
+    net_l, net_r = make_nets(d, 0, cfg)
+    draw = np.random.default_rng(cfg.rng_seed)
+    idx = draw.integers(0, len(data), cfg.batch_size)
+    t_step = draw.uniform(0.0, 1.0, cfg.batch_size)
+    total = (cfm_loss(net_l, x0_l[idx], x1_l[idx], t_step)
+             + cfm_loss(net_r, x0_r[idx], x1_r[idx], t_step))
+    ok &= train(net_l, net_r, data, cfg)[0] == total
 
     rigged = VelocityFieldNet(d, hidden_width=8)
     params = rigged.parameters()

@@ -17,7 +17,7 @@ from binauralkit.ambisonic import (
     project_to_speakers,
     ring_layout,
     save_trajectory_csv,
-    sh_encode,
+    sh_basis,
     wrap_azimuth,
 )
 from conftest import breakpoints
@@ -40,30 +40,30 @@ class TestDirection:
 
 class TestShEncode:
     def test_front(self):
-        np.testing.assert_allclose(sh_encode(Direction(0.0), 1), [1, 0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(sh_basis(0.0, 0.0, 1), [1, 0, 0, 1], atol=1e-15)
 
     def test_left(self):
         np.testing.assert_allclose(
-            sh_encode(Direction(math.pi / 2), 1), [1, 1, 0, 0], atol=1e-15
+            sh_basis(math.pi / 2, 0.0, 1), [1, 1, 0, 0], atol=1e-15
         )
 
     def test_up(self):
         np.testing.assert_allclose(
-            sh_encode(Direction(0.0, math.pi / 2), 1), [1, 0, 1, 0], atol=1e-15
+            sh_basis(0.0, math.pi / 2, 1), [1, 0, 1, 0], atol=1e-15
         )
 
     def test_w_channel_always_one(self, rng):
         for _ in range(20):
             d = Direction(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
             for order in (0, 1, 2):
-                assert sh_encode(d, order)[0] == 1.0
+                assert sh_basis(d.azimuth, d.elevation, order)[0] == 1.0
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
-            sh_encode(Direction(0.0), 3)
+            sh_basis(0.0, 0.0, 3)
 
     def test_order2_length(self):
-        assert len(sh_encode(Direction(0.3, 0.1), 2)) == 9
+        assert len(sh_basis(0.3, 0.1, 2)) == 9
 
 
 class TestRingLayout:
@@ -110,7 +110,7 @@ class TestDecodeMatrix:
         for m in (4, 6, 8):
             dm = decode_matrix(ring_layout(m), 1)
             for k, d in enumerate(ring_layout(m).directions):
-                gains = dm.projection @ sh_encode(d, 1)
+                gains = dm.projection @ sh_basis(d.azimuth, d.elevation, 1)
                 assert np.argmax(gains) == k
 
 
@@ -156,10 +156,11 @@ class TestProjection:
             dm = decode_matrix(layout, 1)
             for _ in range(25):
                 az = rng.uniform(-np.pi, np.pi)
-                y = sh_encode(Direction(az), 1)
+                y = sh_basis(az, 0.0, 1)
                 gains = dm.projection @ y
                 reencoded = sum(
-                    g * sh_encode(d, 1) for g, d in zip(gains, layout.directions)
+                    g * sh_basis(d.azimuth, d.elevation, 1)
+                    for g, d in zip(gains, layout.directions)
                 )
                 for ch in (0, 1, 3):
                     assert reencoded[ch] == pytest.approx(y[ch], rel=1e-6, abs=1e-9)
@@ -175,8 +176,11 @@ class TestProjection:
                 tuple(Direction(d.azimuth + delta) for d in base.directions)
             )
             dm_rot = decode_matrix(rotated, 1)
-            gains = np.sort(dm.projection @ sh_encode(Direction(az), 1))
-            gains_rot = np.sort(dm_rot.projection @ sh_encode(Direction(az + delta), 1))
+            turned = Direction(az + delta)
+            gains = np.sort(dm.projection @ sh_basis(az, 0.0, 1))
+            gains_rot = np.sort(
+                dm_rot.projection @ sh_basis(turned.azimuth, turned.elevation, 1)
+            )
             np.testing.assert_allclose(gains, gains_rot, atol=1e-9)
 
 

@@ -19,7 +19,7 @@ from binauralkit.audio import (
     write_wav,
 )
 from conftest import sine_buffer
-from oracles import direct_convolve, direct_dft_frame
+from oracles import direct_convolve, direct_dft_frame, hann_window
 
 
 class TestWavIO:
@@ -120,26 +120,34 @@ class TestBuffers:
             AudioBuffer(np.zeros(10), 0)
 
 
+def convolve_one(x, k):
+    """One channel and one kernel through fft_convolve: the N x 1 signal
+    with the 1 x 1 x L bank."""
+    x = np.asarray(x, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    return fft_convolve(x[:, None], k[None, None, :])[0]
+
+
 class TestConvolution:
     def test_impulse_response(self):
-        out = fft_convolve(AudioBuffer(np.array([1.0, 0.0, 0.0])), [0.7, -0.2])
-        np.testing.assert_allclose(out.samples, [0.7, -0.2, 0.0, 0.0], atol=1e-12)
+        out = convolve_one([1.0, 0.0, 0.0], [0.7, -0.2])
+        np.testing.assert_allclose(out, [0.7, -0.2, 0.0, 0.0], atol=1e-12)
 
     def test_identity_kernel(self, rng):
         x = rng.standard_normal(100)
-        out = fft_convolve(AudioBuffer(x), [1.0])
-        np.testing.assert_allclose(out.samples, x, atol=1e-12)
+        out = convolve_one(x, [1.0])
+        np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_matches_direct_convolution(self, rng):
         x = rng.standard_normal(64)
         k = rng.standard_normal(9)
-        out = fft_convolve(AudioBuffer(x), k)
+        out = convolve_one(x, k)
         expected = direct_convolve(x, k)
-        np.testing.assert_allclose(out.samples, expected, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
 
     def test_empty_kernel_rejected(self):
         with pytest.raises(ValueError):
-            fft_convolve(AudioBuffer(np.zeros(10)), [])
+            fft_convolve(np.zeros((10, 1)), np.zeros((1, 1, 0)))
 
     def test_linearity(self, rng):
         for _ in range(5):
@@ -147,70 +155,70 @@ class TestConvolution:
             y = rng.standard_normal(200)
             k = rng.standard_normal(17)
             a, b = rng.standard_normal(2)
-            lhs = fft_convolve(AudioBuffer(a * x + b * y), k).samples
-            rhs = a * fft_convolve(AudioBuffer(x), k).samples + b * fft_convolve(
-                AudioBuffer(y), k
-            ).samples
+            lhs = convolve_one(a * x + b * y, k)
+            rhs = a * convolve_one(x, k) + b * convolve_one(y, k)
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_many_blocks_match_direct_convolution(self, rng):
         # 9 taps give a 256-point FFT and a 248-sample hop: 5 blocks here.
         x = rng.standard_normal(1200)
         k = rng.standard_normal(9)
-        out = fft_convolve(AudioBuffer(x), k)
-        np.testing.assert_allclose(out.samples, direct_convolve(x, k), rtol=1e-9, atol=1e-12)
+        out = convolve_one(x, k)
+        np.testing.assert_allclose(out, direct_convolve(x, k), rtol=1e-9, atol=1e-12)
 
     def test_empty_signal_gives_kernel_tail(self):
-        out = fft_convolve(AudioBuffer(np.zeros(0)), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(out.samples, np.zeros(2))
+        out = convolve_one(np.zeros(0), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_delay_commutes(self, rng):
         x = rng.standard_normal(64)
         k = rng.standard_normal(5)
         d = 7
         delayed = np.concatenate([np.zeros(d), x])
-        out_delayed = fft_convolve(AudioBuffer(delayed), k).samples
-        out = fft_convolve(AudioBuffer(x), k).samples
+        out_delayed = convolve_one(delayed, k)
+        out = convolve_one(x, k)
         np.testing.assert_allclose(out_delayed[d : d + len(out)], out, atol=1e-10)
 
 
 class TestStft:
     def test_zero_signal(self):
         spec = stft(AudioBuffer(np.zeros(2048)))
-        assert np.all(spec.frames == 0.0)
-        assert spec.frames.shape[1] == 257
+        assert np.all(spec == 0.0)
+        assert spec.shape[1] == 257
 
-    def test_dc_rectangular(self):
-        spec = stft(AudioBuffer(np.ones(64)), frame_size=64, hop=64, window="rectangular")
-        assert abs(spec.frames[0, 0]) == pytest.approx(64.0)
-        assert np.max(np.abs(spec.frames[0, 1:])) < 1e-9
+    def test_dc_hann(self):
+        # A periodic Hann window puts a constant into bins 0 and 1 only.
+        spec = stft(AudioBuffer(np.ones(64)), frame_size=64, hop=64)
+        np.testing.assert_allclose(spec[0], direct_dft_frame(hann_window(64)), atol=1e-9)
+        assert abs(spec[0, 0]) == pytest.approx(32.0)
+        assert np.max(np.abs(spec[0, 2:])) < 1e-9
 
     def test_bin_exact_sine_matches_direct_dft(self):
-        # 500 Hz puts all energy in bin 16 of a 512-sample rectangular frame
+        # 500 Hz is bin 16 of a 512-sample frame; Hann spreads it over bins 15-17
         sig = sine_buffer(500.0, n=512)
-        spec = stft(sig, frame_size=512, hop=512, window="rectangular")
-        expected = direct_dft_frame(sig.samples)
-        np.testing.assert_allclose(spec.frames[0], expected, atol=1e-6)
-        mags = np.abs(spec.frames[0])
+        spec = stft(sig, frame_size=512, hop=512)
+        expected = direct_dft_frame(hann_window(512) * sig.samples)
+        np.testing.assert_allclose(spec[0], expected, atol=1e-6)
+        mags = np.abs(spec[0])
         assert np.argmax(mags) == 16
-        assert mags[16] > 100 * np.max(np.delete(mags, 16))
+        assert mags[16] > 100 * np.max(np.delete(mags, [15, 16, 17]))
 
     def test_frame_count(self, rng):
         x = rng.standard_normal(1000)
         spec = stft(AudioBuffer(x), frame_size=512, hop=160)
-        assert spec.frames.shape[0] == 1 + (1000 - 512) // 160
+        assert spec.shape[0] == 1 + (1000 - 512) // 160
 
     def test_too_short_signal(self):
         with pytest.raises(ValueError):
             stft(AudioBuffer(np.zeros(100)), frame_size=512)
 
-    def test_parseval_rectangular(self, rng):
+    def test_parseval_hann(self, rng):
         x = rng.standard_normal(256)
-        spec = stft(AudioBuffer(x), frame_size=256, hop=256, window="rectangular")
-        mags = np.abs(spec.frames[0]) ** 2
+        spec = stft(AudioBuffer(x), frame_size=256, hop=256)
+        mags = np.abs(spec[0]) ** 2
         # one-sided spectrum: double every bin except DC and Nyquist
         total = mags[0] + mags[-1] + 2.0 * np.sum(mags[1:-1])
-        np.testing.assert_allclose(total / 256.0, np.sum(x**2), rtol=1e-6)
+        np.testing.assert_allclose(total / 256.0, np.sum((hann_window(256) * x) ** 2), rtol=1e-6)
 
 
 class TestFrameRms:
@@ -390,13 +398,6 @@ class TestFilterBankConvolution:
         expected = bank_reference(x, bank) if n else np.zeros((e, taps - 1))
         assert out.shape == expected.shape
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
-
-    def test_single_channel_form_is_the_one_by_one_bank(self, rng):
-        x = rng.standard_normal(2500)
-        kern = rng.standard_normal(33)
-        single = fft_convolve(AudioBuffer(x), kern).samples
-        bank = fft_convolve(x[:, None], kern[None, None, :])
-        np.testing.assert_array_equal(single, bank[0])
 
     @pytest.mark.parametrize(
         "x_shape,bank_shape",

@@ -281,16 +281,49 @@ class TestUnreadableInputs:
             (["features", "--hmap", "{base}/missing.hmap", "--out", "{base}/f"], "missing.hmap"),
             (["cfm-sample", "--checkpoint", "{base}/missing.ckpt"], "missing.ckpt"),
             (["render", "--manifest", "{base}/escape.json", "--out", "{base}/out"], "escape.json"),
+            (["validate", "--manifest", "{base}/garbled.json"], "garbled.json: not valid JSON (line 1 column 1)"),
+            (["validate", "--manifest", "{base}/latin1.json"], "latin1.json:2: not UTF-8 text"),
         ],
     )
     def test_one_line_error_exit_1(self, tmp_path, capsys, argv, name):
         (tmp_path / "escape.json").write_text(json.dumps([{"id": "../escaped", "audio": "a.wav"}]))
+        (tmp_path / "garbled.json").write_text("not json\n")
+        (tmp_path / "latin1.json").write_bytes(b'[\n  {"id": "caf\xe9", "audio": "a.wav"}\n]\n')
         argv = [arg.format(base=tmp_path) for arg in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"binauralkit {argv[0]}: error: ")
         assert name in err and err.count("\n") == 1
         assert not (tmp_path / "escaped_binaural.wav").exists()
+
+
+class TestPreprocessUsageErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--min-seconds", "nan"],
+            ["--min-seconds", "inf"],
+            ["--min-seconds", "-1"],
+            ["--silence-threshold-db", "nan"],
+            ["--silence-threshold-db", "inf"],
+            ["--max-silence-fraction", "nan"],
+            ["--max-silence-fraction", "-0.1"],
+            ["--max-silence-fraction", "1.5"],
+        ],
+    )
+    def test_preprocess_flag_out_of_range_exits_2(self, dataset, capsys, flags):
+        base, manifest = dataset
+        out, report = base / "kept.json", base / "report.json"
+        argv = ["preprocess", "--manifest", str(manifest), "--out", str(out), "--report", str(report)]
+        assert main(argv + flags) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
+    def test_range_ends_accepted(self, dataset):
+        base, manifest = dataset
+        argv = ["preprocess", "--manifest", str(manifest), "--out", str(base / "kept.json")]
+        assert main(argv + ["--min-seconds", "0", "--max-silence-fraction", "1"]) == 0
+        assert main(argv + ["--max-silence-fraction", "0"]) == 0
 
 
 class TestRenderAndFeatureUsageErrors:

@@ -2,6 +2,7 @@
 equal arrays, and a file damaged on one line fails with the same exception
 type and message under both."""
 
+import re
 import warnings
 from contextlib import contextmanager
 
@@ -12,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from binauralkit.ambisonic import load_trajectory_csv
 from binauralkit.heatmap import HeatmapSequence, extract_features, load_heatmap_sequence
+from binauralkit.hrir import load_hrir_manifest
+from binauralkit.pipeline import load_manifest
 from oracles import oracle_load_hmap, oracle_load_trajectory
 
 tmp_settings = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -243,6 +246,63 @@ class TestTrajectoryCsvAgainstOracle:
         path = tmp_path / "edge.csv"
         path.write_bytes(text.encode())
         assert_same_outcome(outcome(load_arrays, path), outcome(oracle_load_trajectory, path))
+
+
+# ------------------------------------------------------------------ text decoding
+
+# One small file per text loader; "@" marks a spot on line 2 that the
+# damaged copy replaces with the byte 0xff, which no UTF-8 text holds.
+TEXT_FILES = {
+    "manifest": (load_manifest, '[\n  {"id": "a@", "audio": "a.wav"}\n]\n'),
+    "hrir_manifest": (
+        load_hrir_manifest,
+        '[\n  {"azimuth_deg": 0, "elevation_deg": 0, "file": "a@.wav"}\n]\n',
+    ),
+    "heatmap": (load_heatmap_sequence, "hmap 1 1 1 2\n0.5 0.25@\n"),
+    "trajectory": (load_trajectory_csv, "time_s,azimuth_deg,elevation_deg\n0.0,30.0,0.0@\n"),
+}
+
+
+class TestTextDecoding:
+    @pytest.mark.parametrize("kind", sorted(TEXT_FILES))
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, kind):
+        load, text = TEXT_FILES[kind]
+        path = tmp_path / "damaged.txt"
+        path.write_bytes(text.encode().replace(b"@", b"\xff"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_manifest, load_hrir_manifest])
+    @pytest.mark.parametrize(
+        "text, where",
+        [("not json\n", "line 1 column 1"), ('[\n  {"id": "a",}\n]\n', "line 2 column 14")],
+        ids=["not_json", "trailing_comma"],
+    )
+    def test_bad_json_names_file_and_position(self, tmp_path, load, text, where):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        message = f"{path}: not valid JSON ({where})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "load, text, fields",
+        [
+            (load_heatmap_sequence, "hmap 1 2 1 2\n0.5 0.25\n1 2\n", ("values",)),
+            (
+                load_trajectory_csv,
+                "time_s,azimuth_deg,elevation_deg\n0,30,0\n1,-45,10\n",
+                ("times", "azimuth", "elevation"),
+            ),
+        ],
+        ids=["heatmap", "trajectory"],
+    )
+    def test_crlf_and_lf_files_load_alike(self, tmp_path, load, text, fields):
+        (tmp_path / "lf.txt").write_bytes(text.encode())
+        (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode())
+        lf, crlf = load(tmp_path / "lf.txt"), load(tmp_path / "crlf.txt")
+        for name in fields:
+            np.testing.assert_array_equal(getattr(lf, name), getattr(crlf, name))
 
 
 # ------------------------------------------------------------------ features

@@ -95,13 +95,13 @@ class TestRenderStatic:
     def test_energy_bound(self, rng):
         mono = noise_buffer(rng, 4000)
         cfg = RenderConfig()
-        from binauralkit.ambisonic import decode_matrix, sh_encode
+        from binauralkit.ambisonic import decode_matrix, sh_basis
         from binauralkit.hrir import analytic_hrir
 
         dm = decode_matrix(cfg.layout, cfg.order)
         for az in (0.0, 0.7, -1.3):
             out = render_static(mono, Direction(az), cfg)
-            gains = dm.projection @ sh_encode(Direction(az), 1)
+            gains = dm.projection @ sh_basis(az, 0.0, 1)
             max_ir_energy = max(
                 max(np.sum(analytic_hrir(d, FS).left ** 2),
                     np.sum(analytic_hrir(d, FS).right ** 2))
