@@ -148,7 +148,10 @@ def read_text(path):
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # Lines are counted as str.splitlines counts them, so a file with CR
+        # or CRLF endings is numbered as the loaders that split it number it.
+        before = raw[: exc.start].decode("utf-8")
+        line = len((before + "x").splitlines())
         raise ValueError(f"{path}:{line}: not UTF-8 text") from None
 
 

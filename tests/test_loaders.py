@@ -264,11 +264,12 @@ TEXT_FILES = {
 
 
 class TestTextDecoding:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("kind", sorted(TEXT_FILES))
-    def test_non_utf8_byte_names_file_and_line(self, tmp_path, kind):
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, kind, newline):
         load, text = TEXT_FILES[kind]
         path = tmp_path / "damaged.txt"
-        path.write_bytes(text.encode().replace(b"@", b"\xff"))
+        path.write_bytes(text.replace("\n", newline).encode().replace(b"@", b"\xff"))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
             load(path)
 
