@@ -68,11 +68,6 @@ class Direction:
         )
 
 
-def angular_distance(a, b):
-    """Great-circle angle between two directions, in [0, pi]."""
-    return math.acos(float(np.clip(np.dot(a.unit_vector(), b.unit_vector()), -1.0, 1.0)))
-
-
 def sh_basis(azimuth, elevation, order):
     """Real SH basis values (ACN order, SN3D), orders 0-2, for arrays of
     azimuths and elevations in radians: shape (..., (order+1)^2).

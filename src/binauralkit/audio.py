@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import threading
 import warnings
 from contextlib import contextmanager
@@ -86,14 +87,18 @@ def read_wav(path):
 
     PCM-16 samples are scaled by 1/32768; float-32 is taken as-is. Returns an
     AudioBuffer for mono files, a BinauralBuffer for stereo. A file that ends
-    before its RIFF header says raises AudioFormatError, where SciPy only
-    warns; SciPy's other warnings, such as a skipped unknown chunk, pass on.
+    before its RIFF header or one of its chunks says raises AudioFormatError,
+    where SciPy only warns, reads short or first allocates the declared size;
+    SciPy's other warnings, such as a skipped unknown chunk, pass on.
     """
     with _WARNINGS_LOCK, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", wavfile.WavFileWarning)
         try:
-            rate, data = wavfile.read(path)
-        except FileNotFoundError:
+            with open(path, "rb") as fh:
+                _check_chunk_sizes(fh, path)
+                fh.seek(0)
+                rate, data = wavfile.read(fh)
+        except (FileNotFoundError, AudioFormatError):
             raise
         except Exception as exc:
             raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
@@ -123,6 +128,39 @@ def read_wav(path):
         raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
 
 
+def _check_chunk_sizes(fh, path):
+    """Raise AudioFormatError naming the file and the chunk when a chunk of
+    the open WAV file `fh` declares more bytes than the file holds.
+
+    The 8-byte chunk headers after "WAVE" are walked up to the end the RIFF
+    header declares, each chunk padded to an even size; an RF64 file takes
+    its RIFF and data sizes from its ds64 chunk. Anything else malformed is
+    left to wavfile.read.
+    """
+    length = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    order = {b"RIFF": "<", b"RIFX": ">", b"RF64": "<"}.get(head[:4])
+    if order is None or head[8:] != b"WAVE":
+        return
+    riff_end = struct.unpack(order + "I", head[4:8])[0] + 8
+    data_size = None
+    pos = 12
+    while pos < riff_end and pos + 8 <= length:
+        fh.seek(pos)
+        chunk_id, size = struct.unpack(order + "4sI", fh.read(8))
+        if chunk_id == b"data" and data_size is not None:
+            size = data_size
+        if pos + 8 + size > length:
+            raise AudioFormatError(
+                f"truncated WAV file {path}: {chunk_id.decode('latin-1')!r} chunk at byte "
+                f"{pos} declares {size} bytes, past EOF at byte {length}"
+            )
+        if chunk_id == b"ds64" and head[:4] == b"RF64" and size >= 16:
+            riff_size, data_size = struct.unpack("<QQ", fh.read(16))
+            riff_end = riff_size + 8
+        pos += 8 + size + size % 2
+
+
 @contextmanager
 def atomic_write(path, mode="w", **kwargs):
     """Open a temporary file beside `path` for writing and move it onto
@@ -139,6 +177,16 @@ def atomic_write(path, mode="w", **kwargs):
         raise
 
 
+def _line_and_column(before):
+    """1-based line and column of the character that follows `before`.
+
+    Lines are counted as str.splitlines counts them, so a file with CR or
+    CRLF endings is numbered as the loaders that split it number it.
+    """
+    lines = (before + "x").splitlines()
+    return len(lines), len(lines[-1])
+
+
 def read_text(path):
     """The whole text of a UTF-8 file with its line endings kept, as
     open(path, encoding="utf-8", newline="") reads it; a byte sequence that
@@ -148,20 +196,20 @@ def read_text(path):
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Lines are counted as str.splitlines counts them, so a file with CR
-        # or CRLF endings is numbered as the loaders that split it number it.
-        before = raw[: exc.start].decode("utf-8")
-        line = len((before + "x").splitlines())
+        line, _ = _line_and_column(raw[: exc.start].decode("utf-8"))
         raise ValueError(f"{path}:{line}: not UTF-8 text") from None
 
 
 def read_json(path):
     """The JSON value in a UTF-8 file (see read_text); a parse error raises
-    ValueError naming the file, line and column."""
+    ValueError naming the file, line and column, counted as read_text
+    counts them."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON (line {exc.lineno} column {exc.colno})") from None
+        line, column = _line_and_column(text[: exc.pos])
+        raise ValueError(f"{path}: not valid JSON (line {line} column {column})") from None
 
 
 def write_wav(path, buffer, encoding="float32"):

@@ -1,18 +1,16 @@
-"""Left/right head-related impulse responses from one of two sources: the
-data-free spherical-head model (Woodworth delay + broadband head-shadow gain,
-fixed by the module constants below) or a measured HrirSet loaded from a JSON
-manifest."""
+"""Left/right head-related impulse responses from the data-free
+spherical-head model (Woodworth delay + broadband head-shadow gain, fixed by
+the module constants below), synthesised exactly at any direction and rate.
+`lookup(direction, sample_rate)` is the name the renderer calls."""
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import BinauralBuffer, read_json, read_wav
-from .ambisonic import Direction, angular_distance
+from .ambisonic import Direction
 
 _LEFT_EAR = Direction(math.pi / 2)
 _RIGHT_EAR = Direction(-math.pi / 2)
@@ -81,72 +79,4 @@ def analytic_hrir(direction, sample_rate):
     return HrirPair(left, right, sample_rate)
 
 
-@dataclass(frozen=True)
-class HrirSet:
-    """Measured HRIR pairs keyed by Direction, all at one sample rate."""
-
-    sample_rate: int
-    entries: dict
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("HrirSet must be non-empty")
-
-
-def load_hrir_manifest(path):
-    """Load a measured HRIR set from a JSON manifest.
-
-    The manifest is an array of `{"azimuth_deg", "elevation_deg", "file"}`
-    objects; files are 2-channel (left, right) WAVs relative to the manifest.
-    A malformed manifest raises ValueError naming the file and the entry.
-    """
-    items = read_json(path)
-    if not isinstance(items, list):
-        raise ValueError(f"{path}: HRIR manifest must be a JSON array")
-    base = os.path.dirname(os.path.abspath(path))
-    entries = {}
-    sample_rate = None
-    for i, item in enumerate(items):
-        if not (isinstance(item, dict) and {"azimuth_deg", "elevation_deg"} <= item.keys()
-                and isinstance(item.get("file"), str)):
-            raise ValueError(
-                f"{path}: entry {i} needs 'azimuth_deg', 'elevation_deg' and a string 'file'"
-            )
-        try:
-            direction = Direction(
-                math.radians(float(item["azimuth_deg"])),
-                math.radians(float(item["elevation_deg"])),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: entry {i}: bad direction ({exc})") from None
-        wav_path = os.path.join(base, item["file"])
-        if not os.path.exists(wav_path):
-            raise FileNotFoundError(f"HRIR manifest references missing file {wav_path}")
-        loaded = read_wav(wav_path)
-        if not isinstance(loaded, BinauralBuffer):
-            raise ValueError(f"HRIR file {wav_path} must be 2-channel")
-        if direction in entries:
-            raise ValueError(f"{path}: entry {i}: duplicate HRIR direction {direction}")
-        pair = HrirPair(loaded.left.samples, loaded.right.samples, loaded.sample_rate)
-        if sample_rate is None:
-            sample_rate = pair.sample_rate
-        elif pair.sample_rate != sample_rate:
-            raise ValueError("HRIR files disagree on sample rate")
-        entries[direction] = pair
-    return HrirSet(sample_rate, entries)
-
-
-def lookup(source, direction, sample_rate):
-    """HRIR pair for a direction at sample_rate: exact synthesis from the
-    spherical-head model when source is None, or the nearest great-circle
-    neighbor stored in a measured HrirSet (ties broken by smallest
-    (azimuth, elevation)), whose rate must equal sample_rate."""
-    if source is None:
-        return analytic_hrir(direction, sample_rate)
-    if source.sample_rate != sample_rate:
-        raise ValueError(f"HRIR sample rate {source.sample_rate} != signal rate {sample_rate}")
-    best = min(
-        source.entries,
-        key=lambda d: (angular_distance(d, direction), d.azimuth, d.elevation),
-    )
-    return source.entries[best]
+lookup = analytic_hrir

@@ -256,12 +256,20 @@ def batch_render(manifest, render_cfg=None, out_dir=".", fov=math.pi / 2, encodi
 
 
 def _stereo_inputs(source):
+    """(clip id, path) pairs: a manifest's entries, or the WAVs of a
+    directory named by their stems. Two files with one stem (a.wav and
+    a.WAV) raise ValueError, as a repeated manifest id does."""
     if isinstance(source, ClipManifest):
         return [(e.id, source.resolve(e.audio)) for e in source.entries]
-    paths = sorted(
-        f for f in os.listdir(source) if f.lower().endswith(".wav")
-    )
-    return [(os.path.splitext(name)[0], os.path.join(source, name)) for name in paths]
+    names = {}
+    for name in sorted(f for f in os.listdir(source) if f.lower().endswith(".wav")):
+        clip_id = os.path.splitext(name)[0]
+        if clip_id in names:
+            raise ValueError(
+                f"{source}: {names[clip_id]} and {name} both give clip id {clip_id!r}"
+            )
+        names[clip_id] = name
+    return [(clip_id, os.path.join(source, name)) for clip_id, name in names.items()]
 
 
 def batch_metrics(source):

@@ -37,23 +37,21 @@ from .ambisonic import (
     ring_layout,
     sh_basis,
 )
-from .hrir import HrirSet, lookup
+from .hrir import lookup
 
 DEFAULT_FIELD_OF_VIEW = math.pi / 2
 
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Rendering hyperparameters.
-
-    hrir_source is a measured set at the input sample rate, or None for the
-    analytic head model. Output is always trimmed to the input length so
-    rendered files stay aligned with their mono sources.
+    """Rendering hyperparameters: SH order, speaker layout and peak
+    normalisation. Every speaker's HRIR pair comes from the spherical-head
+    model at the input sample rate. Output is always trimmed to the input
+    length so rendered files stay aligned with their mono sources.
     """
 
     order: int = 1
     layout: object = field(default_factory=lambda: ring_layout(8))
-    hrir_source: HrirSet | None = None
     normalize_output: bool = False
 
     def __post_init__(self):
@@ -75,7 +73,7 @@ def _render_blockwise(mono, azimuth, elevation, cfg):
     """Render along per-block directions (radians), one entry per block."""
     if len(mono) == 0:
         raise ValueError("cannot render an empty signal")
-    pairs = [lookup(cfg.hrir_source, d, mono.sample_rate) for d in cfg.layout.directions]
+    pairs = [lookup(d, mono.sample_rate) for d in cfg.layout.directions]
     dm = decode_matrix(cfg.layout, cfg.order)
     gains = sh_basis(azimuth, elevation, cfg.order)
     sh = EncodedRows(mono.samples, gains, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)

@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -104,6 +106,96 @@ class TestWavIO:
     def test_empty_buffer_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_wav(tmp_path / "empty.wav", AudioBuffer(np.zeros(0)))
+
+
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def fmt_chunk(tag, channels, bits, extra=b"", rate=16000):
+    block = channels * bits // 8
+    payload = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits) + extra
+    return b"fmt " + struct.pack("<I", len(payload)) + payload
+
+
+def chunk(chunk_id, payload):
+    """One chunk with its declared size and, after an odd payload, a pad byte."""
+    return chunk_id + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+def riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def rf64(samples, data_size):
+    """A float-32 mono RF64 file whose ds64 chunk declares data_size bytes
+    of `samples` (the 32-bit RIFF and data sizes read 0xFFFFFFFF)."""
+    ds64 = struct.pack("<QQQI", 4 + 36 + 24 + 8 + samples.nbytes, data_size, len(samples), 0)
+    return (b"RF64" + b"\xff" * 4 + b"WAVE" + chunk(b"ds64", ds64) + fmt_chunk(3, 1, 32)
+            + b"data" + b"\xff" * 4 + samples.tobytes())
+
+
+class TestChunkSizes:
+    """A chunk that declares more bytes than the file holds is rejected
+    before SciPy reads it short or allocates its declared size; valid
+    layouts load as they did."""
+
+    PCM = np.array([1000, -2000, 3000, -4000, 5000, -6000], dtype="<i2")
+
+    @pytest.mark.parametrize(
+        "offset, name",
+        [(40, "data"), (16, "fmt "), (60, "LIST")],
+        ids=["data", "fmt", "after_data"],
+    )
+    def test_size_past_end_of_file_rejected(self, tmp_path, offset, name):
+        raw = bytearray(riff(fmt_chunk(1, 1, 16), chunk(b"data", self.PCM.tobytes()),
+                             chunk(b"LIST", b"INFO")))
+        raw[offset : offset + 4] = struct.pack("<I", 0xFF000190)
+        path = tmp_path / "huge.wav"
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            message = f"^truncated WAV file {re.escape(str(path))}: '{name}' chunk"
+            with pytest.raises(AudioFormatError, match=message):
+                read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_rf64_data_size_past_end_of_file_rejected(self, tmp_path):
+        path = tmp_path / "huge64.wav"
+        path.write_bytes(rf64(np.zeros(6, dtype="<f4"), 1 << 40))
+        with pytest.raises(AudioFormatError, match=r"'data' chunk at byte 72 declares 1099511627776"):
+            read_wav(path)
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["odd_chunk_before_data", "unpadded_odd_chunk_at_end", "bytes_after_riff", "extensible"],
+    )
+    def test_valid_layouts_load(self, tmp_path, layout):
+        data = chunk(b"data", self.PCM.tobytes())
+        fmt = fmt_chunk(1, 1, 16)
+        raw = {
+            "odd_chunk_before_data": riff(fmt, chunk(b"JUNK", b"abc"), data),
+            "unpadded_odd_chunk_at_end": riff(fmt, data, chunk(b"LIST", b"abc"))[:-1],
+            "bytes_after_riff": riff(fmt, data) + b"trailing bytes no chunk reads",
+            "extensible": riff(
+                fmt_chunk(0xFFFE, 1, 16, struct.pack("<HHI", 22, 16, 4) + b"\x01\0\0\0" + _GUID_TAIL),
+                data,
+            ),
+        }[layout]
+        if layout == "unpadded_odd_chunk_at_end":
+            raw = raw[:4] + struct.pack("<I", len(raw) - 8) + raw[8:]
+        path = tmp_path / "valid.wav"
+        path.write_bytes(raw)
+        np.testing.assert_array_equal(read_wav(path).samples, self.PCM / 32768.0)
+
+    def test_rf64_loads(self, tmp_path):
+        samples = np.linspace(-0.5, 0.5, 6).astype("<f4")
+        path = tmp_path / "small64.wav"
+        path.write_bytes(rf64(samples, samples.nbytes))
+        np.testing.assert_array_equal(read_wav(path).samples, samples)
 
 
 class TestBuffers:

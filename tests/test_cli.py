@@ -296,6 +296,17 @@ class TestUnreadableInputs:
         assert name in err and err.count("\n") == 1
         assert not (tmp_path / "escaped_binaural.wav").exists()
 
+    def test_metrics_clip_id_collision(self, tmp_path, capsys):
+        x = AudioBuffer(0.3 * np.random.default_rng(1).standard_normal(FS // 2), FS)
+        for name in ("a.wav", "a.WAV"):
+            write_wav(tmp_path / name, BinauralBuffer(x, x), "float32")
+        assert main(["metrics", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"binauralkit metrics: error: {tmp_path}: a.WAV and a.wav both give clip id 'a'\n"
+        )
+
 
 class TestPreprocessUsageErrors:
     @pytest.mark.parametrize(

@@ -1,19 +1,11 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
+from binauralkit.audio import AudioBuffer
 from binauralkit.ambisonic import Direction
-from binauralkit.hrir import (
-    IR_LENGTH,
-    HrirSet,
-    analytic_hrir,
-    load_hrir_manifest,
-    lookup,
-    woodworth_delay,
-)
+from binauralkit.hrir import IR_LENGTH, analytic_hrir, lookup, woodworth_delay
 from binauralkit.render import render_static
 
 FS = 16000
@@ -79,89 +71,9 @@ class TestAnalyticModel:
             assert np.sum(pair.left**2) <= 1.0 + 1e-12
             assert np.sum(pair.right**2) <= 1.0 + 1e-12
 
-
-def _write_manifest(tmp_path, entries):
-    items = []
-    for i, (az_deg, el_deg) in enumerate(entries):
-        name = f"hrir_{i}.wav"
-        rng = np.random.default_rng(i)
-        left = AudioBuffer(rng.standard_normal(32) * 0.1, FS)
-        right = AudioBuffer(rng.standard_normal(32) * 0.1, FS)
-        write_wav(tmp_path / name, BinauralBuffer(left, right), "float32")
-        items.append({"azimuth_deg": az_deg, "elevation_deg": el_deg, "file": name})
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(items))
-    return path
-
-
-class TestMeasuredSets:
-    def test_load_two_entries(self, tmp_path):
-        hset = load_hrir_manifest(_write_manifest(tmp_path, [(90.0, 0.0), (-90.0, 0.0)]))
-        assert isinstance(hset, HrirSet)
-        assert hset.sample_rate == FS
-        assert len(hset.entries) == 2
-
-    def test_missing_file_named(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(
-            json.dumps([{"azimuth_deg": 0.0, "elevation_deg": 0.0, "file": "gone.wav"}])
-        )
-        with pytest.raises(FileNotFoundError, match="gone.wav"):
-            load_hrir_manifest(path)
-
-    def test_mono_file_rejected(self, tmp_path):
-        write_wav(tmp_path / "mono.wav", AudioBuffer(np.zeros(32) + 0.1, FS))
-        path = tmp_path / "manifest.json"
-        path.write_text(
-            json.dumps([{"azimuth_deg": 0.0, "elevation_deg": 0.0, "file": "mono.wav"}])
-        )
-        with pytest.raises(ValueError):
-            load_hrir_manifest(path)
-
-    def test_duplicate_direction_rejected(self, tmp_path):
-        path = _write_manifest(tmp_path, [(10.0, 0.0), (10.0, 0.0)])
-        with pytest.raises(ValueError):
-            load_hrir_manifest(path)
-
-    @pytest.mark.parametrize(
-        "items,match",
-        [
-            ({"azimuth_deg": 0.0}, r"HRIR manifest must be a JSON array"),
-            ([{"azimuth_deg": 0.0, "file": "a.wav"}], r"entry 0 needs"),
-            ([{"azimuth_deg": math.nan, "elevation_deg": 0.0, "file": "a.wav"}], r"entry 0: bad"),
-            ([{"azimuth_deg": "x", "elevation_deg": 0.0, "file": "a.wav"}], r"entry 0: bad"),
-        ],
-    )
-    def test_malformed_manifest_names_file(self, tmp_path, items, match):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(items))
-        with pytest.raises(ValueError, match=r"manifest\.json: " + match):
-            load_hrir_manifest(path)
-
-    def test_duplicate_direction_names_entry(self, tmp_path):
-        path = _write_manifest(tmp_path, [(10.0, 0.0), (10.0, 0.0)])
-        with pytest.raises(ValueError, match=r"manifest\.json: entry 1: duplicate"):
-            load_hrir_manifest(path)
-
-    def test_lookup_exact_direction(self, tmp_path):
-        hset = load_hrir_manifest(_write_manifest(tmp_path, [(90.0, 0.0), (-90.0, 0.0)]))
-        stored = hset.entries[Direction(math.radians(90.0), 0.0)]
-        found = lookup(hset, Direction(math.radians(90.0), 0.0), FS)
-        np.testing.assert_array_equal(found.left, stored.left)
-
-    def test_lookup_nearest(self, tmp_path):
-        hset = load_hrir_manifest(_write_manifest(tmp_path, [(90.0, 0.0), (-90.0, 0.0)]))
-        found = lookup(hset, Direction(math.radians(80.0), 0.0), FS)
-        stored = hset.entries[Direction(math.radians(90.0), 0.0)]
-        np.testing.assert_array_equal(found.left, stored.left)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            HrirSet(FS, {})
-
     def test_analytic_lookup_is_exact_synthesis(self):
         d = Direction(0.123, 0.045)
-        found = lookup(None, d, FS)
+        found = lookup(d, FS)
         direct = analytic_hrir(d, FS)
         np.testing.assert_array_equal(found.left, direct.left)
         np.testing.assert_array_equal(found.right, direct.right)

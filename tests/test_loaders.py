@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 from binauralkit.ambisonic import load_trajectory_csv
 from binauralkit.heatmap import HeatmapSequence, extract_features, load_heatmap_sequence
-from binauralkit.hrir import load_hrir_manifest
 from binauralkit.pipeline import load_manifest
 from oracles import oracle_load_hmap, oracle_load_trajectory
 
@@ -254,10 +253,6 @@ class TestTrajectoryCsvAgainstOracle:
 # damaged copy replaces with the byte 0xff, which no UTF-8 text holds.
 TEXT_FILES = {
     "manifest": (load_manifest, '[\n  {"id": "a@", "audio": "a.wav"}\n]\n'),
-    "hrir_manifest": (
-        load_hrir_manifest,
-        '[\n  {"azimuth_deg": 0, "elevation_deg": 0, "file": "a@.wav"}\n]\n',
-    ),
     "heatmap": (load_heatmap_sequence, "hmap 1 1 1 2\n0.5 0.25@\n"),
     "trajectory": (load_trajectory_csv, "time_s,azimuth_deg,elevation_deg\n0.0,30.0,0.0@\n"),
 }
@@ -273,18 +268,18 @@ class TestTextDecoding:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
             load(path)
 
-    @pytest.mark.parametrize("load", [load_manifest, load_hrir_manifest])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize(
         "text, where",
         [("not json\n", "line 1 column 1"), ('[\n  {"id": "a",}\n]\n', "line 2 column 14")],
         ids=["not_json", "trailing_comma"],
     )
-    def test_bad_json_names_file_and_position(self, tmp_path, load, text, where):
+    def test_bad_json_names_file_and_position(self, tmp_path, text, where, newline):
         path = tmp_path / "manifest.json"
-        path.write_text(text)
+        path.write_bytes(text.replace("\n", newline).encode())
         message = f"{path}: not valid JSON ({where})"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load(path)
+            load_manifest(path)
 
     @pytest.mark.parametrize(
         "load, text, fields",

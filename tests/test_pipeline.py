@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,14 @@ class TestBatchMetrics:
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no stereo inputs"):
+            batch_metrics(str(tmp_path))
+
+    def test_colliding_clip_ids_rejected(self, tmp_path):
+        write_stereo(tmp_path / "a.wav", 0.5, seed=1)
+        write_stereo(tmp_path / "a.WAV", 0.5, seed=2)
+        write_stereo(tmp_path / "b.wav", 0.5, seed=3)
+        message = f"{tmp_path}: a.WAV and a.wav both give clip id 'a'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             batch_metrics(str(tmp_path))
 
     def test_manifest_source(self, tmp_path):

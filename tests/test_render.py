@@ -16,7 +16,7 @@ from binauralkit.ambisonic import (
     ring_layout,
 )
 from binauralkit.heatmap import SpatialFeatureSequence
-from binauralkit.hrir import HrirPair, HrirSet, lookup, woodworth_delay
+from binauralkit.hrir import HrirPair, lookup, woodworth_delay
 from binauralkit.render import (
     RenderConfig,
     direction_from_features,
@@ -128,14 +128,6 @@ class TestRenderStatic:
             if abs(deg) == 90:
                 assert ild(out) == pytest.approx(6.0206, abs=0.5)
 
-    def test_rate_mismatch_rejected(self, rng):
-        from binauralkit.hrir import HrirPair, HrirSet
-
-        mono = noise_buffer(rng, 4000, sample_rate=48000)
-        measured = HrirSet(16000, {Direction(0.0): HrirPair([1.0], [1.0], 16000)})
-        cfg = RenderConfig(hrir_source=measured)
-        with pytest.raises(ValueError, match="sample rate"):
-            render_static(mono, Direction(0.0), cfg)
 
 
 class TestRenderTrajectory:
@@ -194,14 +186,22 @@ def sphere_layout():
     return SpeakerLayout(tuple(rings + [Direction(0.0, math.pi / 2), Direction(0.0, -math.pi / 2)]))
 
 
-def measured_set(layout, rng, left_taps=40, right_taps=57):
-    """Random measured HRIRs at every layout direction, the two ears of
+def measured_pairs(layout, rng, left_taps=40, right_taps=57):
+    """Random HRIR pairs at every layout direction, the two ears of
     different lengths."""
-    entries = {
+    return {
         d: HrirPair(rng.standard_normal(left_taps), rng.standard_normal(right_taps), FS)
         for d in layout.directions
     }
-    return HrirSet(FS, entries)
+
+
+def speaker_hrirs(monkeypatch, cfg, hrirs):
+    """Each speaker's HRIR pair: the head model's, or the random pairs in
+    `hrirs`, which the renderer is then patched to look up instead."""
+    if hrirs is None:
+        return [lookup(d, FS) for d in cfg.layout.directions]
+    monkeypatch.setattr("binauralkit.render.lookup", lambda d, sample_rate: hrirs[d])
+    return [hrirs[d] for d in cfg.layout.directions]
 
 
 def ola_hop(taps):
@@ -209,56 +209,62 @@ def ola_hop(taps):
     return next_pow2(16 * taps) - taps + 1
 
 
-def oracle_render(mono, directions, cfg):
+def oracle_render(mono, directions, cfg, pairs):
     """The speaker-loop reference for one clip with per-block directions."""
     sh = encode_mono(mono, directions, cfg.order, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
     projection = decode_matrix(cfg.layout, cfg.order).projection
-    pairs = [lookup(cfg.hrir_source, d, mono.sample_rate) for d in cfg.layout.directions]
     left, right = oracle_speaker_render(sh.frames, projection, [(p.left, p.right) for p in pairs])
     return left[: len(mono)], right[: len(mono)]
 
 
 def render_cases():
-    """(id, config, signal lengths) covering SH orders 0-2, both HRIR
-    sources, a signal shorter than one FFT block and exact block multiples."""
+    """(id, config, HRIR pairs, signal lengths) covering SH orders 0-2, the
+    head model and dense random HRIRs with ears of unequal length, a signal
+    shorter than one FFT block and exact block multiples."""
     rng = np.random.default_rng(7)
     ring, sphere = ring_layout(8), sphere_layout()
     analytic_hop, measured_hop = ola_hop(64), ola_hop(57)
     cases = [
-        ("order0", RenderConfig(order=0), (500, 3 * analytic_hop)),
-        ("order1", RenderConfig(order=1), (500, 3 * analytic_hop, 5000)),
-        ("order2", RenderConfig(order=2, layout=sphere), (500, 2 * analytic_hop)),
+        ("order0", RenderConfig(order=0), None, (500, 3 * analytic_hop)),
+        ("order1", RenderConfig(order=1), None, (500, 3 * analytic_hop, 5000)),
+        ("order2", RenderConfig(order=2, layout=sphere), None, (500, 2 * analytic_hop)),
         (
             "measured_order1",
-            RenderConfig(layout=ring, hrir_source=measured_set(ring, rng)),
+            RenderConfig(layout=ring),
+            measured_pairs(ring, rng),
             (500, 3 * measured_hop),
         ),
         (
             "measured_order2",
-            RenderConfig(order=2, layout=sphere, hrir_source=measured_set(sphere, rng)),
+            RenderConfig(order=2, layout=sphere),
+            measured_pairs(sphere, rng),
             (700, 2 * measured_hop),
         ),
     ]
     return [
-        pytest.param(cfg, n, id=f"{name}-n{n}") for name, cfg, lengths in cases for n in lengths
+        pytest.param(cfg, hrirs, n, id=f"{name}-n{n}")
+        for name, cfg, hrirs, lengths in cases
+        for n in lengths
     ]
 
 
 class TestSpeakerLoopOracle:
     """The SH-domain filter bank reproduces the speaker-by-speaker render."""
 
-    @pytest.mark.parametrize("cfg,n", render_cases())
-    def test_static_matches_oracle(self, rng, cfg, n):
+    @pytest.mark.parametrize("cfg,hrirs,n", render_cases())
+    def test_static_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
+        pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         mono = noise_buffer(rng, n)
         direction = Direction(0.7, 0.3 if cfg.order == 2 else 0.0)
         out = render_static(mono, direction, cfg)
         n_blocks = -(-n // DEFAULT_BLOCK_SIZE)
-        left, right = oracle_render(mono, [direction] * n_blocks, cfg)
+        left, right = oracle_render(mono, [direction] * n_blocks, cfg, pairs)
         np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("cfg,n", render_cases())
-    def test_trajectory_matches_oracle(self, rng, cfg, n):
+    @pytest.mark.parametrize("cfg,hrirs,n", render_cases())
+    def test_trajectory_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
+        pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         mono = noise_buffer(rng, n)
         points = tuple(
             (0.02 * i, Direction(1.3 - 0.4 * i, 0.25 * (i % 3) if cfg.order == 2 else 0.0))
@@ -269,7 +275,7 @@ class TestSpeakerLoopOracle:
         directions = [
             oracle_direction_at(points, b * DEFAULT_BLOCK_SIZE / FS) for b in range(n_blocks)
         ]
-        left, right = oracle_render(mono, directions, cfg)
+        left, right = oracle_render(mono, directions, cfg, pairs)
         np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
 
