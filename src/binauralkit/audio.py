@@ -13,21 +13,20 @@ import math
 import os
 import struct
 import threading
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 DEFAULT_SAMPLE_RATE = 16000
 
 _PCM16_SCALE = 32768.0
 
-# warnings.catch_warnings swaps process-wide state; concurrent reads hold this
-# lock so that they cannot restore each other's filters.
-_WARNINGS_LOCK = threading.Lock()
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# The KSDATAFORMAT subtype GUID after its format tag, in little- and big-endian files
+_GUID_TAIL = {"<": b"\0\0\x10\0\x80\0\0\xaa\0\x38\x9b\x71",
+              ">": b"\0\0\0\x10\x80\0\0\xaa\0\x38\x9b\x71"}
 
 
 class AudioFormatError(ValueError):
@@ -83,82 +82,95 @@ class BinauralBuffer:
 
 
 def read_wav(path):
-    """Read a mono or stereo WAV file.
+    """Read a mono or stereo PCM-16 or float-32 RIFF, RIFX (big-endian) or
+    RF64 WAV file, plain or EXTENSIBLE, as an AudioBuffer or BinauralBuffer.
 
-    PCM-16 samples are scaled by 1/32768; float-32 is taken as-is. Returns an
-    AudioBuffer for mono files, a BinauralBuffer for stereo. A file that ends
-    before its RIFF header or one of its chunks says raises AudioFormatError,
-    where SciPy only warns, reads short or first allocates the declared size;
-    SciPy's other warnings, such as a skipped unknown chunk, pass on.
+    PCM-16 samples are scaled by 1/32768; float-32 is taken as-is. Chunks
+    other than `fmt ` and `data` are skipped silently. A truncated, malformed
+    or unsupported file raises AudioFormatError naming it.
     """
-    with _WARNINGS_LOCK, warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", wavfile.WavFileWarning)
-        try:
-            with open(path, "rb") as fh:
-                _check_chunk_sizes(fh, path)
-                fh.seek(0)
-                rate, data = wavfile.read(fh)
-        except (FileNotFoundError, AudioFormatError):
-            raise
-        except Exception as exc:
-            raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
-    for w in caught:
-        if issubclass(w.category, wavfile.WavFileWarning) and "EOF prematurely" in str(w.message):
-            raise AudioFormatError(f"truncated WAV file {path}: {w.message}")
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / _PCM16_SCALE
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise AudioFormatError(
-            f"unsupported WAV encoding {data.dtype} in {path} (PCM-16 or float-32 only)"
-        )
-
-    if samples.ndim == 2 and samples.shape[1] > 2:
-        raise AudioFormatError(f"{path} has {samples.shape[1]} channels, at most 2 supported")
+    try:
+        with open(path, "rb") as fh:
+            order, dtype, channels, rate, offset, count = _read_chunks(fh, path)
+            fh.seek(offset)
+            samples = np.fromfile(fh, order + dtype, count).reshape(-1, channels)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
+    with np.errstate(invalid="ignore"):  # a signalling NaN fails the finiteness check below
+        samples = np.multiply(samples, 1 / _PCM16_SCALE if dtype == "i2" else 1.0, dtype=float)
     try:  # the buffers' own checks (finite samples, positive rate), naming the file
-        if samples.ndim == 1:
-            return AudioBuffer(samples, rate)
-        if samples.shape[1] == 1:
-            return AudioBuffer(samples[:, 0], rate)
-        return BinauralBuffer(AudioBuffer(samples[:, 0], rate), AudioBuffer(samples[:, 1], rate))
+        mono = [AudioBuffer(column, rate) for column in samples.T]
+        return mono[0] if channels == 1 else BinauralBuffer(*mono)
     except ValueError as exc:
         raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
 
 
-def _check_chunk_sizes(fh, path):
-    """Raise AudioFormatError naming the file and the chunk when a chunk of
-    the open WAV file `fh` declares more bytes than the file holds.
-
-    The 8-byte chunk headers after "WAVE" are walked up to the end the RIFF
-    header declares, each chunk padded to an even size; an RF64 file takes
-    its RIFF and data sizes from its ds64 chunk. Anything else malformed is
-    left to wavfile.read.
-    """
+def _read_chunks(fh, path):
+    """Byte order, sample type, channels, rate, offset and sample count of the
+    last `data` chunk of the open WAV file `fh`, with the last `fmt ` before it,
+    from one walk up to the end the RIFF header (or RF64's ds64) declares, odd
+    chunks padded; a chunk past EOF raises "truncated WAV file" unread."""
     length = os.fstat(fh.fileno()).st_size
     head = fh.read(12)
     order = {b"RIFF": "<", b"RIFX": ">", b"RF64": "<"}.get(head[:4])
     if order is None or head[8:] != b"WAVE":
-        return
+        raise AudioFormatError(f"not a RIFF/RIFX/RF64 WAVE file: {path}")
     riff_end = struct.unpack(order + "I", head[4:8])[0] + 8
-    data_size = None
-    pos = 12
-    while pos < riff_end and pos + 8 <= length:
+    pos, data_size, fmt, found = 12, None, None, None
+    while pos < riff_end:
+        if pos + 8 > length:
+            raise AudioFormatError(f"truncated WAV file {path}: EOF inside a chunk header at {pos}")
         fh.seek(pos)
         chunk_id, size = struct.unpack(order + "4sI", fh.read(8))
         if chunk_id == b"data" and data_size is not None:
             size = data_size
         if pos + 8 + size > length:
-            raise AudioFormatError(
-                f"truncated WAV file {path}: {chunk_id.decode('latin-1')!r} chunk at byte "
-                f"{pos} declares {size} bytes, past EOF at byte {length}"
-            )
+            name = chunk_id.decode("latin-1")
+            raise AudioFormatError(f"truncated WAV file {path}: {name!r} chunk at byte {pos} "
+                                   f"declares {size} bytes, past EOF at byte {length}")
+        span = size
         if chunk_id == b"ds64" and head[:4] == b"RF64" and size >= 16:
             riff_size, data_size = struct.unpack("<QQ", fh.read(16))
             riff_end = riff_size + 8
-        pos += 8 + size + size % 2
+        elif chunk_id == b"fmt ":
+            fmt, span = _parse_fmt(fh.read(40), size, order, path)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise AudioFormatError(f"{path}: 'data' chunk at byte {pos} before a 'fmt ' chunk")
+            count = size // np.dtype(fmt[0]).itemsize
+            if count % fmt[1]:
+                raise AudioFormatError(f"{path}: 'data' chunk at byte {pos} ends inside a frame")
+            found = (order, *fmt, pos + 8, count)
+        pos += 8 + span + size % 2
+    if found is None:
+        raise AudioFormatError(f"{path} has no 'data' chunk")
+    return found
+
+
+def _parse_fmt(payload, size, order, path):
+    """(sample type, channels, rate) of a `fmt ` chunk of `size` bytes from its
+    first 40 bytes, and the bytes it spans: at least its EXTENSIBLE extension.
+    PCM of 1 to 8 bits is unsigned bytes; 0 bits reads as the container width."""
+    if size < 16:
+        raise AudioFormatError(f"{path}: 'fmt ' chunk of {size} bytes, at least 16 needed")
+    tag, channels, rate, byte_rate, block, bits = struct.unpack(order + "HHIIHH", payload[:16])
+    span = size
+    if tag == _EXTENSIBLE and size >= 18:
+        if struct.unpack(order + "H", payload[16:18])[0] < 22:
+            raise AudioFormatError(f"{path}: EXTENSIBLE 'fmt ' chunk with cbSize below 22")
+        if payload[28:40] == _GUID_TAIL[order]:
+            tag = struct.unpack(order + "I", payload[24:28])[0]
+        span = max(size, 40)
+    if tag == _PCM and byte_rate != rate * block:
+        raise AudioFormatError(f"{path}: PCM byte rate {byte_rate} is not rate x block align")
+    width = block // channels if channels else 0
+    pcm16 = tag == _PCM and width == 2 and (bits == 0 or 8 < bits <= 64)
+    if not (pcm16 or tag == _FLOAT and width == 4 and bits in (32, 64)) or channels > 2:
+        raise AudioFormatError(f"unsupported WAV encoding in {path}: format {tag:#x}, {channels} "
+                               f"channels of {bits} bits in {width} bytes (PCM-16 or float-32)")
+    return ("i2" if pcm16 else "f4", channels, rate), span
 
 
 @contextmanager
@@ -213,12 +225,14 @@ def read_json(path):
 
 
 def write_wav(path, buffer, encoding="float32"):
-    """Write an AudioBuffer or BinauralBuffer as WAV.
+    """Write an AudioBuffer or BinauralBuffer as a little-endian RIFF WAV file.
 
-    encoding is "pcm16" (round to nearest, clipped at full scale) or
-    "float32". float-32 round-trips bit-exactly through read_wav. Each
-    channel is converted straight into one interleaved array of the target
-    type, so no float64 copy of the whole buffer is made.
+    encoding is "pcm16" (round to nearest, clipped at full scale; a 16-byte
+    `fmt ` chunk) or "float32" (an 18-byte `fmt ` with cbSize 0, then a `fact`
+    chunk): SciPy's headers. float-32 round-trips bit-exactly through
+    read_wav. Each channel is converted straight into one interleaved array of
+    the target type, so no float64 copy is made. A file over 4 GiB, or over
+    4 GiB/s, more than a RIFF header can declare, raises ValueError.
     """
     if isinstance(buffer, BinauralBuffer):
         channels = (buffer.left.samples, buffer.right.samples)
@@ -229,15 +243,26 @@ def write_wav(path, buffer, encoding="float32"):
     if encoding not in ("pcm16", "float32"):
         raise ValueError(f"unknown encoding {encoding!r}")
 
-    dtype = np.int16 if encoding == "pcm16" else np.float32
-    data = np.empty((len(channels[0]), len(channels)), dtype)
+    pcm = encoding == "pcm16"
+    frames, block, rate = len(channels[0]), len(channels) * (2 if pcm else 4), buffer.sample_rate
+    try:  # struct refuses a size or byte rate past the 32 bits a RIFF header holds
+        fmt = struct.pack("<HHIIHH", _PCM if pcm else _FLOAT, len(channels), rate, rate * block,
+                          block, 8 * block // len(channels))
+        fmt, fact = (fmt, b"") if pcm else (fmt + b"\0\0", b"fact" + struct.pack("<II", 4, frames))
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data"
+        size = frames * block
+        header = b"RIFF" + struct.pack("<I", len(body) + 4 + size) + body + struct.pack("<I", size)
+    except struct.error:
+        raise ValueError(f"{path}: {frames} frames at {rate} Hz do not fit a RIFF header") from None
+    data = np.empty((frames, len(channels)), "<i2" if pcm else "<f4")
     for c, samples in enumerate(channels):
-        if encoding == "pcm16":
+        if pcm:
             samples = samples * _PCM16_SCALE
             np.clip(np.rint(samples, out=samples), -32768, 32767, out=samples)
         data[:, c] = samples
     with atomic_write(path, "wb") as fh:
-        wavfile.write(fh, buffer.sample_rate, data if len(channels) > 1 else data[:, 0])
+        fh.write(header)
+        fh.write(data)
 
 
 def next_pow2(n):

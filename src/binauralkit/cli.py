@@ -54,6 +54,7 @@ _NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite a
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _FRACTION = _checked(float, lambda v: 0.0 <= v <= 1.0, "finite and in [0, 1]")
 _SPEAKERS = _checked(int, lambda v: v >= 2, ">= 2")
+_SEED = _checked(int, lambda v: v >= 0, ">= 0")
 
 
 def _build_parser():
@@ -98,7 +99,7 @@ def _build_parser():
     p.add_argument("--steps", type=_COUNT, default=2000)
     p.add_argument("--lr", type=_NON_NEGATIVE, default=1e-3)
     p.add_argument("--batch-size", type=_COUNT, default=128)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--hidden", type=_COUNT, default=64)
     p.add_argument("--latent-dim", type=_COUNT, default=1)
     p.add_argument("--target", type=_FINITE, default=3.0,
@@ -110,7 +111,7 @@ def _build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--steps", type=_COUNT, default=32)
     p.add_argument("--draws", type=_COUNT, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", help="CSV of drawn samples")
 
     p = sub.add_parser("validate", help="check that manifest paths resolve")

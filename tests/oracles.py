@@ -5,8 +5,10 @@ beyond its exception types."""
 
 import csv
 import math
+import warnings
 
 import numpy as np
+from scipy.io import wavfile
 
 from binauralkit.heatmap import HeatmapFormatError
 
@@ -300,3 +302,22 @@ def oracle_load_trajectory(path):
         raise ValueError(f"{path}: empty trajectory")
     points.sort(key=lambda p: p[0])
     return tuple(np.array(column) for column in zip(*points))
+
+
+def oracle_read_wav(path):
+    """SciPy's WAV reader with read_wav's rules: PCM-16 (scaled by 1/32768)
+    or float-32, one or two channels, finite samples and a positive rate.
+    Returns (rate, N x C float64 samples); any other file raises. SciPy's
+    warnings (skipped chunks, a short file) are ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rate, data = wavfile.read(path)
+    kind = (data.dtype.kind, data.dtype.itemsize)
+    if kind not in (("i", 2), ("f", 4)):
+        raise ValueError(f"{path}: unsupported encoding {data.dtype}")
+    columns = (data[:, None] if data.ndim == 1 else data).astype(np.float64)
+    if kind == ("i", 2):
+        columns = columns / 32768.0
+    if columns.shape[1] > 2 or rate <= 0 or not np.all(np.isfinite(columns)):
+        raise ValueError(f"{path}: more than 2 channels, a rate <= 0 or non-finite samples")
+    return rate, columns

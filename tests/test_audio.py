@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from binauralkit.audio import (
     stft,
     write_wav,
 )
-from conftest import sine_buffer
-from oracles import direct_convolve, direct_dft_frame, hann_window
+from conftest import GUID_TAIL, channel_columns, chunk, fmt_chunk, riff, rf64, sine_buffer
+from oracles import direct_convolve, direct_dft_frame, hann_window, oracle_read_wav
 
 
 class TestWavIO:
@@ -95,8 +96,7 @@ class TestWavIO:
         raw += b"abcd" + (4).to_bytes(4, "little") + b"\0" * 4
         raw[4:8] = (len(raw) - 8).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
-            loaded = read_wav(path)
+        loaded = read_wav(path)  # a warning would fail the test: filterwarnings = ["error"]
         np.testing.assert_array_equal(loaded.samples, np.full(100, 0.25))
 
     def test_missing_file(self, tmp_path):
@@ -108,37 +108,10 @@ class TestWavIO:
             write_wav(tmp_path / "empty.wav", AudioBuffer(np.zeros(0)))
 
 
-_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-
-
-def fmt_chunk(tag, channels, bits, extra=b"", rate=16000):
-    block = channels * bits // 8
-    payload = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits) + extra
-    return b"fmt " + struct.pack("<I", len(payload)) + payload
-
-
-def chunk(chunk_id, payload):
-    """One chunk with its declared size and, after an odd payload, a pad byte."""
-    return chunk_id + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
-
-
-def riff(*chunks):
-    body = b"WAVE" + b"".join(chunks)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def rf64(samples, data_size):
-    """A float-32 mono RF64 file whose ds64 chunk declares data_size bytes
-    of `samples` (the 32-bit RIFF and data sizes read 0xFFFFFFFF)."""
-    ds64 = struct.pack("<QQQI", 4 + 36 + 24 + 8 + samples.nbytes, data_size, len(samples), 0)
-    return (b"RF64" + b"\xff" * 4 + b"WAVE" + chunk(b"ds64", ds64) + fmt_chunk(3, 1, 32)
-            + b"data" + b"\xff" * 4 + samples.tobytes())
-
-
 class TestChunkSizes:
     """A chunk that declares more bytes than the file holds is rejected
-    before SciPy reads it short or allocates its declared size; valid
-    layouts load as they did."""
+    before it is read or its declared size allocated; valid layouts load,
+    big-endian RIFX files as their RIFF twins do."""
 
     PCM = np.array([1000, -2000, 3000, -4000, 5000, -6000], dtype="<i2")
 
@@ -181,7 +154,7 @@ class TestChunkSizes:
             "unpadded_odd_chunk_at_end": riff(fmt, data, chunk(b"LIST", b"abc"))[:-1],
             "bytes_after_riff": riff(fmt, data) + b"trailing bytes no chunk reads",
             "extensible": riff(
-                fmt_chunk(0xFFFE, 1, 16, struct.pack("<HHI", 22, 16, 4) + b"\x01\0\0\0" + _GUID_TAIL),
+                fmt_chunk(0xFFFE, 1, 16, struct.pack("<HHI", 22, 16, 4) + b"\x01\0\0\0" + GUID_TAIL),
                 data,
             ),
         }[layout]
@@ -196,6 +169,76 @@ class TestChunkSizes:
         path = tmp_path / "small64.wav"
         path.write_bytes(rf64(samples, samples.nbytes))
         np.testing.assert_array_equal(read_wav(path).samples, samples)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_big_endian_rifx_loads_as_its_riff_twin(self, tmp_path, encoding, channels):
+        tag, bits, dtype = (1, 16, "i2") if encoding == "pcm16" else (3, 32, "f4")
+        values = self.PCM if encoding == "pcm16" else self.PCM / 32768.0
+        loaded = {}
+        for order in "<>":
+            data = chunk(b"data", values.astype(order + dtype).tobytes(), order)
+            path = tmp_path / f"{'RIFF' if order == '<' else 'RIFX'}.wav"
+            path.write_bytes(riff(fmt_chunk(tag, channels, bits, order=order), data, order=order))
+            loaded[order] = channel_columns(read_wav(path))
+        assert loaded["<"].shape == (len(values) // channels, channels)
+        np.testing.assert_array_equal(loaded[">"], loaded["<"])
+
+
+_PCM6 = TestChunkSizes.PCM
+_FMT16 = fmt_chunk(1, 1, 16)
+_DATA = chunk(b"data", _PCM6.tobytes())
+_EXTENSIBLE16 = fmt_chunk(0xFFFE, 1, 16, struct.pack("<HHI", 22, 16, 4) + b"\x01\0\0\0" + GUID_TAIL)
+
+
+def _fmt_with_size(size, payload):
+    return b"fmt " + struct.pack("<I", size) + payload
+
+
+class TestWavRules:
+    """Layouts that read_wav rejects, naming the file, where SciPy rejects
+    them too (with read_wav's PCM-16/float-32 and 1-2 channel rules), and
+    layouts that both load alike."""
+
+    REJECTED = {
+        "not_riff": b"FORM" + riff(_FMT16, _DATA)[4:],
+        "data_before_fmt": riff(_DATA, _FMT16),
+        "fmt_shorter_than_16": riff(_fmt_with_size(14, _FMT16[8:22]), _DATA),
+        "no_data": riff(_FMT16, chunk(b"LIST", b"INFO")),
+        "stereo_data_ends_inside_frame": riff(fmt_chunk(1, 2, 16), chunk(b"data", _PCM6[:5].tobytes())),
+        "three_channels": riff(fmt_chunk(1, 3, 16), _DATA),
+        "pcm8": riff(fmt_chunk(1, 1, 8), chunk(b"data", bytes(6))),
+        "pcm24": riff(fmt_chunk(1, 1, 24), chunk(b"data", bytes(18))),
+        "float64": riff(fmt_chunk(3, 1, 64), chunk(b"data", bytes(48))),
+        "pcm_byte_rate_off": riff(_FMT16[:16] + struct.pack("<I", 1) + _FMT16[20:], _DATA),
+        "extensible_cb_size_20": riff(_EXTENSIBLE16[:24] + b"\x14" + _EXTENSIBLE16[25:], _DATA),
+        "extensible_other_guid": riff(_EXTENSIBLE16[:-12] + bytes(12), _DATA),
+    }
+    LOADED = {
+        "last_data_chunk_wins": riff(_FMT16, chunk(b"data", _PCM6[::-1].tobytes()), _DATA),
+        # SciPy reads the 22-byte extension that cbSize declares past the chunk's size.
+        "extensible_declaring_18_bytes": riff(_fmt_with_size(18, _EXTENSIBLE16[8:]), _DATA),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejected_as_by_scipy(self, tmp_path, name):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(self.REJECTED[name])
+        with pytest.raises(AudioFormatError, match=re.escape(str(path))) as caught:
+            read_wav(path)
+        assert "truncated" not in str(caught.value)
+        with pytest.raises(Exception):
+            oracle_read_wav(path)
+
+    @pytest.mark.parametrize("name", sorted(LOADED))
+    def test_loaded_as_by_scipy(self, tmp_path, name):
+        path = tmp_path / "good.wav"
+        path.write_bytes(self.LOADED[name])
+        rate, samples = oracle_read_wav(path)
+        loaded = read_wav(path)
+        assert loaded.sample_rate == rate
+        np.testing.assert_array_equal(loaded.samples, _PCM6 / 32768.0)
+        np.testing.assert_array_equal(loaded.samples, samples[:, 0])
 
 
 class TestBuffers:
@@ -380,7 +423,29 @@ def _stacked_write(path, columns, rate, encoding):
     return path.read_bytes()
 
 
+class _Length:
+    """Stands in for a channel of `n` samples: it has a length and no samples,
+    so a writer that does not refuse it fails on it at once."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
 class TestWriteWav:
+    @pytest.mark.parametrize(
+        "encoding, frames, rate",
+        [("float32", 2**30, 16000), ("pcm16", 2**31, 16000), ("float32", 4, 2**30)],
+    )
+    def test_over_4_gib_refused_before_anything_is_written(self, tmp_path, encoding, frames, rate):
+        huge = SimpleNamespace(samples=_Length(frames), sample_rate=rate)
+        path = tmp_path / "huge.wav"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_wav(path, huge, encoding)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
     @pytest.mark.parametrize("channels", [1, 2])
     def test_bytes_match_stacked_cast(self, tmp_path, rng, encoding, channels):
@@ -410,12 +475,6 @@ def _as_buffer(columns, rate):
     return channels[0] if len(channels) == 1 else BinauralBuffer(*channels)
 
 
-def _columns(loaded):
-    if isinstance(loaded, BinauralBuffer):
-        return np.stack([loaded.left.samples, loaded.right.samples], axis=1)
-    return loaded.samples[:, None]
-
-
 _SHAPES = st.tuples(st.integers(1, 300), st.sampled_from([1, 2]))
 _RATES = st.sampled_from([8000, 16000, 44100, 48000])
 _TMP_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -432,7 +491,7 @@ class TestWavRoundTrip:
         write_wav(path, _as_buffer(data.astype(np.float64), rate), "float32")
         loaded = read_wav(path)
         assert loaded.sample_rate == rate
-        assert _columns(loaded).tobytes() == data.astype(np.float64).tobytes()
+        assert channel_columns(loaded).tobytes() == data.astype(np.float64).tobytes()
 
     @_TMP_OK
     @given(codes=arrays(np.int16, _SHAPES), rate=_RATES)
@@ -443,7 +502,7 @@ class TestWavRoundTrip:
         write_wav(path, _as_buffer(samples, rate), "pcm16")
         loaded = read_wav(path)
         assert loaded.sample_rate == rate
-        assert np.array_equal(_columns(loaded), samples)
+        assert np.array_equal(channel_columns(loaded), samples)
 
 
 def bank_reference(x, bank):
@@ -509,5 +568,15 @@ class TestNonFiniteWav:
         data[40, channels - 1] = bad
         path = tmp_path / "damaged.wav"
         wavfile.write(path, 16000, data[:, 0] if channels == 1 else data)
+        with pytest.raises(AudioFormatError, match=r"damaged\.wav.*finite"):
+            read_wav(path)
+
+    def test_signalling_nan_names_the_file_without_a_warning(self, tmp_path):
+        # Widening a signalling NaN to float64 raises NumPy's "invalid value"
+        # warning, which filterwarnings = ["error"] turns into a failure here.
+        bits = np.zeros(100, dtype="<u4")
+        bits[40] = 0x7FA00000
+        path = tmp_path / "damaged.wav"
+        path.write_bytes(riff(fmt_chunk(3, 1, 32), chunk(b"data", bits.tobytes())))
         with pytest.raises(AudioFormatError, match=r"damaged\.wav.*finite"):
             read_wav(path)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import binauralkit
 from binauralkit.audio import AudioBuffer, BinauralBuffer, read_wav, write_wav
 from binauralkit.cli import main
 
@@ -207,6 +211,8 @@ class TestFlowCommands:
             ("cfm-train", ["--latent-dim", "0"]),
             ("cfm-train", ["--target", "inf"]),
             ("cfm-sample", ["--steps", "0"]),
+            ("cfm-train", ["--seed", "-1"]),
+            ("cfm-sample", ["--seed", "-3"]),
         ],
     )
     def test_flow_usage_errors_exit_2(self, tmp_path, capsys, command, flags):
@@ -363,3 +369,14 @@ class TestRenderAndFeatureUsageErrors:
         assert main(argv + ["--frame-rate", rate]) == 2
         assert "--frame-rate" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_import_brings_in_no_scipy():
+    # A fresh interpreter: SciPy is a test dependency only, and importing it
+    # would add its start-up time to every command.
+    src = os.path.dirname(os.path.dirname(binauralkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import binauralkit.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

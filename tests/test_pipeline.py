@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -375,8 +376,16 @@ def _partial_then_fail(text):
     return write
 
 
+class _PartialThenFailFile(io.FileIO):
+    """A stand-in for `open` whose file takes b"RIFF" of the first write, then fails."""
+
+    def write(self, data):
+        super().write(b"RIFF")
+        raise OSError("disk full")
+
+
 def _fail_wav(tmp_path, monkeypatch, path):
-    monkeypatch.setattr(audio.wavfile, "write", _partial_then_fail(b"RIFF"))
+    monkeypatch.setattr(audio, "open", _PartialThenFailFile, raising=False)
     write_wav(path, AudioBuffer(np.ones(100), FS))
 
 
