@@ -21,11 +21,14 @@ from .ambisonic import ring_layout
 from .audio import atomic_write
 from .heatmap import extract_features, load_heatmap_sequence, save_features_csv
 from .pipeline import (
+    PREPROCESS_STATUSES,
     PreprocessConfig,
+    aggregate_metrics,
     batch_metrics,
     batch_render,
     load_manifest,
     preprocess,
+    preprocess_report,
     save_manifest,
     validate_manifest,
     write_aggregate_csv,
@@ -127,17 +130,27 @@ def _cmd_preprocess(args):
         silence_threshold_dbfs=args.silence_threshold_db,
         max_silence_fraction=args.max_silence_fraction,
     )
-    kept, report = preprocess(manifest, cfg)
+    kept, results = preprocess(manifest, cfg)
     save_manifest(args.out, kept)
+    report = preprocess_report(results)
     if args.report:
         with atomic_write(args.report) as fh:
-            fh.write(report.to_json() + "\n")
-    print(
-        f"kept {report.kept}, rejected_short {report.rejected_short}, "
-        f"rejected_silent {report.rejected_silent}, "
-        f"rejected_unreadable {report.rejected_unreadable}"
-    )
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    print(", ".join(f"{status} {report[status]}" for status in PREPROCESS_STATUSES))
     return 0
+
+
+def _print_clips(results, strict, show_ok=False):
+    """Print `id: FAILED (reason)` on stderr for each failed clip and, with
+    `show_ok`, `id: value` on stdout for the others; 1 on a failure under --strict."""
+    failed = False
+    for r in results:
+        if r.status == "failed":
+            failed = True
+            print(f"{r.id}: FAILED ({r.reason})", file=sys.stderr)
+        elif show_ok:
+            print(f"{r.id}: {r.value}")
+    return 1 if failed and strict else 0
 
 
 def _cmd_render(args):
@@ -147,32 +160,25 @@ def _cmd_render(args):
         layout=ring_layout(args.speakers),
         normalize_output=args.normalize,
     )
-    log = batch_render(
+    results = batch_render(
         manifest, cfg, args.out, fov=math.radians(args.fov_deg), encoding=args.encoding
     )
-    failures = [item for item in log if item["status"] != "ok"]
-    for item in log:
-        if item["status"] == "ok":
-            print(f"{item['id']}: {item['output']}")
-        else:
-            print(f"{item['id']}: FAILED ({item['error']})", file=sys.stderr)
-    return 1 if failures and args.strict else 0
+    return _print_clips(results, args.strict, show_ok=True)
 
 
 def _cmd_metrics(args):
     source = args.input
     if source.endswith(".json"):
         source = load_manifest(source)
-    per_clip, aggregate, failures = batch_metrics(source)
+    results = batch_metrics(source)
+    aggregate = aggregate_metrics(results)
     if args.json_out:
-        write_metrics_json(args.json_out, per_clip, failures)
+        write_metrics_json(args.json_out, results)
     if args.csv_out:
         write_aggregate_csv(args.csv_out, aggregate)
     for name, (mean, count) in aggregate.items():
         print(f"{name}: mean {mean:.6g} over {count} clips")
-    for clip_id, error in failures.items():
-        print(f"{clip_id}: FAILED ({error})", file=sys.stderr)
-    return 1 if failures and args.strict else 0
+    return _print_clips(results, args.strict)
 
 
 def _cmd_features(args):

@@ -8,7 +8,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,11 +25,15 @@ log = logging.getLogger(__name__)
 _METRIC_FIELDS = ("iacc", "ild_db", "itd_ms", "isd", "ipd_rad")
 
 # Silence analysis frames (25 ms / 10 ms at 16 kHz) and the informational
-# quality-flag limits.
+# quality-flag limits. A sample counts as clipped at PCM-16's positive full
+# scale, which reads back as 32767/32768, or beyond.
 SILENCE_FRAME = 400
 SILENCE_HOP = 160
+CLIPPING_LEVEL = 32767 / 32768
 CLIPPING_FRACTION_MAX = 0.01
 DC_OFFSET_MAX = 0.02
+
+PREPROCESS_STATUSES = ("kept", "rejected_short", "rejected_silent", "rejected_unreadable")
 
 
 def worker_count():
@@ -43,12 +47,34 @@ def worker_count():
         return 1
 
 
-def _map_ordered(fn, items):
+@dataclass(frozen=True)
+class ClipResult:
+    """What a batch stage did with one clip. `value` is what the clip
+    produced: the kept ClipEntry, the output path or the SpatialMetricsReport."""
+
+    id: str
+    status: str
+    reason: str = None
+    flags: tuple = ()
+    value: object = None
+
+
+def _each_clip(step, items, failed="failed"):
+    """`step(id, item)` for each (id, item) pair, in order, on up to
+    worker_count() threads; an exception gives ClipResult(id, failed, str(exc))."""
+
+    def run(pair):
+        clip_id, item = pair
+        try:
+            return step(clip_id, item)
+        except Exception as exc:
+            return ClipResult(clip_id, failed, str(exc))
+
     workers = worker_count()
     if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [run(pair) for pair in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(run, items))
 
 
 @dataclass(frozen=True)
@@ -135,23 +161,6 @@ class PreprocessConfig:
     max_silence_fraction: float = 0.8
 
 
-@dataclass
-class PreprocessReport:
-    kept: int = 0
-    rejected_short: int = 0
-    rejected_silent: int = 0
-    rejected_unreadable: int = 0
-    reasons: dict = field(default_factory=dict)
-    quality_flags: dict = field(default_factory=dict)
-
-    @property
-    def total(self):
-        return self.kept + self.rejected_short + self.rejected_silent + self.rejected_unreadable
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-
 def silence_fraction(audio, threshold_dbfs=-50.0):
     """Fraction of frames whose RMS falls below the dBFS threshold."""
     rms = frame_rms(audio, SILENCE_FRAME, SILENCE_HOP)
@@ -165,7 +174,7 @@ def quality_flags(audio):
     """Clipping-rate and DC-offset sanity flags (informational, never a
     rejection)."""
     flags = []
-    clipped = float(np.mean(np.abs(audio.samples) >= 1.0 - 1e-6))
+    clipped = float(np.mean(np.abs(audio.samples) >= CLIPPING_LEVEL))
     if clipped > CLIPPING_FRACTION_MAX:
         flags.append(f"clipping fraction {clipped:.4f}")
     dc = float(np.mean(audio.samples)) if len(audio) else 0.0
@@ -182,39 +191,35 @@ def _as_mono(loaded):
 
 def preprocess(manifest, cfg=None):
     """Apply the duration and silence filters to every manifest entry.
-
-    Per-clip failures never abort the batch: unreadable audio lands in
-    rejected_unreadable. Returns (filtered manifest, report); the report
-    counts always reconcile with the input size.
-    """
+    Returns (kept manifest, one ClipResult per entry), each with one of
+    PREPROCESS_STATUSES; audio shorter than one silence frame is rejected_short."""
     cfg = cfg or PreprocessConfig()
-    report = PreprocessReport()
 
-    def evaluate(entry):
-        path = manifest.resolve(entry.audio)
-        try:
-            audio = _as_mono(read_wav(path))
-            if audio.duration < cfg.min_seconds:
-                return ("rejected_short", f"duration {audio.duration:.2f}s < {cfg.min_seconds}s", [])
-            fraction = silence_fraction(audio, cfg.silence_threshold_dbfs)
-            if fraction > cfg.max_silence_fraction:
-                return ("rejected_silent", f"silence fraction {fraction:.3f}", [])
-            return ("kept", None, quality_flags(audio))
-        except Exception as exc:
-            return ("rejected_unreadable", str(exc), [])
+    def evaluate(clip_id, entry):
+        audio = _as_mono(read_wav(manifest.resolve(entry.audio)))
+        if audio.duration < cfg.min_seconds:
+            return ClipResult(clip_id, "rejected_short",
+                              f"duration {audio.duration:.2f}s < {cfg.min_seconds}s")
+        if len(audio) < SILENCE_FRAME:
+            return ClipResult(clip_id, "rejected_short",
+                              f"shorter than one {SILENCE_FRAME}-sample silence frame")
+        fraction = silence_fraction(audio, cfg.silence_threshold_dbfs)
+        if fraction > cfg.max_silence_fraction:
+            return ClipResult(clip_id, "rejected_silent", f"silence fraction {fraction:.3f}")
+        return ClipResult(clip_id, "kept", flags=tuple(quality_flags(audio)), value=entry)
 
-    results = _map_ordered(evaluate, list(manifest.entries))
-    kept_entries = []
-    for entry, (outcome, reason, flags) in zip(manifest.entries, results):
-        if outcome == "kept":
-            report.kept += 1
-            kept_entries.append(entry)
-            if flags:
-                report.quality_flags[entry.id] = flags
-        else:
-            setattr(report, outcome, getattr(report, outcome) + 1)
-            report.reasons[entry.id] = reason
-    return ClipManifest(tuple(kept_entries), manifest.base_dir), report
+    results = _each_clip(evaluate, [(e.id, e) for e in manifest.entries], "rejected_unreadable")
+    kept = tuple(r.value for r in results if r.status == "kept")
+    return ClipManifest(kept, manifest.base_dir), results
+
+
+def preprocess_report(results):
+    """The preprocess report: a count per status, the reason of each
+    rejected clip and the flags of each kept clip that has any."""
+    report = {status: sum(r.status == status for r in results) for status in PREPROCESS_STATUSES}
+    report["reasons"] = {r.id: r.reason for r in results if r.status != "kept"}
+    report["quality_flags"] = {r.id: list(r.flags) for r in results if r.flags}
+    return report
 
 
 def clip_trajectory(manifest, entry, fov=math.pi / 2):
@@ -229,8 +234,8 @@ def clip_trajectory(manifest, entry, fov=math.pi / 2):
 
 
 def batch_render(manifest, render_cfg=None, out_dir=".", fov=math.pi / 2, encoding="float32"):
-    """Render every clip to `<id>_binaural.wav`; per-clip failures are
-    logged and the batch continues."""
+    """Render every clip to `<id>_binaural.wav`. Returns one ClipResult per
+    entry: "ok" with the output path as its value, or "failed"."""
     render_cfg = render_cfg or RenderConfig()
     os.makedirs(out_dir, exist_ok=True)
     probe = os.path.join(out_dir, ".write_probe")
@@ -241,18 +246,15 @@ def batch_render(manifest, render_cfg=None, out_dir=".", fov=math.pi / 2, encodi
     except OSError as exc:
         raise OSError(f"output directory {out_dir} is not writable: {exc}") from exc
 
-    def render_one(entry):
-        try:
-            mono = _as_mono(read_wav(manifest.resolve(entry.audio)))
-            trajectory = clip_trajectory(manifest, entry, fov)
-            rendered = render_trajectory(mono, trajectory, render_cfg)
-            out_path = os.path.join(out_dir, f"{entry.id}_binaural.wav")
-            write_wav(out_path, rendered, encoding)
-            return {"id": entry.id, "status": "ok", "output": out_path}
-        except Exception as exc:
-            return {"id": entry.id, "status": "failed", "error": str(exc)}
+    def render_one(clip_id, entry):
+        mono = _as_mono(read_wav(manifest.resolve(entry.audio)))
+        trajectory = clip_trajectory(manifest, entry, fov)
+        rendered = render_trajectory(mono, trajectory, render_cfg)
+        out_path = os.path.join(out_dir, f"{clip_id}_binaural.wav")
+        write_wav(out_path, rendered, encoding)
+        return ClipResult(clip_id, "ok", value=out_path)
 
-    return _map_ordered(render_one, list(manifest.entries))
+    return _each_clip(render_one, [(e.id, e) for e in manifest.entries])
 
 
 def _stereo_inputs(source):
@@ -273,47 +275,36 @@ def _stereo_inputs(source):
 
 
 def batch_metrics(source):
-    """Spatial metric report per stereo clip plus the dataset aggregate.
-
-    `source` is a directory of WAVs or a ClipManifest. Returns
-    (per_clip, aggregate, failures) where aggregate maps metric name to
-    (mean, count).
-    """
+    """One ClipResult per stereo clip of `source`, a directory of WAVs or a
+    ClipManifest, with its SpatialMetricsReport as the value of an "ok"
+    clip. Raises ValueError when no clip has a report."""
     inputs = _stereo_inputs(source)
     if not inputs:
         raise ValueError("no stereo inputs")
 
-    def measure(item):
-        clip_id, path = item
-        try:
-            loaded = read_wav(path)
-            if not isinstance(loaded, BinauralBuffer):
-                raise ValueError("not a stereo file")
-            return clip_id, spatial_report(loaded), None
-        except Exception as exc:
-            return clip_id, None, str(exc)
+    def measure(clip_id, path):
+        loaded = read_wav(path)
+        if not isinstance(loaded, BinauralBuffer):
+            raise ValueError("not a stereo file")
+        return ClipResult(clip_id, "ok", value=spatial_report(loaded))
 
-    results = _map_ordered(measure, inputs)
-    per_clip = {}
-    failures = {}
-    for clip_id, report, error in results:
-        if report is not None:
-            per_clip[clip_id] = report
-        else:
-            failures[clip_id] = error
-    if not per_clip:
+    results = _each_clip(measure, inputs)
+    if not any(r.status == "ok" for r in results):
         raise ValueError("no stereo inputs produced a metric report")
-    aggregate = {}
-    for name in _METRIC_FIELDS:
-        values = [getattr(r, name) for r in per_clip.values()]
-        aggregate[name] = (float(np.mean(values)), len(values))
-    return per_clip, aggregate, failures
+    return results
 
 
-def write_metrics_json(path, per_clip, failures):
+def aggregate_metrics(results):
+    """Metric name -> (mean, count) over the clips that have a report."""
+    reports = [r.value for r in results if r.status == "ok"]
+    return {name: (float(np.mean([getattr(r, name) for r in reports])), len(reports))
+            for name in _METRIC_FIELDS}
+
+
+def write_metrics_json(path, results):
     payload = {
-        "clips": {clip_id: asdict(report) for clip_id, report in per_clip.items()},
-        "failures": failures,
+        "clips": {r.id: asdict(r.value) for r in results if r.status == "ok"},
+        "failures": {r.id: r.reason for r in results if r.status == "failed"},
     }
     with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

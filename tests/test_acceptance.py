@@ -231,15 +231,16 @@ def test_criterion_08_preprocess_fixture(tmp_path):
         ),
         str(tmp_path),
     )
-    kept, rep = preprocess(manifest)
+    kept, results = preprocess(manifest)
+    statuses = [r.status for r in results]
     ok = (
-        rep.rejected_silent == 1
-        and rep.rejected_short == 1
-        and rep.kept == 1
+        statuses.count("rejected_silent") == 1
+        and statuses.count("rejected_short") == 1
+        and statuses.count("kept") == 1
         and [e.id for e in kept.entries] == ["valid"]
     )
-    again, rep2 = preprocess(kept)
-    ok &= [e.id for e in again.entries] == ["valid"] and rep2.kept == 1
+    again, results2 = preprocess(kept)
+    ok &= [e.id for e in again.entries] == ["valid"] and [r.status for r in results2] == ["kept"]
     report(8, "preprocess filter partition", ok)
 
 

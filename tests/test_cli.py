@@ -103,6 +103,44 @@ class TestRenderCommand:
         assert blobs["1"] == blobs["3"]
 
 
+class TestThreadCountOutcomes:
+    def test_per_clip_outcomes_match_across_thread_counts(self, dataset, monkeypatch, capsys):
+        base, manifest = dataset
+        write_wav(base / "silent.wav", AudioBuffer(np.zeros(FS), FS), "float32")
+        (base / "broken.wav").write_text("not audio")
+        entries = json.loads(manifest.read_text()) + [
+            {"id": "silent", "audio": "silent.wav", "trajectory": "one.csv"},
+            {"id": "broken", "audio": "broken.wav", "trajectory": "one.csv"},
+            {"id": "untracked", "audio": "one.wav"},
+        ]
+        manifest.write_text(json.dumps(entries))
+        out_dir = base / "rendered"
+        report, metrics_json = base / "report.json", base / "metrics.json"
+        seen = {}
+        for workers in ("1", "3"):
+            monkeypatch.setenv("SV2A_THREADS", workers)
+            assert main([
+                "preprocess", "--manifest", str(manifest), "--out", str(base / "kept.json"),
+                "--report", str(report), "--min-seconds", "0.5",
+            ]) == 0
+            capsys.readouterr()
+            assert main([
+                "render", "--manifest", str(manifest), "--out", str(out_dir), "--strict",
+            ]) == 1
+            rendered = capsys.readouterr()
+            write_wav(out_dir / "mono.wav", AudioBuffer(0.3 * np.ones(FS), FS), "float32")
+            assert main(["metrics", str(out_dir), "--json", str(metrics_json)]) == 0
+            seen[workers] = (
+                report.read_bytes(), rendered.out, rendered.err, metrics_json.read_bytes()
+            )
+        assert seen["1"] == seen["3"]
+        assert set(json.loads(report.read_text())["reasons"]) == {"short", "silent", "broken"}
+        assert ["broken", "untracked"] == [
+            line.split(":")[0] for line in seen["1"][2].splitlines()
+        ]
+        assert set(json.loads(metrics_json.read_text())["failures"]) == {"mono", "silent_binaural"}
+
+
 class TestMetricsCommand:
     def test_directory_input(self, dataset, capsys):
         base, manifest = dataset

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from binauralkit import ambisonic, audio, flow, heatmap, pipeline
+from binauralkit import ambisonic, audio, cli, flow, heatmap, pipeline
 from binauralkit.ambisonic import Trajectory
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.cli import main as cli_main
@@ -15,13 +15,15 @@ from binauralkit.metrics import SpatialMetricsReport
 from binauralkit.pipeline import (
     ClipEntry,
     ClipManifest,
+    ClipResult,
     PreprocessConfig,
-    PreprocessReport,
+    aggregate_metrics,
     batch_metrics,
     batch_render,
     clip_trajectory,
     load_manifest,
     preprocess,
+    preprocess_report,
     quality_flags,
     save_manifest,
     silence_fraction,
@@ -162,26 +164,28 @@ class TestPreprocess:
 
     def test_partition(self, tmp_path):
         manifest, cfg = self._dataset(tmp_path)
-        kept, report = preprocess(manifest, cfg)
+        kept, results = preprocess(manifest, cfg)
         assert [e.id for e in kept.entries] == ["keep"]
-        assert report.kept == 1
-        assert report.rejected_short == 1
-        assert report.rejected_silent == 1
-        assert report.rejected_unreadable == 1
-        assert report.total == 4
-        assert set(report.reasons) == {"short", "silent", "broken"}
+        statuses = [r.status for r in results]
+        assert statuses.count("kept") == 1
+        assert statuses.count("rejected_short") == 1
+        assert statuses.count("rejected_silent") == 1
+        assert statuses.count("rejected_unreadable") == 1
+        assert len(results) == 4
+        assert {r.id for r in results if r.reason is not None} == {"short", "silent", "broken"}
+        assert [r.id for r in results] == [e.id for e in manifest.entries]
 
     def test_idempotent(self, tmp_path):
         manifest, cfg = self._dataset(tmp_path)
         kept, _ = preprocess(manifest, cfg)
-        again, report = preprocess(kept, cfg)
+        again, results = preprocess(kept, cfg)
         assert [e.id for e in again.entries] == [e.id for e in kept.entries]
-        assert report.kept == len(kept)
+        assert [r.status for r in results].count("kept") == len(kept)
 
     def test_empty_manifest(self):
-        kept, report = preprocess(ClipManifest(()))
+        kept, results = preprocess(ClipManifest(()))
         assert len(kept) == 0
-        assert report.total == 0
+        assert results == []
 
     def test_duration_boundary_inclusive(self, tmp_path):
         write_noise(tmp_path / "edge.wav", 0.5, seed=3)  # exactly min_seconds
@@ -192,13 +196,20 @@ class TestPreprocess:
     def test_stereo_input_unreadable(self, tmp_path):
         write_stereo(tmp_path / "st.wav", 1.0)
         manifest = ClipManifest((ClipEntry("st", "st.wav"),), str(tmp_path))
-        _, report = preprocess(manifest, PreprocessConfig(min_seconds=0.5))
-        assert report.rejected_unreadable == 1
+        _, results = preprocess(manifest, PreprocessConfig(min_seconds=0.5))
+        assert [r.status for r in results] == ["rejected_unreadable"]
+
+    def test_shorter_than_one_silence_frame_is_short(self, tmp_path):
+        write_noise(tmp_path / "tiny.wav", 100 / FS, seed=4)
+        manifest = ClipManifest((ClipEntry("tiny", "tiny.wav"),), str(tmp_path))
+        _, results = preprocess(manifest, PreprocessConfig(min_seconds=0.0))
+        assert [r.status for r in results] == ["rejected_short"]
+        assert "400-sample silence frame" in results[0].reason
 
     def test_report_json(self, tmp_path):
         manifest, cfg = self._dataset(tmp_path)
-        _, report = preprocess(manifest, cfg)
-        payload = json.loads(report.to_json())
+        _, results = preprocess(manifest, cfg)
+        payload = json.loads(json.dumps(preprocess_report(results)))
         assert payload["kept"] == 1
         assert "short" in payload["reasons"]
 
@@ -212,6 +223,13 @@ class TestQualityFlags:
         samples = np.full(1000, 1.0)
         flags = quality_flags(AudioBuffer(samples, FS))
         assert any("clipping" in f for f in flags)
+
+    @pytest.mark.parametrize("rail", [1.0, -1.0])
+    def test_pcm16_full_scale_flagged(self, tmp_path, rail):
+        # PCM-16 reads positive full scale back as 32767/32768.
+        write_wav(tmp_path / "sq.wav", AudioBuffer(np.full(1000, rail), FS), "pcm16")
+        flags = quality_flags(audio.read_wav(tmp_path / "sq.wav"))
+        assert "clipping fraction 1.0000" in flags
 
     def test_dc_offset_flagged(self, rng):
         audio = AudioBuffer(0.1 * rng.standard_normal(4000) + 0.1, FS)
@@ -266,10 +284,12 @@ class TestBatchRender:
         manifest = self._manifest(tmp_path)
         out_dir = tmp_path / "out"
         results = batch_render(manifest, out_dir=str(out_dir))
-        by_id = {r["id"]: r for r in results}
-        assert by_id["one"]["status"] == "ok"
-        assert by_id["two"]["status"] == "ok"
-        assert by_id["three"]["status"] == "failed"
+        assert [r.id for r in results] == ["one", "two", "three"]
+        by_id = {r.id: r for r in results}
+        assert by_id["one"].status == "ok"
+        assert by_id["two"].status == "ok"
+        assert by_id["three"].status == "failed"
+        assert by_id["one"].value == os.path.join(str(out_dir), "one_binaural.wav")
         assert os.path.exists(out_dir / "one_binaural.wav")
         assert os.path.exists(out_dir / "two_binaural.wav")
         from binauralkit.audio import read_wav
@@ -316,9 +336,9 @@ class TestBatchMetrics:
             BinauralBuffer(AudioBuffer(x, FS), AudioBuffer(x.copy(), FS)),
             "float32",
         )
-        per_clip, aggregate, failures = batch_metrics(str(tmp_path))
-        assert set(per_clip) == {"dup"}
-        assert failures == {}
+        results = batch_metrics(str(tmp_path))
+        aggregate = aggregate_metrics(results)
+        assert [(r.id, r.status) for r in results] == [("dup", "ok")]
         assert aggregate["iacc"] == (pytest.approx(1.0), 1)
         assert aggregate["ild_db"][0] == pytest.approx(0.0, abs=1e-9)
         assert aggregate["itd_ms"] == (0.0, 1)
@@ -326,9 +346,9 @@ class TestBatchMetrics:
     def test_mono_file_is_failure(self, tmp_path):
         write_stereo(tmp_path / "ok.wav", 0.5, seed=1)
         write_noise(tmp_path / "mono.wav", 0.5, seed=2)
-        per_clip, _, failures = batch_metrics(str(tmp_path))
-        assert "ok" in per_clip
-        assert "mono" in failures
+        by_id = {r.id: r for r in batch_metrics(str(tmp_path))}
+        assert by_id["ok"].status == "ok"
+        assert by_id["mono"].status == "failed"
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no stereo inputs"):
@@ -345,18 +365,18 @@ class TestBatchMetrics:
     def test_manifest_source(self, tmp_path):
         write_stereo(tmp_path / "clip.wav", 0.5)
         manifest = ClipManifest((ClipEntry("clip", "clip.wav"),), str(tmp_path))
-        per_clip, aggregate, _ = batch_metrics(manifest)
-        assert set(per_clip) == {"clip"}
-        assert aggregate["iacc"][1] == 1
+        results = batch_metrics(manifest)
+        assert [(r.id, r.status) for r in results] == [("clip", "ok")]
+        assert aggregate_metrics(results)["iacc"][1] == 1
 
     def test_json_and_csv_outputs(self, tmp_path):
         write_stereo(tmp_path / "a.wav", 0.5, seed=1)
         write_stereo(tmp_path / "b.wav", 0.5, seed=2)
-        per_clip, aggregate, failures = batch_metrics(str(tmp_path))
+        results = batch_metrics(str(tmp_path))
         json_path = tmp_path / "metrics.json"
         csv_path = tmp_path / "agg.csv"
-        write_metrics_json(json_path, per_clip, failures)
-        write_aggregate_csv(csv_path, aggregate)
+        write_metrics_json(json_path, results)
+        write_aggregate_csv(csv_path, aggregate_metrics(results))
         payload = json.loads(json_path.read_text())
         assert set(payload["clips"]) == {"a", "b"}
         lines = csv_path.read_text().strip().splitlines()
@@ -397,7 +417,7 @@ def _fail_manifest(tmp_path, monkeypatch, path):
 def _fail_metrics_json(tmp_path, monkeypatch, path):
     # The clip reports serialise first; the failure value then cannot.
     report = SpatialMetricsReport(0.5, 1.0, 0.1, 0.2, 0.3, 10)
-    write_metrics_json(path, {"a": report}, {"b": object()})
+    write_metrics_json(path, [ClipResult("a", "ok", value=report), ClipResult("b", "failed", object())])
 
 
 def _fail_aggregate_csv(tmp_path, monkeypatch, path):
@@ -410,10 +430,7 @@ def _fail_preprocess_report(tmp_path, monkeypatch, path):
     manifest = tmp_path / "clips.json"
     manifest.write_text(json.dumps([{"id": "clip", "audio": "clip.wav"}]))
 
-    def to_json(self):
-        raise TypeError("Object of type object is not JSON serializable")
-
-    monkeypatch.setattr(PreprocessReport, "to_json", to_json)
+    monkeypatch.setattr(cli, "preprocess_report", lambda results: object())
     cli_main([
         "preprocess", "--manifest", str(manifest), "--out", str(tmp_path / "kept.json"),
         "--report", str(path), "--min-seconds", "0.5",
