@@ -12,8 +12,8 @@ from .ambisonic import (
     project_to_speakers,
     ring_layout,
 )
-from .hrir import HrirPair, analytic_hrir, lookup
-from .render import RenderConfig, direction_from_features, render_static, render_trajectory
+from .hrir import analytic_hrir, lookup
+from .render import RenderConfig, direction_from_features, render_trajectory
 from .metrics import SpatialMetricsReport, spatial_report
 from .heatmap import (
     HeatmapSequence,

@@ -141,24 +141,12 @@ def ring_layout(m):
     return SpeakerLayout(tuple(Direction(2.0 * math.pi * k / m) for k in range(m)))
 
 
-@dataclass(frozen=True)
-class DecodeMatrix:
-    """Encoding matrix D (row m = sh_basis of speaker m) and the projection
-    operator P = D (D^T D + ridge I)^-1 that maps SH vectors to speaker feeds.
-
-    SH channels that no layout direction excites (column norm ~ 0) are dropped
-    from the normal equations and receive zero projection weight.
-    """
-
-    order: int
-    d: np.ndarray
-    projection: np.ndarray
-
-
 def decode_matrix(layout, order):
-    """Build the speaker projection for a layout via ridge-regularized normal
-    equations. Raises LayoutError when D^T D (restricted to excited channels)
-    is singular beyond tolerance."""
+    """The M x K projection P = D (D^T D + ridge I)^-1 that maps SH vectors
+    to speaker feeds, where row m of D is sh_basis at speaker m. SH channels
+    that no layout direction excites (column norm ~ 0) are dropped from the
+    normal equations and receive zero projection weight. Raises LayoutError
+    when D^T D (restricted to excited channels) is singular beyond tolerance."""
     dirs = layout.directions
     d = sh_basis([di.azimuth for di in dirs], [di.elevation for di in dirs], order)
     col_norms = np.linalg.norm(d, axis=0)
@@ -168,17 +156,16 @@ def decode_matrix(layout, order):
     eig = np.linalg.eigvalsh(g)
     if eig[0] <= SINGULARITY_TOL * eig[-1]:
         raise LayoutError("degenerate layout: D^T D singular beyond tolerance")
-    p_active = da @ np.linalg.inv(g + RIDGE * np.eye(g.shape[0]))
     projection = np.zeros_like(d)
-    projection[:, active] = p_active
-    return DecodeMatrix(order, d, projection)
+    projection[:, active] = da @ np.linalg.inv(g + RIDGE * np.eye(g.shape[0]))
+    return projection
 
 
-def project_to_speakers(sh, dm):
-    """Apply the stored projection per sample, yielding M per-speaker buffers."""
-    if dm.d.shape[1] != (sh.order + 1) ** 2:
+def project_to_speakers(sh, projection):
+    """Apply an M x K projection per sample, yielding M per-speaker buffers."""
+    if projection.shape[1] != (sh.order + 1) ** 2:
         raise ValueError("SH order mismatch between signal and decode matrix")
-    feeds = sh.frames @ dm.projection.T  # T x M
+    feeds = sh.frames @ projection.T  # T x M
     return [AudioBuffer(feeds[:, m], sh.sample_rate) for m in range(feeds.shape[1])]
 
 

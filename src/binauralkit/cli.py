@@ -79,7 +79,8 @@ def _build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fov-deg", type=_FINITE, default=90.0)
-    p.add_argument("--order", type=int, choices=(0, 1, 2), default=1)
+    # Every CLI layout is a horizontal ring, where SH order 2 is degenerate.
+    p.add_argument("--order", type=int, choices=(0, 1), default=1)
     p.add_argument("--speakers", type=_SPEAKERS, default=8)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--encoding", choices=["float32", "pcm16"], default="float32")

@@ -75,6 +75,10 @@ class VelocityFieldNet:
 
     def __init__(self, latent_dim, cond_dim=0, hidden_width=64,
                  embed_dim=DEFAULT_EMBED_DIM, rng_seed=0):
+        if latent_dim < 1 or hidden_width < 1:
+            raise ValueError("latent_dim and hidden_width must be >= 1")
+        if embed_dim % 2 != 0:
+            raise ValueError("embedding dimension must be even")
         self.latent_dim = latent_dim
         self.cond_dim = cond_dim
         self.hidden_width = hidden_width
@@ -389,9 +393,10 @@ def _param_bytes(latent_dim, cond_dim, hidden_width, embed_dim):
 
 
 def load_checkpoint(path):
-    """Read the nets written by save_checkpoint; a truncated file or bytes
-    after the last net raise ValueError naming the path. Each net's header
-    dims are checked against the bytes left in the file before it is built."""
+    """Read the nets written by save_checkpoint; a truncated file, bytes
+    after the last net, no net at all or dims VelocityFieldNet rejects raise
+    ValueError naming the path. Each net's header dims are checked against
+    the bytes left in the file before it is built."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != CHECKPOINT_MAGIC:
@@ -399,12 +404,17 @@ def load_checkpoint(path):
         version, count = struct.unpack("<II", _read_exact(fh, 8, path))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if count == 0:
+            raise ValueError(f"{path}: checkpoint holds no nets")
         nets = []
         for _ in range(count):
             dims = struct.unpack("<IIII", _read_exact(fh, 16, path))
             if _param_bytes(*dims) > size - fh.tell():
                 raise ValueError(f"{path}: truncated checkpoint")
-            net = VelocityFieldNet(*dims)
+            try:
+                net = VelocityFieldNet(*dims)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             params = {}
             for name, value in net.parameters().items():
                 raw = _read_exact(fh, 8 * value.size, path)

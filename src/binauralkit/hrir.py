@@ -1,12 +1,13 @@
 """Left/right head-related impulse responses from the data-free
 spherical-head model (Woodworth delay + broadband head-shadow gain, fixed by
 the module constants below), synthesised exactly at any direction and rate.
-`lookup(direction, sample_rate)` is the name the renderer calls."""
+`lookup(direction, sample_rate)` is the name the renderer calls; it returns
+one float64 2 x L array, row 0 the left ear and row 1 the right, where L
+depends only on the rate."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +26,6 @@ CONTRALATERAL_ATTENUATION = 6.0
 IR_LENGTH = 64
 
 
-@dataclass(frozen=True)
-class HrirPair:
-    """Left/right impulse responses sharing one sample rate."""
-
-    left: np.ndarray
-    right: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        left = np.asarray(self.left, dtype=np.float64)
-        right = np.asarray(self.right, dtype=np.float64)
-        if len(left) < 1 or len(right) < 1:
-            raise ValueError("impulse responses must be non-empty")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-
 def woodworth_delay(lateral_angle):
     """Spherical-head far-ear extra delay in seconds: (a/c)(theta + sin theta)."""
     theta = abs(lateral_angle)
@@ -49,13 +33,13 @@ def woodworth_delay(lateral_angle):
 
 
 def analytic_hrir(direction, sample_rate):
-    """Single-impulse HRIR pair from the spherical-head model.
+    """Single-impulse 2 x L HRIR (left, right) from the spherical-head model.
 
     The lateral incidence angle phi satisfies sin phi = sin(az) cos(el)
     (positive toward the listener's left). The near ear's impulse sits at
     sample 0; the far ear's is delayed by the Woodworth delay rounded to the
-    nearest sample. Both responses have IR_LENGTH taps, or more when the
-    rate makes the largest (pi/2) delay reach past them.
+    nearest sample. L is IR_LENGTH, or more when the rate makes the largest
+    (pi/2) delay reach past it.
     """
     phi = math.asin(max(-1.0, min(1.0, math.sin(direction.azimuth) * math.cos(direction.elevation))))
     extra = int(round(woodworth_delay(phi) * sample_rate))
@@ -72,11 +56,10 @@ def analytic_hrir(direction, sample_rate):
         gains.append(10.0 ** (gain_db / 20.0))
 
     taps = max(IR_LENGTH, int(round(woodworth_delay(math.pi / 2) * sample_rate)) + 1)
-    left = np.zeros(taps)
-    right = np.zeros(taps)
-    left[delay_l] = gains[0]
-    right[delay_r] = gains[1]
-    return HrirPair(left, right, sample_rate)
+    hrir = np.zeros((2, taps))
+    hrir[0, delay_l] = gains[0]
+    hrir[1, delay_r] = gains[1]
+    return hrir
 
 
 lookup = analytic_hrir

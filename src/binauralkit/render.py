@@ -4,8 +4,8 @@ The source is encoded into spherical-harmonic (SH) channels along its
 trajectory. Projecting onto M virtual loudspeakers and convolving each feed
 with that speaker's HRIR pair is linear, so the two steps fold into one
 filter bank with a filter per ear e and SH channel k,
-bank[e, k] = sum_m P[m, k] h_e,m, where P is the speaker projection and h
-holds the speaker HRIRs zero-padded to the longest. Each clip is then one
+bank[e, k] = sum_m P[m, k] h_e,m, where P is the speaker projection and h_e,m
+is row e of speaker m's 2 x L HRIR (hrir.lookup). Each clip is then one
 multichannel convolution of the SH signal with that bank, the same sum as
 the speaker-by-speaker render in fewer transforms (the virtual-loudspeaker /
 SH-domain equivalence of Noisternig et al., VECIMS 2003).
@@ -18,6 +18,9 @@ itself, crossfades included, is built one overlap-add group at a time
 inside the convolution (ambisonic.EncodedRows), so a render holds the 2 x N
 output but never the N x K encoded signal. The convolution tail is dropped:
 a render is as long as its mono input.
+
+render_trajectory is the one entry point; a fixed direction is the
+one-breakpoint trajectory Trajectory([0.0], [azimuth], [elevation]).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ DEFAULT_FIELD_OF_VIEW = math.pi / 2
 @dataclass(frozen=True)
 class RenderConfig:
     """Rendering hyperparameters: SH order, speaker layout and peak
-    normalisation. Every speaker's HRIR pair comes from the spherical-head
+    normalisation. Every speaker's HRIR comes from the spherical-head
     model at the input sample rate. Output is always trimmed to the input
     length so rendered files stay aligned with their mono sources.
     """
@@ -59,58 +62,33 @@ class RenderConfig:
             raise ValueError("layout needs at least 2 speakers")
 
 
-def _ear_bank(pairs, projection):
-    """2 x K x L filters: bank[e, k] = sum_m projection[m, k] * h_e,m."""
-    taps = max(max(len(p.left), len(p.right)) for p in pairs)
-    hrirs = np.zeros((2, len(pairs), taps))
-    for m, pair in enumerate(pairs):
-        hrirs[0, m, : len(pair.left)] = pair.left
-        hrirs[1, m, : len(pair.right)] = pair.right
-    return np.einsum("mk,eml->ekl", projection, hrirs)
+def _ear_bank(hrirs, projection):
+    """2 x K x L filters from M 2 x L HRIRs and the M x K projection:
+    bank[e, k] = sum_m projection[m, k] * hrirs[m][e]."""
+    return np.einsum("mk,eml->ekl", projection, np.stack(hrirs, axis=1))
 
 
-def _render_blockwise(mono, azimuth, elevation, cfg):
-    """Render along per-block directions (radians), one entry per block."""
+def render_trajectory(mono, trajectory, cfg=None):
+    """Render a mono buffer along a time-varying trajectory, sampled at the
+    block starts with one search."""
     if len(mono) == 0:
         raise ValueError("cannot render an empty signal")
-    pairs = [lookup(d, mono.sample_rate) for d in cfg.layout.directions]
-    dm = decode_matrix(cfg.layout, cfg.order)
-    gains = sh_basis(azimuth, elevation, cfg.order)
+    cfg = cfg or RenderConfig()
+    rate = mono.sample_rate
+    starts = np.arange(-(-len(mono) // DEFAULT_BLOCK_SIZE)) * DEFAULT_BLOCK_SIZE / rate
+    i = trajectory.index_at(starts)
+    hrirs = [lookup(d, rate) for d in cfg.layout.directions]
+    projection = decode_matrix(cfg.layout, cfg.order)
+    gains = sh_basis(trajectory.azimuth[i], trajectory.elevation[i], cfg.order)
     sh = EncodedRows(mono.samples, gains, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
-    left, right = fft_convolve(sh, _ear_bank(pairs, dm.projection))
+    left, right = fft_convolve(sh, _ear_bank(hrirs, projection))
     left, right = left[: len(mono)], right[: len(mono)]
     if cfg.normalize_output:
         peak = max(np.max(np.abs(left)), np.max(np.abs(right)))
         if peak > 1.0:
             left = left / peak
             right = right / peak
-    rate = mono.sample_rate
     return BinauralBuffer(AudioBuffer(left, rate), AudioBuffer(right, rate))
-
-
-def _n_blocks(mono):
-    return max(1, -(-len(mono) // DEFAULT_BLOCK_SIZE))
-
-
-def render_static(mono, direction, cfg=None):
-    """Render a mono buffer at a fixed direction."""
-    cfg = cfg or RenderConfig()
-    n_blocks = _n_blocks(mono)
-    return _render_blockwise(
-        mono, np.full(n_blocks, direction.azimuth), np.full(n_blocks, direction.elevation), cfg
-    )
-
-
-def render_trajectory(mono, trajectory, cfg=None):
-    """Render a mono buffer along a time-varying trajectory.
-
-    The trajectory is sampled at block starts, all blocks with one search;
-    a constant trajectory reproduces render_static bit-for-bit.
-    """
-    cfg = cfg or RenderConfig()
-    starts = np.arange(_n_blocks(mono)) * DEFAULT_BLOCK_SIZE / mono.sample_rate
-    i = trajectory.index_at(starts)
-    return _render_blockwise(mono, trajectory.azimuth[i], trajectory.elevation[i], cfg)
 
 
 def direction_from_features(features, field_of_view=DEFAULT_FIELD_OF_VIEW):

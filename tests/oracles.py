@@ -1,7 +1,8 @@
 """Independent direct-summation references used to check the library
 implementations. Everything here is written as plain loops over the
 documented definitions, deliberately sharing no code with the package
-beyond its exception types."""
+beyond its exception types. The one exception, render_static, is a test
+shorthand for rendering at a fixed direction, not a reference."""
 
 import csv
 import math
@@ -10,7 +11,14 @@ import warnings
 import numpy as np
 from scipy.io import wavfile
 
+from binauralkit.ambisonic import Trajectory
 from binauralkit.heatmap import HeatmapFormatError
+from binauralkit.render import render_trajectory
+
+
+def render_static(mono, direction, cfg=None):
+    """Render a mono buffer at a fixed Direction: a one-breakpoint trajectory."""
+    return render_trajectory(mono, Trajectory([0.0], [direction.azimuth], [direction.elevation]), cfg)
 
 
 def direct_convolve(x, k):

@@ -39,7 +39,7 @@ from binauralkit.metrics import (
     max_lag_samples,
 )
 from binauralkit.pipeline import ClipEntry, ClipManifest, preprocess
-from binauralkit.render import RenderConfig, render_static
+from binauralkit.render import RenderConfig
 from oracles import (
     oracle_heatmap_features,
     oracle_iacc,
@@ -47,6 +47,7 @@ from oracles import (
     oracle_ipd,
     oracle_isd,
     oracle_itd,
+    render_static,
 )
 
 FS = 16000
@@ -104,7 +105,7 @@ def test_criterion_03_sh_round_trip():
         dm = decode_matrix(layout, 1)
         for _ in range(100):
             y = sh_basis(rng.uniform(-np.pi, np.pi), 0.0, 1)
-            gains = dm.projection @ y
+            gains = dm @ y
             reencoded = sum(
                 g * sh_basis(d.azimuth, d.elevation, 1) for g, d in zip(gains, layout.directions)
             )

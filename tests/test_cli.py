@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -7,8 +9,10 @@ import numpy as np
 import pytest
 
 import binauralkit
+from binauralkit import flow
+from binauralkit.ambisonic import decode_matrix, ring_layout
 from binauralkit.audio import AudioBuffer, BinauralBuffer, read_wav, write_wav
-from binauralkit.cli import main
+from binauralkit.cli import _build_parser, main
 
 FS = 16000
 
@@ -352,6 +356,28 @@ class TestUnreadableInputs:
         )
 
 
+@pytest.mark.parametrize(
+    "nets",
+    [[], [(0, 0, 4, 4)], [(1, 0, 0, 4)], [(1, 0, 4, 3)]],
+    ids=["no_nets", "latent_dim_0", "hidden_width_0", "odd_embed_dim"],
+)
+def test_bad_checkpoint_header_is_one_line_error(tmp_path, capsys, nets):
+    # Each net's header dims (latent, cond, hidden, embed) followed by as many
+    # zero parameter bytes as those dims need, so only the dims are wrong.
+    blob = flow.CHECKPOINT_MAGIC + struct.pack("<II", flow.CHECKPOINT_VERSION, len(nets))
+    for dims in nets:
+        blob += struct.pack("<IIII", *dims) + bytes(flow._param_bytes(*dims))
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="bad.ckpt"):
+        flow.load_checkpoint(path)
+    assert main(["cfm-sample", "--checkpoint", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("binauralkit cfm-sample: error: ")
+    assert "bad.ckpt" in captured.err and captured.err.count("\n") == 1
+
+
 class TestPreprocessUsageErrors:
     @pytest.mark.parametrize(
         "flags",
@@ -390,6 +416,7 @@ class TestRenderAndFeatureUsageErrors:
             ["--order", "3"],
             ["--fov-deg", "nan"],
             ["--fov-deg", "inf"],
+            ["--order", "2"],
         ],
     )
     def test_render_flag_out_of_range_exits_2(self, dataset, capsys, flags):
@@ -398,6 +425,15 @@ class TestRenderAndFeatureUsageErrors:
         assert main(["render", "--manifest", str(manifest), "--out", str(out_dir)] + flags) == 2
         assert flags[0] in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_every_render_order_decodes_on_every_ring(self):
+        # The CLI renders on ring_layout(--speakers), so each --order choice
+        # must give a non-degenerate projection on rings of 2 to 64 speakers.
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        order = next(a for a in sub.choices["render"]._actions if a.dest == "order")
+        for o in order.choices:
+            for m in range(2, 65):
+                assert decode_matrix(ring_layout(m), o).shape == (m, (o + 1) ** 2)
 
     @pytest.mark.parametrize("rate", ["0", "-31.25", "nan", "inf"])
     def test_features_frame_rate_out_of_range_exits_2(self, dataset, capsys, rate):
