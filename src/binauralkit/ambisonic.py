@@ -170,9 +170,10 @@ def project_to_speakers(sh, projection):
 
 
 class EncodedRows:
-    """A mono signal encoded into SH channels as an N x K row source for
-    audio.fft_convolve: `rows(lo, hi)` builds rows lo..hi-1 on demand, so the
-    N x K array is never held whole.
+    """A mono signal weighted by K per-block gains, as N x K rows built on
+    demand: `rows(lo, hi)` builds rows lo..hi-1, so the N x K array is never
+    held whole. With SH gains the rows are the SH encoding (encode_mono);
+    the render passes one gain per nonzero tap of its ear filter bank.
 
     Block b of `block_size` samples takes the gain row `gains[b]`; the first
     `crossfade` samples of every block after the first ramp linearly from

@@ -118,7 +118,9 @@ def _build_parser():
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", help="CSV of drawn samples")
 
-    p = sub.add_parser("validate", help="check that manifest paths resolve")
+    p = sub.add_parser(
+        "validate", help="check that manifest paths resolve and each clip has a direction source"
+    )
     p.add_argument("--manifest", required=True)
 
     return parser

@@ -35,6 +35,8 @@ DC_OFFSET_MAX = 0.02
 
 PREPROCESS_STATUSES = ("kept", "rejected_short", "rejected_silent", "rejected_unreadable")
 
+NO_DIRECTION_SOURCE = "has neither a trajectory nor a heatmap"
+
 
 def worker_count():
     """Worker cap from the environment (default 1; output is order-stable
@@ -192,10 +194,14 @@ def _as_mono(loaded):
 def preprocess(manifest, cfg=None):
     """Apply the duration and silence filters to every manifest entry.
     Returns (kept manifest, one ClipResult per entry), each with one of
-    PREPROCESS_STATUSES; audio shorter than one silence frame is rejected_short."""
+    PREPROCESS_STATUSES; an entry with no direction source to render along
+    is rejected_unreadable before its audio is read, and audio shorter than
+    one silence frame is rejected_short."""
     cfg = cfg or PreprocessConfig()
 
     def evaluate(clip_id, entry):
+        if entry.trajectory is None and entry.heatmap is None:
+            return ClipResult(clip_id, "rejected_unreadable", NO_DIRECTION_SOURCE)
         audio = _as_mono(read_wav(manifest.resolve(entry.audio)))
         if audio.duration < cfg.min_seconds:
             return ClipResult(clip_id, "rejected_short",
@@ -230,7 +236,7 @@ def clip_trajectory(manifest, entry, fov=math.pi / 2):
     if entry.heatmap is not None:
         seq = load_heatmap_sequence(manifest.resolve(entry.heatmap))
         return direction_from_features(extract_features(seq), fov)
-    raise ValueError(f"clip {entry.id} has neither a trajectory nor a heatmap")
+    raise ValueError(f"clip {entry.id} {NO_DIRECTION_SOURCE}")
 
 
 def batch_render(manifest, render_cfg=None, out_dir=".", fov=math.pi / 2, encoding="float32"):
@@ -320,9 +326,12 @@ def write_aggregate_csv(path, aggregate):
 
 
 def validate_manifest(manifest):
-    """Resolve every referenced path; returns a list of problem strings."""
+    """Resolve every referenced path and check that each entry has a
+    direction source; returns a list of problem strings."""
     problems = []
     for entry in manifest.entries:
+        if entry.trajectory is None and entry.heatmap is None:
+            problems.append(f"{entry.id}: {NO_DIRECTION_SOURCE}")
         for key in ("audio", "heatmap", "trajectory"):
             rel = getattr(entry, key)
             if rel is not None and not os.path.exists(manifest.resolve(rel)):

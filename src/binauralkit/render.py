@@ -5,19 +5,22 @@ trajectory. Projecting onto M virtual loudspeakers and convolving each feed
 with that speaker's HRIR pair is linear, so the two steps fold into one
 filter bank with a filter per ear e and SH channel k,
 bank[e, k] = sum_m P[m, k] h_e,m, where P is the speaker projection and h_e,m
-is row e of speaker m's 2 x L HRIR (hrir.lookup). Each clip is then one
-multichannel convolution of the SH signal with that bank, the same sum as
-the speaker-by-speaker render in fewer transforms (the virtual-loudspeaker /
-SH-domain equivalence of Noisternig et al., VECIMS 2003).
+is row e of speaker m's 2 x L HRIR (hrir.lookup): the virtual-loudspeaker /
+SH-domain equivalence of Noisternig et al., VECIMS 2003.
 
 The source direction is constant over each block of DEFAULT_BLOCK_SIZE
 samples, with a DEFAULT_CROSSFADE-sample linear crossfade into the next:
 one search over the trajectory's breakpoint arrays finds every block's
-direction, and one vectorised SH evaluation gives its gains. The SH signal
-itself, crossfades included, is built one overlap-add group at a time
-inside the convolution (ambisonic.EncodedRows), so a render holds the 2 x N
-output but never the N x K encoded signal. The convolution tail is dropped:
-a render is as long as its mono input.
+direction, and one vectorised SH evaluation gives its gains. The crossfaded
+SH weights w_k are linear in the gains, so ear e's output,
+sum_d sum_k bank[e, k, d] w_k[n - d] x[n - d], takes one pass per nonzero
+tap (e, d): the signal weighted by the crossfaded gains @ bank[e, :, d]
+(ambisonic.EncodedRows), added in d samples late. This is exact for any
+bank. The head model's bank has 3 nonzero taps per ear on an 8-speaker
+ring, so the render needs no FFT; a measured HRIR set, with dense filters,
+would bring a block FFT convolution back. The weights are built CHUNK
+samples at a time, so a render never holds the N x K encoded signal, and
+it is as long as its mono input.
 
 render_trajectory is the one entry point; a fixed direction is the
 one-breakpoint trajectory Trajectory([0.0], [azimuth], [elevation]).
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, BinauralBuffer, fft_convolve
+from .audio import AudioBuffer, BinauralBuffer
 from .ambisonic import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_CROSSFADE,
@@ -43,6 +46,7 @@ from .ambisonic import (
 from .hrir import lookup
 
 DEFAULT_FIELD_OF_VIEW = math.pi / 2
+CHUNK = 64 * DEFAULT_BLOCK_SIZE  # samples of weights built per pass
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,19 @@ def render_trajectory(mono, trajectory, cfg=None):
     hrirs = [lookup(d, rate) for d in cfg.layout.directions]
     projection = decode_matrix(cfg.layout, cfg.order)
     gains = sh_basis(trajectory.azimuth[i], trajectory.elevation[i], cfg.order)
-    sh = EncodedRows(mono.samples, gains, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
-    left, right = fft_convolve(sh, _ear_bank(hrirs, projection))
-    left, right = left[: len(mono)], right[: len(mono)]
+    bank = _ear_bank(hrirs, projection)
+    ears, taps = np.nonzero(np.any(bank != 0.0, axis=1))
+    weights = EncodedRows(
+        mono.samples, gains @ bank[ears, :, taps].T, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE
+    )
+    n = len(mono)
+    # Room for the longest delay past the end; the tail is dropped below.
+    out = np.zeros((2, n + bank.shape[2]))
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        for row, ear, tap in zip(weights.rows(lo, hi).T, ears, taps):
+            out[ear, lo + tap : hi + tap] += row
+    left, right = out[:, :n]
     if cfg.normalize_output:
         peak = max(np.max(np.abs(left)), np.max(np.abs(right)))
         if peak > 1.0:

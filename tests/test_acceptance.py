@@ -226,9 +226,9 @@ def test_criterion_08_preprocess_fixture(tmp_path):
     )
     manifest = ClipManifest(
         (
-            ClipEntry("silent", "silent.wav"),
-            ClipEntry("short", "short.wav"),
-            ClipEntry("valid", "valid.wav"),
+            ClipEntry("silent", "silent.wav", trajectory="t.csv"),
+            ClipEntry("short", "short.wav", trajectory="t.csv"),
+            ClipEntry("valid", "valid.wav", trajectory="t.csv"),
         ),
         str(tmp_path),
     )

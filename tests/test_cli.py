@@ -69,6 +69,26 @@ class TestPreprocessCommand:
         assert payload["rejected_short"] == 1
         assert "kept 2" in capsys.readouterr().out
 
+    def test_entry_without_direction_source_is_rejected(self, dataset, capsys):
+        base, manifest = dataset
+        items = json.loads(manifest.read_text())
+        items.append({"id": "notraj", "audio": "one.wav"})
+        manifest.write_text(json.dumps(items))
+        kept, report = base / "kept.json", base / "report.json"
+        assert main([
+            "preprocess", "--manifest", str(manifest), "--out", str(kept),
+            "--report", str(report), "--min-seconds", "0.5",
+        ]) == 0
+        assert [e["id"] for e in json.loads(kept.read_text())] == ["one", "two"]
+        payload = json.loads(report.read_text())
+        assert payload["rejected_unreadable"] == 1
+        assert "neither a trajectory nor a heatmap" in payload["reasons"]["notraj"]
+        assert main([
+            "render", "--manifest", str(kept), "--out", str(base / "rendered"), "--strict",
+        ]) == 0
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert "notraj: has neither a trajectory nor a heatmap" in capsys.readouterr().err
+
 
 class TestRenderCommand:
     def test_renders_manifest(self, dataset, capsys):
@@ -138,7 +158,9 @@ class TestThreadCountOutcomes:
                 report.read_bytes(), rendered.out, rendered.err, metrics_json.read_bytes()
             )
         assert seen["1"] == seen["3"]
-        assert set(json.loads(report.read_text())["reasons"]) == {"short", "silent", "broken"}
+        assert set(json.loads(report.read_text())["reasons"]) == {
+            "short", "silent", "broken", "untracked"
+        }
         assert ["broken", "untracked"] == [
             line.split(":")[0] for line in seen["1"][2].splitlines()
         ]

@@ -115,14 +115,23 @@ class TestManifests:
 
     def test_validate_reports_missing_files(self, tmp_path):
         write_noise(tmp_path / "ok.wav", 0.5)
+        (tmp_path / "ok.csv").write_text("time_s,azimuth_deg,elevation_deg\n0,0,0\n")
         manifest = ClipManifest(
-            (ClipEntry("ok", "ok.wav"), ClipEntry("gone", "gone.wav", heatmap="x.hmap")),
+            (
+                ClipEntry("ok", "ok.wav", trajectory="ok.csv"),
+                ClipEntry("gone", "gone.wav", heatmap="x.hmap"),
+            ),
             str(tmp_path),
         )
         problems = validate_manifest(manifest)
         assert len(problems) == 2
         assert any("gone.wav" in p for p in problems)
         assert any("x.hmap" in p for p in problems)
+
+    def test_validate_reports_missing_direction_source(self, tmp_path):
+        write_noise(tmp_path / "a.wav", 0.5)
+        manifest = ClipManifest((ClipEntry("a", "a.wav"),), str(tmp_path))
+        assert validate_manifest(manifest) == ["a: has neither a trajectory nor a heatmap"]
 
 
 class TestSilenceFraction:
@@ -155,7 +164,7 @@ class TestPreprocess:
         (tmp_path / "broken.wav").write_text("not audio")
         manifest = ClipManifest(
             tuple(
-                ClipEntry(name, f"{name}.wav")
+                ClipEntry(name, f"{name}.wav", trajectory="t.csv")
                 for name in ("keep", "short", "silent", "broken")
             ),
             str(tmp_path),
@@ -189,22 +198,31 @@ class TestPreprocess:
 
     def test_duration_boundary_inclusive(self, tmp_path):
         write_noise(tmp_path / "edge.wav", 0.5, seed=3)  # exactly min_seconds
-        manifest = ClipManifest((ClipEntry("edge", "edge.wav"),), str(tmp_path))
+        manifest = ClipManifest((ClipEntry("edge", "edge.wav", trajectory="t.csv"),), str(tmp_path))
         kept, _ = preprocess(manifest, PreprocessConfig(min_seconds=0.5))
         assert len(kept) == 1
 
     def test_stereo_input_unreadable(self, tmp_path):
         write_stereo(tmp_path / "st.wav", 1.0)
-        manifest = ClipManifest((ClipEntry("st", "st.wav"),), str(tmp_path))
+        manifest = ClipManifest((ClipEntry("st", "st.wav", trajectory="t.csv"),), str(tmp_path))
         _, results = preprocess(manifest, PreprocessConfig(min_seconds=0.5))
         assert [r.status for r in results] == ["rejected_unreadable"]
 
     def test_shorter_than_one_silence_frame_is_short(self, tmp_path):
         write_noise(tmp_path / "tiny.wav", 100 / FS, seed=4)
-        manifest = ClipManifest((ClipEntry("tiny", "tiny.wav"),), str(tmp_path))
+        manifest = ClipManifest((ClipEntry("tiny", "tiny.wav", trajectory="t.csv"),), str(tmp_path))
         _, results = preprocess(manifest, PreprocessConfig(min_seconds=0.0))
         assert [r.status for r in results] == ["rejected_short"]
         assert "400-sample silence frame" in results[0].reason
+
+    def test_no_direction_source_rejected_before_audio_is_read(self, tmp_path):
+        # No audio file exists: the entry's fields alone reject it.
+        manifest = ClipManifest((ClipEntry("notraj", "missing.wav"),), str(tmp_path))
+        kept, results = preprocess(manifest)
+        assert len(kept) == 0
+        assert [(r.status, r.reason) for r in results] == [
+            ("rejected_unreadable", "has neither a trajectory nor a heatmap")
+        ]
 
     def test_report_json(self, tmp_path):
         manifest, cfg = self._dataset(tmp_path)

@@ -17,7 +17,13 @@ from binauralkit.ambisonic import (
 )
 from binauralkit.heatmap import SpatialFeatureSequence
 from binauralkit.hrir import lookup, woodworth_delay
-from binauralkit.render import RenderConfig, direction_from_features, render_trajectory
+from binauralkit.render import (
+    CHUNK,
+    RenderConfig,
+    _ear_bank,
+    direction_from_features,
+    render_trajectory,
+)
 from conftest import breakpoints, noise_buffer
 from oracles import oracle_direction_at, oracle_speaker_render, render_static
 
@@ -203,10 +209,13 @@ def oracle_render(mono, directions, cfg, pairs):
 def render_cases():
     """(id, config, HRIR pairs, signal lengths) covering SH orders 0-2, the
     head model and dense random HRIRs, a signal shorter than one FFT block
-    and exact block multiples."""
+    and exact block multiples, signals no longer than the head model's
+    largest tap delay (10 samples at 16 kHz on the ring) and lengths around
+    the render's CHUNK."""
     rng = np.random.default_rng(7)
     ring, sphere = ring_layout(8), sphere_layout()
     analytic_hop, measured_hop = ola_hop(64), ola_hop(57)
+    around_chunk = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
     cases = [
         ("order0", RenderConfig(order=0), None, (500, 3 * analytic_hop)),
         ("order1", RenderConfig(order=1), None, (500, 3 * analytic_hop, 5000)),
@@ -222,6 +231,16 @@ def render_cases():
             RenderConfig(order=2, layout=sphere),
             measured_pairs(sphere, rng),
             (700, 2 * measured_hop),
+        ),
+        ("order1_within_delay", RenderConfig(order=1), None, (1, 2, 6, 10, 11, 12)),
+        ("order1_chunk", RenderConfig(order=1), None, around_chunk),
+        ("order0_chunk", RenderConfig(order=0), None, (CHUNK + 1,)),
+        ("order2_chunk", RenderConfig(order=2, layout=sphere), None, (CHUNK + 1,)),
+        (
+            "measured_order1_chunk",
+            RenderConfig(layout=ring),
+            measured_pairs(ring, rng),
+            (CHUNK + 1,),
         ),
     ]
     return [
@@ -283,6 +302,81 @@ class TestSpeakerLoopOracle:
             )
 
 
+def per_block_points(n, seed):
+    """(time_s, Direction) breakpoints at every block start with random
+    azimuths, so every block boundary, each CHUNK boundary included,
+    crossfades."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        (b * DEFAULT_BLOCK_SIZE / FS, Direction(rng.uniform(-math.pi, math.pi)))
+        for b in range(-(-n // DEFAULT_BLOCK_SIZE))
+    )
+
+
+class TestTapSumEdgeCases:
+    """The sum over the ear bank's nonzero taps against the speaker loop
+    where its chunking and tap selection could go wrong."""
+
+    def assert_matches_oracle(self, mono, points, cfg, pairs):
+        out = render_trajectory(mono, Trajectory(*breakpoints(points)), cfg)
+        left, right = oracle_render(mono, [d for _, d in points], cfg, pairs)
+        np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
+        return out
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_crossfades_across_chunk_boundaries(self, rng, n):
+        cfg = RenderConfig()
+        pairs = [lookup(d, FS) for d in cfg.layout.directions]
+        self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, n), cfg, pairs)
+
+    def test_all_zero_ear(self, rng, monkeypatch):
+        cfg = RenderConfig()
+        hrirs = {d: rng.standard_normal((2, 20)) * np.array([[1.0], [0.0]])
+                 for d in cfg.layout.directions}
+        pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
+        n = 3000
+        out = self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, 1), cfg, pairs)
+        assert np.all(out.right.samples == 0.0)
+        assert np.any(out.left.samples != 0.0)
+
+    def test_tap_whose_speaker_contributions_cancel(self, rng, monkeypatch):
+        # At order 0 every speaker has the same projection weight, so taps
+        # of +1 and -1 on alternate speakers of the ring sum to exactly 0.
+        cfg = RenderConfig(order=0)
+        hrirs = {}
+        for m, d in enumerate(cfg.layout.directions):
+            h = rng.standard_normal((2, 12))
+            h[:, 5] = (-1.0) ** m
+            hrirs[d] = h
+        pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
+        bank = _ear_bank(pairs, decode_matrix(cfg.layout, cfg.order))
+        assert np.all(bank[:, :, 5] == 0.0) and np.all(bank[:, :, 4] != 0.0)
+        n = 3000
+        self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, 2), cfg, pairs)
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5000),
+        n_points=st.integers(1, 8),
+        a=st.floats(-3.0, 3.0),
+        b=st.floats(-3.0, 3.0),
+    )
+    def test_trajectory_render_is_linear(self, seed, n, n_points, a, b):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, n / FS, n_points - 1))])
+        traj = Trajectory(times, rng.uniform(-math.pi, math.pi, n_points), np.zeros(n_points))
+        mixed = render_trajectory(AudioBuffer(a * x + b * y, FS), traj)
+        rx = render_trajectory(AudioBuffer(x, FS), traj)
+        ry = render_trajectory(AudioBuffer(y, FS), traj)
+        for got, px, py in ((mixed.left, rx.left, ry.left), (mixed.right, rx.right, ry.right)):
+            np.testing.assert_allclose(
+                got.samples, a * px.samples + b * py.samples, rtol=0, atol=1e-12
+            )
+
+
 class TestDirectionFromFeatures:
     def _features(self, s_h_values, rate=31.25):
         rows = [[v, 0.1, 0.0, 0.0, 0.0] for v in s_h_values]
@@ -310,9 +404,9 @@ class TestDirectionFromFeatures:
 
 
 def test_trajectory_render_memory_peak():
-    # The SH-encoded signal is built one overlap-add group at a time: beyond
-    # the 2 x N output, a 60 s render may hold a few MB of group buffers,
-    # never an N x K encoded array.
+    # The tap weights are built one CHUNK of samples at a time: beyond the
+    # 2 x N output, a 60 s render may hold a few MB of chunk weights, never
+    # an N x K encoded array.
     import tracemalloc
 
     n = 60 * FS
