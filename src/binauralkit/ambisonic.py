@@ -172,8 +172,9 @@ def project_to_speakers(sh, projection):
 class EncodedRows:
     """A mono signal weighted by K per-block gains, as N x K rows built on
     demand: `rows(lo, hi)` builds rows lo..hi-1, so the N x K array is never
-    held whole. With SH gains the rows are the SH encoding (encode_mono);
-    the render passes one gain per nonzero tap of its ear filter bank.
+    held whole. With SH gains the rows are the SH encoding (encode_mono,
+    and the row source of the render's FFT path); the render's tap sum
+    passes one gain per nonzero tap of its ear filter bank.
 
     Block b of `block_size` samples takes the gain row `gains[b]`; the first
     `crossfade` samples of every block after the first ramp linearly from

@@ -16,11 +16,13 @@ SH weights w_k are linear in the gains, so ear e's output,
 sum_d sum_k bank[e, k, d] w_k[n - d] x[n - d], takes one pass per nonzero
 tap (e, d): the signal weighted by the crossfaded gains @ bank[e, :, d]
 (ambisonic.EncodedRows), added in d samples late. This is exact for any
-bank. The head model's bank has 3 nonzero taps per ear on an 8-speaker
-ring, so the render needs no FFT; a measured HRIR set, with dense filters,
-would bring a block FFT convolution back. The weights are built CHUNK
-samples at a time, so a render never holds the N x K encoded signal, and
-it is as long as its mono input.
+bank, and costs one pass per nonzero tap: 6 on the head model's 8-speaker
+ring at 16 kHz, 34 on a 64-speaker ring at 48 kHz. A bank with more taps
+than a block FFT convolution of the SH signal costs in passes
+(FFT_COST_IN_PASSES) takes that convolution (audio.fft_convolve) instead,
+as would a measured HRIR set with dense filters. Either way the weights or
+the SH rows are built a chunk at a time, so a render never holds the N x K
+encoded signal, and it is as long as its mono input.
 
 render_trajectory is the one entry point; a fixed direction is the
 one-breakpoint trajectory Trajectory([0.0], [azimuth], [elevation]).
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, BinauralBuffer
+from .audio import AudioBuffer, BinauralBuffer, fft_convolve
 from .ambisonic import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_CROSSFADE,
@@ -46,7 +48,12 @@ from .ambisonic import (
 from .hrir import lookup
 
 DEFAULT_FIELD_OF_VIEW = math.pi / 2
-CHUNK = 64 * DEFAULT_BLOCK_SIZE  # samples of weights built per pass
+# Samples per pass of the tap sum: 8 blocks keep a pass's weights in cache.
+CHUNK = 8 * DEFAULT_BLOCK_SIZE
+# A block FFT convolution of K SH channels costs about as much as
+# FFT_COST_IN_PASSES * (K + 1) passes of the tap sum (measured at SH orders
+# 0-2, 16 and 48 kHz, on 2 cores of an x86-64 server).
+FFT_COST_IN_PASSES = 5
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,29 @@ def _ear_bank(hrirs, projection):
     return np.einsum("mk,eml->ekl", projection, np.stack(hrirs, axis=1))
 
 
+def _ear_signals(samples, gains, bank):
+    """The 2 x N ear signals of a mono signal whose per-block SH gains are
+    `gains`, through the 2 x K x L ear bank: a tap sum for a sparse bank, a
+    block FFT convolution of the SH signal for a dense one."""
+    n = len(samples)
+    ears, taps = np.nonzero(np.any(bank != 0.0, axis=1))
+    if len(ears) > FFT_COST_IN_PASSES * (bank.shape[1] + 1):
+        sh = EncodedRows(samples, gains, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
+        return fft_convolve(sh, bank)[:, :n]
+    # One pass per nonzero tap (ears[p], taps[p]): the signal weighted by
+    # the crossfaded gains @ bank[ear, :, tap], added in tap samples late.
+    weights = EncodedRows(
+        samples, gains @ bank[ears, :, taps].T, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE
+    )
+    # Room for the longest delay past the end; the tail is dropped below.
+    out = np.zeros((2, n + bank.shape[2]))
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        for row, ear, tap in zip(weights.rows(lo, hi).T, ears, taps):
+            out[ear, lo + tap : hi + tap] += row
+    return out[:, :n]
+
+
 def render_trajectory(mono, trajectory, cfg=None):
     """Render a mono buffer along a time-varying trajectory, sampled at the
     block starts with one search."""
@@ -84,19 +114,7 @@ def render_trajectory(mono, trajectory, cfg=None):
     hrirs = [lookup(d, rate) for d in cfg.layout.directions]
     projection = decode_matrix(cfg.layout, cfg.order)
     gains = sh_basis(trajectory.azimuth[i], trajectory.elevation[i], cfg.order)
-    bank = _ear_bank(hrirs, projection)
-    ears, taps = np.nonzero(np.any(bank != 0.0, axis=1))
-    weights = EncodedRows(
-        mono.samples, gains @ bank[ears, :, taps].T, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE
-    )
-    n = len(mono)
-    # Room for the longest delay past the end; the tail is dropped below.
-    out = np.zeros((2, n + bank.shape[2]))
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        for row, ear, tap in zip(weights.rows(lo, hi).T, ears, taps):
-            out[ear, lo + tap : hi + tap] += row
-    left, right = out[:, :n]
+    left, right = _ear_signals(mono.samples, gains, _ear_bank(hrirs, projection))
     if cfg.normalize_output:
         peak = max(np.max(np.abs(left)), np.max(np.abs(right)))
         if peak > 1.0:

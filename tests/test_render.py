@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binauralkit.audio import AudioBuffer, next_pow2
+from binauralkit.audio import AudioBuffer, fft_convolve, next_pow2
 from binauralkit.ambisonic import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_CROSSFADE,
@@ -15,10 +15,12 @@ from binauralkit.ambisonic import (
     encode_mono,
     ring_layout,
 )
+import binauralkit.render as render
 from binauralkit.heatmap import SpatialFeatureSequence
 from binauralkit.hrir import lookup, woodworth_delay
 from binauralkit.render import (
     CHUNK,
+    FFT_COST_IN_PASSES,
     RenderConfig,
     _ear_bank,
     direction_from_features,
@@ -206,12 +208,21 @@ def oracle_render(mono, directions, cfg, pairs):
     return left[: len(mono)], right[: len(mono)]
 
 
+@pytest.fixture(params=["tap_sum", "fft"])
+def kernel(request, monkeypatch):
+    """Force the render's tap sum or its block FFT convolution, whatever
+    the bank's count of nonzero taps."""
+    cost = 10**6 if request.param == "tap_sum" else 0
+    monkeypatch.setattr(render, "FFT_COST_IN_PASSES", cost)
+    return request.param
+
+
 def render_cases():
     """(id, config, HRIR pairs, signal lengths) covering SH orders 0-2, the
-    head model and dense random HRIRs, a signal shorter than one FFT block
-    and exact block multiples, signals no longer than the head model's
-    largest tap delay (10 samples at 16 kHz on the ring) and lengths around
-    the render's CHUNK."""
+    head model (a sparse bank) and dense random HRIRs (a dense one), a
+    signal shorter than one FFT block and exact block multiples, signals no
+    longer than the head model's largest tap delay (10 samples at 16 kHz on
+    the ring) and lengths around the tap sum's CHUNK."""
     rng = np.random.default_rng(7)
     ring, sphere = ring_layout(8), sphere_layout()
     analytic_hop, measured_hop = ola_hop(64), ola_hop(57)
@@ -266,6 +277,13 @@ class TestSpeakerLoopOracle:
 
     @pytest.mark.parametrize("cfg,hrirs,n", render_cases())
     def test_trajectory_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
+        self.assert_trajectory_matches_oracle(rng, monkeypatch, cfg, hrirs, n)
+
+    @pytest.mark.parametrize("cfg,hrirs,n", render_cases())
+    def test_each_kernel_matches_oracle(self, rng, monkeypatch, kernel, cfg, hrirs, n):
+        self.assert_trajectory_matches_oracle(rng, monkeypatch, cfg, hrirs, n)
+
+    def assert_trajectory_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
         pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         mono = noise_buffer(rng, n)
         points = tuple(
@@ -314,8 +332,9 @@ def per_block_points(n, seed):
 
 
 class TestTapSumEdgeCases:
-    """The sum over the ear bank's nonzero taps against the speaker loop
-    where its chunking and tap selection could go wrong."""
+    """The sum over the ear bank's nonzero taps, and the FFT path that
+    takes a dense bank, against the speaker loop where chunking and tap
+    selection could go wrong."""
 
     def assert_matches_oracle(self, mono, points, cfg, pairs):
         out = render_trajectory(mono, Trajectory(*breakpoints(points)), cfg)
@@ -325,12 +344,12 @@ class TestTapSumEdgeCases:
         return out
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
-    def test_crossfades_across_chunk_boundaries(self, rng, n):
+    def test_crossfades_across_chunk_boundaries(self, rng, kernel, n):
         cfg = RenderConfig()
         pairs = [lookup(d, FS) for d in cfg.layout.directions]
         self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, n), cfg, pairs)
 
-    def test_all_zero_ear(self, rng, monkeypatch):
+    def test_all_zero_ear(self, rng, monkeypatch, kernel):
         cfg = RenderConfig()
         hrirs = {d: rng.standard_normal((2, 20)) * np.array([[1.0], [0.0]])
                  for d in cfg.layout.directions}
@@ -340,7 +359,7 @@ class TestTapSumEdgeCases:
         assert np.all(out.right.samples == 0.0)
         assert np.any(out.left.samples != 0.0)
 
-    def test_tap_whose_speaker_contributions_cancel(self, rng, monkeypatch):
+    def test_tap_whose_speaker_contributions_cancel(self, rng, monkeypatch, kernel):
         # At order 0 every speaker has the same projection weight, so taps
         # of +1 and -1 on alternate speakers of the ring sum to exactly 0.
         cfg = RenderConfig(order=0)
@@ -355,6 +374,7 @@ class TestTapSumEdgeCases:
         n = 3000
         self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, 2), cfg, pairs)
 
+    @pytest.mark.parametrize("cost", [10**6, 0], ids=["tap_sum", "fft"])
     @settings(max_examples=25)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -363,18 +383,60 @@ class TestTapSumEdgeCases:
         a=st.floats(-3.0, 3.0),
         b=st.floats(-3.0, 3.0),
     )
-    def test_trajectory_render_is_linear(self, seed, n, n_points, a, b):
+    def test_trajectory_render_is_linear(self, cost, seed, n, n_points, a, b):
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal(n), rng.standard_normal(n)
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, n / FS, n_points - 1))])
         traj = Trajectory(times, rng.uniform(-math.pi, math.pi, n_points), np.zeros(n_points))
-        mixed = render_trajectory(AudioBuffer(a * x + b * y, FS), traj)
-        rx = render_trajectory(AudioBuffer(x, FS), traj)
-        ry = render_trajectory(AudioBuffer(y, FS), traj)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render, "FFT_COST_IN_PASSES", cost)
+            mixed = render_trajectory(AudioBuffer(a * x + b * y, FS), traj)
+            rx = render_trajectory(AudioBuffer(x, FS), traj)
+            ry = render_trajectory(AudioBuffer(y, FS), traj)
         for got, px, py in ((mixed.left, rx.left, ry.left), (mixed.right, rx.right, ry.right)):
             np.testing.assert_allclose(
                 got.samples, a * px.samples + b * py.samples, rtol=0, atol=1e-12
             )
+
+
+class TestKernelChoice:
+    """A bank with more nonzero taps than FFT_COST_IN_PASSES * (K + 1)
+    takes the block FFT convolution; a sparser one, the tap sum."""
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            render, "fft_convolve", lambda s, k: calls.append(k.shape) or fft_convolve(s, k)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "speakers,order,rate,expected",
+        [
+            (8, 1, 16000, 0),  # the CLI default: 6 taps
+            (32, 1, 48000, 0),  # 18 taps, at most 25
+            (64, 1, 48000, 1),  # 34 taps
+            (8, 0, 16000, 0),  # 6 taps, at most 10
+            (16, 0, 48000, 0),  # 10 taps
+            (32, 0, 48000, 1),  # 18 taps
+        ],
+    )
+    def test_head_model_bank(self, rng, fft_calls, speakers, order, rate, expected):
+        cfg = RenderConfig(order=order, layout=ring_layout(speakers))
+        bank = _ear_bank(
+            [lookup(d, rate) for d in cfg.layout.directions], decode_matrix(cfg.layout, order)
+        )
+        taps = np.count_nonzero(np.any(bank != 0.0, axis=1))
+        assert (taps > FFT_COST_IN_PASSES * ((order + 1) ** 2 + 1)) == bool(expected)
+        render_static(noise_buffer(rng, 3000, sample_rate=rate), Direction(0.4), cfg)
+        assert len(fft_calls) == expected
+
+    def test_dense_random_bank_takes_the_fft(self, rng, monkeypatch, fft_calls):
+        cfg = RenderConfig()
+        speaker_hrirs(monkeypatch, cfg, measured_pairs(cfg.layout, rng))
+        render_static(noise_buffer(rng, 3000), Direction(0.4), cfg)
+        assert fft_calls == [(2, 4, 57)]
 
 
 class TestDirectionFromFeatures:
@@ -406,7 +468,7 @@ class TestDirectionFromFeatures:
 def test_trajectory_render_memory_peak():
     # The tap weights are built one CHUNK of samples at a time: beyond the
     # 2 x N output, a 60 s render may hold a few MB of chunk weights, never
-    # an N x K encoded array.
+    # an N x K encoded array (test_dense_render_memory_peak: the FFT path).
     import tracemalloc
 
     n = 60 * FS
@@ -417,6 +479,27 @@ def test_trajectory_render_memory_peak():
     tracemalloc.start()
     try:
         render_trajectory(mono, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * n * 8
+
+
+def test_dense_render_memory_peak():
+    # A 64-speaker ring at 48 kHz has 34 nonzero taps, so its bank goes
+    # through the block FFT convolution, whose SH rows and spectra are built
+    # one overlap-add group at a time: again no N x K or N x taps array.
+    import tracemalloc
+
+    rate = 48000
+    n = 20 * rate
+    mono = noise_buffer(np.random.default_rng(7), n=n, sample_rate=rate)
+    times = np.arange(0.0, 20.0, 0.02)
+    azimuth = np.cumsum(np.random.default_rng(8).normal(0.0, 0.07, len(times)))
+    traj = Trajectory(times, azimuth, np.zeros(len(times)))
+    tracemalloc.start()
+    try:
+        render_trajectory(mono, traj, RenderConfig(layout=ring_layout(64)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
