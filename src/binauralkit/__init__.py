@@ -3,7 +3,6 @@ evaluation, heatmap spatial features and toy conditional flow matching."""
 
 from .audio import AudioBuffer, BinauralBuffer, fft_convolve, read_wav, stft, write_wav
 from .ambisonic import (
-    Direction,
     ShSignal,
     SpeakerLayout,
     Trajectory,

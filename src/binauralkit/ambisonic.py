@@ -6,10 +6,14 @@ Conventions: real SH, ACN channel ordering, SN3D normalization. Azimuth is
 measured counterclockwise from front (positive = listener's left), elevation
 up from the horizontal plane.
 
+A direction is an azimuth and an elevation in radians, and many directions
+are two arrays: a finite azimuth, wrapped into [-pi, pi), and an elevation
+within [-pi/2, pi/2] (up to ELEVATION_SLACK), the rule _directions checks.
 sh_basis evaluates the SH channels for whole arrays of directions. A
-Trajectory is built from, and holds, its breakpoints as time, azimuth and
-elevation arrays (the CSV loader reads them with one np.loadtxt call), and
-index_at finds the breakpoint in force at many times with one search.
+SpeakerLayout holds its directions as azimuth and elevation arrays, and a
+Trajectory its breakpoints as time, azimuth and elevation arrays (the CSV
+loader reads them with one np.loadtxt call); index_at finds the breakpoint
+in force at many times with one search.
 EncodedRows is the mono signal encoded along per-block gains, built on
 demand a range of rows at a time; encode_mono builds all of it.
 """
@@ -29,6 +33,8 @@ RIDGE = 1e-12
 SINGULARITY_TOL = 1e-10
 DEFAULT_BLOCK_SIZE = 1024
 DEFAULT_CROSSFADE = 256
+ELEVATION_SLACK = 1e-12
+ELEVATION_LIMIT = math.pi / 2 + ELEVATION_SLACK
 
 
 class LayoutError(ValueError):
@@ -40,32 +46,17 @@ def wrap_azimuth(azimuth):
     return (azimuth + math.pi) % (2.0 * math.pi) - math.pi
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Azimuth/elevation pair in radians: a finite azimuth, wrapped into
-    [-pi, pi), and an elevation within [-pi/2, pi/2]."""
-
-    azimuth: float
-    elevation: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.azimuth):
-            raise ValueError("azimuth must be finite")
-        if not (-math.pi / 2 - 1e-12 <= self.elevation <= math.pi / 2 + 1e-12):
-            raise ValueError("elevation outside [-pi/2, pi/2]")
-        object.__setattr__(self, "azimuth", float(wrap_azimuth(self.azimuth)))
-        object.__setattr__(self, "elevation", float(self.elevation))
-
-    def unit_vector(self):
-        """Cartesian unit vector: x front, y left, z up."""
-        ce = math.cos(self.elevation)
-        return np.array(
-            [
-                ce * math.cos(self.azimuth),
-                ce * math.sin(self.azimuth),
-                math.sin(self.elevation),
-            ]
-        )
+def _directions(azimuth, elevation):
+    """Azimuths and elevations in radians as float64 arrays, the azimuths
+    wrapped into [-pi, pi). A non-finite azimuth or an elevation outside
+    [-pi/2, pi/2] (by more than ELEVATION_SLACK) raises ValueError."""
+    azimuth = np.asarray(azimuth, dtype=np.float64)
+    elevation = np.asarray(elevation, dtype=np.float64)
+    if not np.all(np.isfinite(azimuth)):
+        raise ValueError("azimuth must be finite")
+    if not np.all(np.abs(elevation) <= ELEVATION_LIMIT):
+        raise ValueError("elevation outside [-pi/2, pi/2]")
+    return wrap_azimuth(azimuth), elevation
 
 
 def sh_basis(azimuth, elevation, order):
@@ -112,33 +103,38 @@ class ShSignal:
         return len(self.frames)
 
 
-@dataclass(frozen=True)
 class SpeakerLayout:
-    """A set of pairwise-distinct virtual loudspeaker directions."""
+    """Pairwise-distinct virtual loudspeaker directions, held as `azimuth`
+    (wrapped into [-pi, pi)) and `elevation` arrays in radians. Two
+    directions within ELEVATION_SLACK of one pole are duplicates, whatever
+    their azimuths."""
 
-    directions: tuple
-
-    def __post_init__(self):
-        dirs = tuple(self.directions)
-        if len(dirs) < 1:
+    def __init__(self, azimuth, elevation):
+        azimuth, elevation = _directions(azimuth, elevation)
+        if azimuth.ndim != 1 or elevation.shape != azimuth.shape:
+            raise ValueError("azimuth and elevation must be 1-D arrays of one length")
+        if len(azimuth) < 1:
             raise ValueError("layout needs at least one direction")
+        at_pole = np.abs(elevation) >= math.pi / 2 - ELEVATION_SLACK
+        pole = np.copysign(math.pi / 2, elevation)
         seen = set()
-        for d in dirs:
-            key = (d.azimuth, d.elevation)
+        for key in zip(np.where(at_pole, 0.0, azimuth).tolist(),
+                       np.where(at_pole, pole, elevation).tolist()):
             if key in seen:
                 raise LayoutError(f"duplicate layout direction {key}")
             seen.add(key)
-        object.__setattr__(self, "directions", dirs)
+        self.azimuth = azimuth
+        self.elevation = elevation
 
     def __len__(self):
-        return len(self.directions)
+        return len(self.azimuth)
 
 
 def ring_layout(m):
     """M equally spaced horizontal directions at azimuths 2*pi*k/M."""
     if m < 2:
         raise ValueError("ring layout needs M >= 2")
-    return SpeakerLayout(tuple(Direction(2.0 * math.pi * k / m) for k in range(m)))
+    return SpeakerLayout(2.0 * math.pi * np.arange(m) / m, np.zeros(m))
 
 
 def decode_matrix(layout, order):
@@ -147,8 +143,7 @@ def decode_matrix(layout, order):
     that no layout direction excites (column norm ~ 0) are dropped from the
     normal equations and receive zero projection weight. Raises LayoutError
     when D^T D (restricted to excited channels) is singular beyond tolerance."""
-    dirs = layout.directions
-    d = sh_basis([di.azimuth for di in dirs], [di.elevation for di in dirs], order)
+    d = sh_basis(layout.azimuth, layout.elevation, order)
     col_norms = np.linalg.norm(d, axis=0)
     active = col_norms > 1e-9 * max(1.0, col_norms.max())
     da = d[:, active]
@@ -188,9 +183,6 @@ class EncodedRows:
         self.crossfade = crossfade
         self.shape = (len(samples), gains.shape[1])
 
-    def __len__(self):
-        return self.shape[0]
-
     def rows(self, lo, hi):
         # Built channel-major (K x rows), so every fill runs along a long
         # contiguous axis; returned as its N x K transpose.
@@ -210,63 +202,45 @@ class EncodedRows:
         return weights.T
 
 
-def encode_mono(
-    signal,
-    trajectory,
-    order=1,
-    block_size=DEFAULT_BLOCK_SIZE,
-    crossfade=DEFAULT_CROSSFADE,
-):
+def encode_mono(signal, azimuth, elevation, order=1, block_size=DEFAULT_BLOCK_SIZE,
+                crossfade=DEFAULT_CROSSFADE):
     """Encode a mono signal into an SH signal along a per-block trajectory.
 
-    `trajectory` is a single Direction (constant) or a sequence of Directions,
-    one per `block_size`-sample block, covering the whole signal. Directions
+    `azimuth` and `elevation` give one direction (constant) or one per
+    `block_size`-sample block, covering the whole signal. Directions
     change block-wise with a linear crossfade at block boundaries.
     """
-    if isinstance(trajectory, Direction):
-        directions = [trajectory]
-    else:
-        directions = list(trajectory)
-    if not directions:
+    gains = sh_basis(*_directions(azimuth, elevation), order).reshape(-1, (order + 1) ** 2)
+    if len(gains) == 0:
         raise ValueError("empty trajectory")
     n = len(signal)
     n_blocks = max(1, -(-n // block_size))
-    if len(directions) == 1:
-        directions = directions * n_blocks
-    if len(directions) < n_blocks:
-        raise ValueError(
-            f"trajectory covers {len(directions)} blocks, signal needs {n_blocks}"
-        )
-    directions = directions[:n_blocks]
-    gains = sh_basis(
-        [d.azimuth for d in directions], [d.elevation for d in directions], order
-    )
-    rows = EncodedRows(signal.samples, gains, block_size, crossfade).rows(0, n)
+    if len(gains) == 1:
+        gains = np.repeat(gains, n_blocks, axis=0)
+    if len(gains) < n_blocks:
+        raise ValueError(f"trajectory covers {len(gains)} blocks, signal needs {n_blocks}")
+    rows = EncodedRows(signal.samples, gains[:n_blocks], block_size, crossfade).rows(0, n)
     return ShSignal(order, rows, signal.sample_rate)
 
 
 class Trajectory:
     """Piecewise-constant direction of time, held as breakpoint arrays sorted
     by time (stable): `times` in seconds, `azimuth` (wrapped into [-pi, pi))
-    and `elevation` in radians. Times and azimuths must be finite, and
-    elevations within [-pi/2, pi/2], as for Direction."""
+    and `elevation` in radians. Times must be finite, and the directions
+    keep the rule of _directions."""
 
     def __init__(self, times, azimuth, elevation):
         times = np.asarray(times, dtype=np.float64)
-        azimuth = np.asarray(azimuth, dtype=np.float64)
-        elevation = np.asarray(elevation, dtype=np.float64)
+        azimuth, elevation = _directions(azimuth, elevation)
         if times.ndim != 1 or azimuth.shape != times.shape or elevation.shape != times.shape:
             raise ValueError("times, azimuth and elevation must be 1-D arrays of one length")
         if len(times) == 0:
             raise ValueError("empty trajectory")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(azimuth))):
-            raise ValueError("trajectory times and azimuths must be finite")
-        limit = math.pi / 2 + 1e-12
-        if not np.all((-limit <= elevation) & (elevation <= limit)):
-            raise ValueError("elevation outside [-pi/2, pi/2]")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("trajectory times must be finite")
         order = np.argsort(times, kind="stable")
         self.times = times[order]
-        self.azimuth = wrap_azimuth(azimuth[order])
+        self.azimuth = azimuth[order]
         self.elevation = elevation[order]
 
     def index_at(self, t):
@@ -280,9 +254,9 @@ class Trajectory:
         return np.maximum(i, 1) - 1
 
     def direction_at(self, t):
-        """Direction in force at time t (see index_at)."""
+        """(azimuth, elevation) in force at time t (see index_at)."""
         i = int(self.index_at(t))
-        return Direction(self.azimuth[i], self.elevation[i])
+        return float(self.azimuth[i]), float(self.elevation[i])
 
 
 TRAJECTORY_COLUMNS = ("time_s", "azimuth_deg", "elevation_deg")
@@ -322,8 +296,8 @@ def load_trajectory_csv(path):
 
 
 def _elevation_ok(degrees):
-    """Whether elevations in degrees pass Direction's check once in radians."""
-    return bool(np.all(np.abs(np.radians(degrees)) <= math.pi / 2 + 1e-12))
+    """Whether elevations in degrees pass the direction rule once in radians."""
+    return bool(np.all(np.abs(np.radians(degrees)) <= ELEVATION_LIMIT))
 
 
 def _read_trajectory_rows(path, text):

@@ -8,13 +8,13 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .audio import BinauralBuffer, atomic_write, frame_rms, read_json, read_wav, write_wav
 from .heatmap import extract_features, load_heatmap_sequence
-from .metrics import spatial_report
+from .metrics import SpatialMetricsReport, spatial_report
 from .render import RenderConfig, direction_from_features, render_trajectory
 from .ambisonic import load_trajectory_csv
 
@@ -22,7 +22,10 @@ THREADS_ENV_VAR = "SV2A_THREADS"
 
 log = logging.getLogger(__name__)
 
-_METRIC_FIELDS = ("iacc", "ild_db", "itd_ms", "isd", "ipd_rad")
+_METRIC_FIELDS = tuple(f.name for f in fields(SpatialMetricsReport) if f.name != "frames_used")
+
+# The manifest keys a ClipEntry may leave out.
+_OPTIONAL_KEYS = ("heatmap", "trajectory", "caption")
 
 # Silence analysis frames (25 ms / 10 ms at 16 kHz) and the informational
 # quality-flag limits. A sample counts as clipped at PCM-16's positive full
@@ -121,7 +124,7 @@ def load_manifest(path):
     for i, item in enumerate(items):
         if not (isinstance(item, dict) and "id" in item and isinstance(item.get("audio"), str)):
             raise ValueError(f"{path}: entry {i} needs an 'id' and a string 'audio'")
-        for key in ("heatmap", "trajectory", "caption"):
+        for key in _OPTIONAL_KEYS:
             if item.get(key) is not None and not isinstance(item[key], str):
                 raise ValueError(f"{path}: entry {i}: '{key}' must be a string")
         clip_id = item["id"]
@@ -129,13 +132,7 @@ def load_manifest(path):
                 and "/" not in clip_id and os.sep not in clip_id):
             raise ValueError(f"{path}: entry {i}: 'id' must be a plain file name, got {clip_id!r}")
         entries.append(
-            ClipEntry(
-                id=clip_id,
-                audio=item["audio"],
-                heatmap=item.get("heatmap"),
-                trajectory=item.get("trajectory"),
-                caption=item.get("caption"),
-            )
+            ClipEntry(clip_id, item["audio"], **{key: item.get(key) for key in _OPTIONAL_KEYS})
         )
     try:
         return ClipManifest(tuple(entries), os.path.dirname(os.path.abspath(path)))
@@ -147,7 +144,7 @@ def save_manifest(path, manifest):
     items = []
     for e in manifest.entries:
         item = {"id": e.id, "audio": e.audio}
-        for key in ("heatmap", "trajectory", "caption"):
+        for key in _OPTIONAL_KEYS:
             if getattr(e, key) is not None:
                 item[key] = getattr(e, key)
         items.append(item)

@@ -74,9 +74,9 @@ class RenderConfig:
 
 
 def _ear_bank(hrirs, projection):
-    """2 x K x L filters from M 2 x L HRIRs and the M x K projection:
-    bank[e, k] = sum_m projection[m, k] * hrirs[m][e]."""
-    return np.einsum("mk,eml->ekl", projection, np.stack(hrirs, axis=1))
+    """2 x K x L filters from the M x 2 x L HRIRs and the M x K projection:
+    bank[e, k] = sum_m projection[m, k] * hrirs[m, e]."""
+    return np.einsum("mk,mel->ekl", projection, hrirs)
 
 
 def _ear_signals(samples, gains, bank):
@@ -111,7 +111,7 @@ def render_trajectory(mono, trajectory, cfg=None):
     rate = mono.sample_rate
     starts = np.arange(-(-len(mono) // DEFAULT_BLOCK_SIZE)) * DEFAULT_BLOCK_SIZE / rate
     i = trajectory.index_at(starts)
-    hrirs = [lookup(d, rate) for d in cfg.layout.directions]
+    hrirs = lookup(cfg.layout.azimuth, cfg.layout.elevation, rate)
     projection = decode_matrix(cfg.layout, cfg.order)
     gains = sh_basis(trajectory.azimuth[i], trajectory.elevation[i], cfg.order)
     left, right = _ear_signals(mono.samples, gains, _ear_bank(hrirs, projection))

@@ -65,9 +65,9 @@ def rf64(samples, data_size):
 
 
 def breakpoints(points):
-    """(times, azimuths, elevations) arrays of (time_s, Direction) pairs, the
-    arguments of Trajectory."""
-    return tuple(np.array(col) for col in zip(*((t, d.azimuth, d.elevation) for t, d in points)))
+    """(times, azimuths, elevations) arrays of (time_s, azimuth, elevation)
+    triples, the arguments of Trajectory."""
+    return tuple(np.array(col) for col in zip(*points))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,8 +1,9 @@
 """Independent direct-summation references used to check the library
 implementations. Everything here is written as plain loops over the
 documented definitions, deliberately sharing no code with the package
-beyond its exception types. The one exception, render_static, is a test
-shorthand for rendering at a fixed direction, not a reference."""
+beyond its exception types and the head model's constants. The one
+exception, render_static, is a test shorthand for rendering at a fixed
+direction, not a reference."""
 
 import csv
 import math
@@ -13,12 +14,13 @@ from scipy.io import wavfile
 
 from binauralkit.ambisonic import Trajectory
 from binauralkit.heatmap import HeatmapFormatError
+from binauralkit.hrir import CONTRALATERAL_ATTENUATION, HEAD_RADIUS, IR_LENGTH, SPEED_OF_SOUND
 from binauralkit.render import render_trajectory
 
 
-def render_static(mono, direction, cfg=None):
-    """Render a mono buffer at a fixed Direction: a one-breakpoint trajectory."""
-    return render_trajectory(mono, Trajectory([0.0], [direction.azimuth], [direction.elevation]), cfg)
+def render_static(mono, azimuth, elevation=0.0, cfg=None):
+    """Render a mono buffer at a fixed direction: a one-breakpoint trajectory."""
+    return render_trajectory(mono, Trajectory([0.0], [azimuth], [elevation]), cfg)
 
 
 def direct_convolve(x, k):
@@ -208,18 +210,48 @@ def oracle_adam_update(state, params, grads, learning_rate, beta1=0.9, beta2=0.9
 
 
 def oracle_direction_at(points, t):
-    """Linear scan over breakpoints sorted by time (stable): the last one
-    with time <= t + 1e-12; a time before the first breakpoint is a gap."""
+    """Linear scan over (time_s, azimuth, elevation) breakpoints sorted by
+    time (stable): the (azimuth, elevation) of the last one with
+    time <= t + 1e-12; a time before the first breakpoint is a gap."""
     points = sorted(points, key=lambda p: p[0])
     if t < points[0][0] - 1e-12:
         raise ValueError(f"trajectory gap: no direction at t={t}")
-    current = points[0][1]
-    for time_s, direction in points:
-        if time_s <= t + 1e-12:
-            current = direction
+    current = points[0]
+    for point in points:
+        if point[0] <= t + 1e-12:
+            current = point
         else:
             break
-    return current
+    return current[1], current[2]
+
+
+def _unit_vector(azimuth, elevation):
+    """Cartesian unit vector of a direction: x front, y left, z up."""
+    ce = math.cos(elevation)
+    return np.array([ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)])
+
+
+def oracle_analytic_hrir(azimuth, elevation, sample_rate):
+    """The spherical-head 2 x L HRIR (left, right) of one direction, ear by
+    ear. Each ear's gain, -CONTRALATERAL_ATTENUATION (1 - cos delta) / 2 dB,
+    takes cos delta from the dot product of the source's and the ear's unit
+    vectors (the ears at azimuths +-pi/2). The near ear, on the side of the
+    lateral angle phi = asin(sin az cos el), has its impulse at sample 0; the
+    far ear's is delayed by the Woodworth delay (a/c)(|phi| + sin |phi|),
+    rounded to the nearest sample. L is IR_LENGTH, or the largest delay + 1
+    when that is longer."""
+    scale = HEAD_RADIUS / SPEED_OF_SOUND
+    phi = math.asin(max(-1.0, min(1.0, math.sin(azimuth) * math.cos(elevation))))
+    extra = int(round(scale * (abs(phi) + math.sin(abs(phi))) * sample_rate))
+    delays = (0, extra) if phi >= 0 else (extra, 0)
+    taps = max(IR_LENGTH, int(round(scale * (math.pi / 2 + 1.0) * sample_rate)) + 1)
+    hrir = np.zeros((2, taps))
+    source = _unit_vector(azimuth, elevation)
+    for row, ear_azimuth in enumerate((math.pi / 2, -math.pi / 2)):
+        cos_delta = float(np.clip(np.dot(source, _unit_vector(ear_azimuth, 0.0)), -1.0, 1.0))
+        gain_db = -CONTRALATERAL_ATTENUATION * (1.0 - cos_delta) / 2.0
+        hrir[row, delays[row]] = 10.0 ** (gain_db / 20.0)
+    return hrir
 
 
 def oracle_speaker_render(sh_frames, projection, hrir_pairs):

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from binauralkit.ambisonic import Direction, SpeakerLayout, decode_matrix, ring_layout, sh_basis
+from binauralkit.ambisonic import SpeakerLayout, decode_matrix, ring_layout, sh_basis
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.cli import main as cli_main
 from binauralkit.flow import (
@@ -60,9 +60,7 @@ def report(number, label, ok):
 
 
 def aligned_layout(azimuth):
-    return SpeakerLayout(
-        tuple(Direction(azimuth + 2.0 * math.pi * k / 3.0) for k in range(3))
-    )
+    return SpeakerLayout(azimuth + 2.0 * math.pi * np.arange(3) / 3.0, np.zeros(3))
 
 
 def test_criterion_01_analytic_itd_ild():
@@ -72,7 +70,7 @@ def test_criterion_01_analytic_itd_ild():
     for deg in (0, 30, -30, 60, -60, 90, -90):
         az = math.radians(deg)
         start = time.perf_counter()
-        out = render_static(mono, Direction(az), RenderConfig(layout=aligned_layout(az)))
+        out = render_static(mono, az, cfg=RenderConfig(layout=aligned_layout(az)))
         elapsed = time.perf_counter() - start
         expected = round(woodworth_delay(abs(az)) * FS)
         measured = itd(out) * FS / 1e3
@@ -107,7 +105,7 @@ def test_criterion_03_sh_round_trip():
             y = sh_basis(rng.uniform(-np.pi, np.pi), 0.0, 1)
             gains = dm @ y
             reencoded = sum(
-                g * sh_basis(d.azimuth, d.elevation, 1) for g, d in zip(gains, layout.directions)
+                g * row for g, row in zip(gains, sh_basis(layout.azimuth, layout.elevation, 1))
             )
             for ch in (0, 1, 3):
                 err = abs(reencoded[ch] - y[ch])

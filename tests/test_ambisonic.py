@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binauralkit.audio import AudioBuffer
 from binauralkit.ambisonic import (
-    Direction,
     LayoutError,
     ShSignal,
     SpeakerLayout,
@@ -24,18 +23,62 @@ from conftest import breakpoints
 from oracles import oracle_direction_at
 
 
+def one_point_trajectory(azimuth, elevation):
+    return Trajectory([0.0], [azimuth], [elevation])
+
+
+def one_speaker_layout(azimuth, elevation):
+    return SpeakerLayout([azimuth], [elevation])
+
+
+def one_block_encoding(azimuth, elevation):
+    return encode_mono(AudioBuffer(np.ones(4), 16000), azimuth, elevation)
+
+
+def rejects(make, azimuth, elevation):
+    try:
+        make(azimuth, elevation)
+    except ValueError:
+        return True
+    return False
+
+
 class TestDirection:
+    """The direction rule, which Trajectory, SpeakerLayout and encode_mono
+    all apply."""
+
     def test_azimuth_wrapped(self):
-        assert Direction(3 * math.pi / 2).azimuth == pytest.approx(-math.pi / 2)
+        for make in (one_point_trajectory, one_speaker_layout):
+            assert make(3 * math.pi / 2, 0.0).azimuth[0] == pytest.approx(-math.pi / 2)
 
     def test_elevation_range_enforced(self):
-        with pytest.raises(ValueError):
-            Direction(0.0, 2.0)
+        for make in (one_point_trajectory, one_speaker_layout):
+            with pytest.raises(ValueError, match="elevation outside"):
+                make(0.0, 2.0)
 
     @pytest.mark.parametrize("azimuth", [math.nan, math.inf])
     def test_azimuth_must_be_finite(self, azimuth):
-        with pytest.raises(ValueError, match="azimuth must be finite"):
-            Direction(azimuth)
+        for make in (one_point_trajectory, one_speaker_layout):
+            with pytest.raises(ValueError, match="azimuth must be finite"):
+                make(azimuth, 0.0)
+
+    @given(
+        azimuth=st.sampled_from([0.0, math.pi, -math.pi, 7.0, math.nan, math.inf, -math.inf])
+        | st.floats(allow_nan=True, allow_infinity=True),
+        elevation=st.sampled_from(
+            [
+                sign * (math.pi / 2 + slack)
+                for sign in (1, -1)
+                for slack in (0.0, 5e-13, 1e-12, 2e-12, 1e-9)
+            ]
+            + [math.nan, math.inf, -math.inf, 2.0]
+        )
+        | st.floats(-2.0, 2.0),
+    )
+    def test_trajectory_and_layout_reject_the_same_directions(self, azimuth, elevation):
+        valid = math.isfinite(azimuth) and abs(elevation) <= math.pi / 2 + 1e-12
+        for make in (one_point_trajectory, one_speaker_layout, one_block_encoding):
+            assert rejects(make, azimuth, elevation) == (not valid)
 
 
 class TestShEncode:
@@ -54,9 +97,9 @@ class TestShEncode:
 
     def test_w_channel_always_one(self, rng):
         for _ in range(20):
-            d = Direction(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
+            az, el = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2)
             for order in (0, 1, 2):
-                assert sh_basis(d.azimuth, d.elevation, order)[0] == 1.0
+                assert sh_basis(az, el, order)[0] == 1.0
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
@@ -68,16 +111,15 @@ class TestShEncode:
 
 class TestRingLayout:
     def test_m4(self):
-        azimuths = [d.azimuth for d in ring_layout(4).directions]
-        np.testing.assert_allclose(azimuths, [0, math.pi / 2, -math.pi, -math.pi / 2])
+        np.testing.assert_allclose(ring_layout(4).azimuth, [0, math.pi / 2, -math.pi, -math.pi / 2])
 
     def test_m2(self):
-        azimuths = [d.azimuth for d in ring_layout(2).directions]
-        np.testing.assert_allclose(azimuths, [0, -math.pi])
+        np.testing.assert_allclose(ring_layout(2).azimuth, [0, -math.pi])
 
     def test_m8_distinct(self):
         layout = ring_layout(8)
-        assert len({(d.azimuth, d.elevation) for d in layout.directions}) == 8
+        assert len(set(zip(layout.azimuth, layout.elevation))) == 8
+        assert np.all(layout.elevation == 0.0)
 
     def test_m_too_small(self):
         with pytest.raises(ValueError):
@@ -86,8 +128,8 @@ class TestRingLayout:
 
 class TestDecodeMatrix:
     def test_ring_well_conditioned(self):
-        dirs = ring_layout(4).directions
-        d = sh_basis([di.azimuth for di in dirs], [di.elevation for di in dirs], 1)
+        layout = ring_layout(4)
+        d = sh_basis(layout.azimuth, layout.elevation, 1)
         # active horizontal channels give an invertible normal matrix
         active = d[:, [0, 1, 3]]
         g = active.T @ active
@@ -96,10 +138,33 @@ class TestDecodeMatrix:
 
     def test_duplicate_direction_rejected_at_layout(self):
         with pytest.raises(LayoutError):
-            SpeakerLayout((Direction(0.0), Direction(0.0)))
+            SpeakerLayout([0.0, 0.0], [0.0, 0.0])
+
+    def test_wrapped_duplicate_rejected_at_layout(self):
+        with pytest.raises(LayoutError):
+            SpeakerLayout([0.5, 0.5 + 2.0 * math.pi], [0.0, 0.0])
+
+    @pytest.mark.parametrize("slack", [0.0, 1e-12, -1e-12])
+    def test_two_speakers_at_one_pole_rejected_at_layout(self, slack):
+        # At a pole the azimuth names no other point: (0, pi/2) and
+        # (1, pi/2) are one speaker, as are two at the pole within the slack.
+        ring = ring_layout(6)
+        azimuth = np.concatenate([ring.azimuth, [0.0, 1.0, 0.0]])
+        poles = [math.pi / 2, math.pi / 2 + slack, -math.pi / 2]
+        elevation = np.concatenate([ring.elevation, poles])
+        with pytest.raises(LayoutError, match="duplicate layout direction"):
+            SpeakerLayout(azimuth, elevation)
+        SpeakerLayout(np.delete(azimuth, 7), np.delete(elevation, 7))  # one speaker per pole
+
+    @pytest.mark.parametrize(
+        "azimuth,elevation", [([0.0, 1.0], [0.0]), ([[0.0, 1.0]], [[0.0, 0.0]]), ([], [])]
+    )
+    def test_layout_arrays_must_be_one_nonempty_length(self, azimuth, elevation):
+        with pytest.raises(ValueError):
+            SpeakerLayout(azimuth, elevation)
 
     def test_near_duplicate_layout_singular(self):
-        layout = SpeakerLayout((Direction(0.0), Direction(1e-13)))
+        layout = SpeakerLayout([0.0, 1e-13], [0.0, 0.0])
         with pytest.raises(LayoutError):
             decode_matrix(layout, 1)
 
@@ -112,8 +177,9 @@ class TestDecodeMatrix:
     def test_layout_direction_gets_max_gain(self):
         for m in (4, 6, 8):
             dm = decode_matrix(ring_layout(m), 1)
-            for k, d in enumerate(ring_layout(m).directions):
-                gains = dm @ sh_basis(d.azimuth, d.elevation, 1)
+            layout = ring_layout(m)
+            for k, (az, el) in enumerate(zip(layout.azimuth, layout.elevation)):
+                gains = dm @ sh_basis(az, el, 1)
                 assert np.argmax(gains) == k
 
 
@@ -122,7 +188,7 @@ class TestProjection:
         layout = ring_layout(4)
         dm = decode_matrix(layout, 1)
         sig = AudioBuffer(np.ones(8), 16000)
-        sh = encode_mono(sig, layout.directions[1], order=1)
+        sh = encode_mono(sig, layout.azimuth[1], layout.elevation[1], order=1)
         feeds = project_to_speakers(sh, dm)
         energies = [np.sum(f.samples**2) for f in feeds]
         assert np.argmax(energies) == 1
@@ -138,8 +204,8 @@ class TestProjection:
         dm = decode_matrix(layout, 1)
         sig_a = AudioBuffer(rng.standard_normal(64), 16000)
         sig_b = AudioBuffer(rng.standard_normal(64), 16000)
-        sh_a = encode_mono(sig_a, Direction(0.4), order=1)
-        sh_b = encode_mono(sig_b, Direction(-1.1), order=1)
+        sh_a = encode_mono(sig_a, 0.4, 0.0, order=1)
+        sh_b = encode_mono(sig_b, -1.1, 0.0, order=1)
         sh_sum = ShSignal(1, sh_a.frames + sh_b.frames, 16000)
         feeds_sum = project_to_speakers(sh_sum, dm)
         feeds_a = project_to_speakers(sh_a, dm)
@@ -162,8 +228,7 @@ class TestProjection:
                 y = sh_basis(az, 0.0, 1)
                 gains = dm @ y
                 reencoded = sum(
-                    g * sh_basis(d.azimuth, d.elevation, 1)
-                    for g, d in zip(gains, layout.directions)
+                    g * row for g, row in zip(gains, sh_basis(layout.azimuth, layout.elevation, 1))
                 )
                 for ch in (0, 1, 3):
                     assert reencoded[ch] == pytest.approx(y[ch], rel=1e-6, abs=1e-9)
@@ -175,29 +240,24 @@ class TestProjection:
         for _ in range(10):
             az = rng.uniform(-np.pi, np.pi)
             delta = rng.uniform(-np.pi, np.pi)
-            rotated = SpeakerLayout(
-                tuple(Direction(d.azimuth + delta) for d in base.directions)
-            )
+            rotated = SpeakerLayout(base.azimuth + delta, base.elevation)
             dm_rot = decode_matrix(rotated, 1)
-            turned = Direction(az + delta)
             gains = np.sort(dm @ sh_basis(az, 0.0, 1))
-            gains_rot = np.sort(
-                dm_rot @ sh_basis(turned.azimuth, turned.elevation, 1)
-            )
+            gains_rot = np.sort(dm_rot @ sh_basis(wrap_azimuth(az + delta), 0.0, 1))
             np.testing.assert_allclose(gains, gains_rot, atol=1e-9)
 
 
 class TestEncodeMono:
     def test_constant_front(self, rng):
         x = rng.standard_normal(3000)
-        sh = encode_mono(AudioBuffer(x, 16000), Direction(0.0), order=1)
+        sh = encode_mono(AudioBuffer(x, 16000), 0.0, 0.0, order=1)
         np.testing.assert_allclose(sh.frames[:, 0], x, atol=1e-12)
         np.testing.assert_allclose(sh.frames[:, 3], x, atol=1e-12)
         assert np.all(sh.frames[:, 1] == 0.0)
         assert np.all(sh.frames[:, 2] == 0.0)
 
     def test_zero_signal(self):
-        sh = encode_mono(AudioBuffer(np.zeros(2048), 16000), Direction(1.0), order=1)
+        sh = encode_mono(AudioBuffer(np.zeros(2048), 16000), 1.0, 0.0, order=1)
         assert np.all(sh.frames == 0.0)
 
     def test_crossfade_front_to_left(self):
@@ -206,7 +266,7 @@ class TestEncodeMono:
         block, xf = 1024, 256
         sig = AudioBuffer(np.ones(2 * block), 16000)
         sh = encode_mono(
-            sig, [Direction(0.0), Direction(math.pi / 2)], order=1,
+            sig, [0.0, math.pi / 2], [0.0, 0.0], order=1,
             block_size=block, crossfade=xf,
         )
         alpha = (np.arange(xf) + 1.0) / xf
@@ -218,13 +278,14 @@ class TestEncodeMono:
 
     def test_empty_trajectory(self):
         with pytest.raises(ValueError):
-            encode_mono(AudioBuffer(np.ones(10), 16000), [], order=1)
+            encode_mono(AudioBuffer(np.ones(10), 16000), [], [], order=1)
 
     def test_trajectory_must_cover_signal(self):
         with pytest.raises(ValueError):
             encode_mono(
                 AudioBuffer(np.ones(3000), 16000),
-                [Direction(0.0), Direction(1.0)],
+                [0.0, 1.0],
+                [0.0, 0.0],
                 order=1,
                 block_size=1024,
             )
@@ -233,8 +294,8 @@ class TestEncodeMono:
 class TestTrajectory:
     def test_piecewise_constant(self):
         traj = Trajectory([0.0, 1.0], [0.0, 1.0], [0.0, 0.0])
-        assert traj.direction_at(0.5).azimuth == 0.0
-        assert traj.direction_at(1.5).azimuth == pytest.approx(1.0)
+        assert traj.direction_at(0.5) == (0.0, 0.0)
+        assert traj.direction_at(1.5)[0] == pytest.approx(1.0)
 
     def test_gap(self):
         traj = Trajectory([1.0], [0.0], [0.0])
@@ -243,9 +304,9 @@ class TestTrajectory:
 
     def test_equal_times_last_point_wins(self):
         traj = Trajectory([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-        assert traj.direction_at(1.0).azimuth == pytest.approx(2.0)
-        assert traj.direction_at(1.0 - 5e-13).azimuth == pytest.approx(2.0)
-        assert traj.direction_at(1.0 - 2e-12).azimuth == 0.0
+        assert traj.direction_at(1.0)[0] == pytest.approx(2.0)
+        assert traj.direction_at(1.0 - 5e-13)[0] == pytest.approx(2.0)
+        assert traj.direction_at(1.0 - 2e-12)[0] == 0.0
 
     @given(
         times=st.lists(
@@ -265,7 +326,7 @@ class TestTrajectory:
     )
     def test_lookup_matches_linear_scan(self, times, queries, free):
         # Distinct azimuths tell apart the points that share a time.
-        points = tuple((t, Direction(0.01 * i)) for i, t in enumerate(times))
+        points = tuple((t, 0.01 * i, 0.0) for i, t in enumerate(times))
         traj = Trajectory(*breakpoints(points))
         ts = [times[i % len(times)] + offset for i, offset in queries] + free
         for t in ts:
@@ -276,7 +337,7 @@ class TestTrajectory:
                     traj.direction_at(t)
                 continue
             # Breakpoint azimuths are 0.01 rad apart, so this names one of them.
-            assert traj.direction_at(t).azimuth == pytest.approx(expected.azimuth, abs=1e-12)
+            assert traj.direction_at(t)[0] == pytest.approx(expected[0], abs=1e-12)
 
     def test_csv_roundtrip(self, tmp_path):
         traj = Trajectory([0.0, 0.5], [0.1, -1.2], [0.02, -0.3])
@@ -303,7 +364,7 @@ class TestTrajectory:
         # Azimuth is compared after wrapping: a value just below 180 degrees
         # may print as 180 and load back as -180.
         traj = Trajectory(*breakpoints(
-            (t, Direction(math.radians(az), math.radians(el))) for t, az, el in rows
+            (t, math.radians(az), math.radians(el)) for t, az, el in rows
         ))
         path = tmp_path / "rt.csv"
         save_trajectory_csv(path, traj)

@@ -8,7 +8,6 @@ from binauralkit.audio import AudioBuffer, fft_convolve, next_pow2
 from binauralkit.ambisonic import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_CROSSFADE,
-    Direction,
     SpeakerLayout,
     Trajectory,
     decode_matrix,
@@ -35,9 +34,7 @@ FS = 16000
 def aligned_layout(azimuth):
     """Square first-order horizontal system with a speaker at the source:
     projecting the source's SH vector then lands entirely on that speaker."""
-    return SpeakerLayout(
-        tuple(Direction(azimuth + 2.0 * math.pi * k / 3.0) for k in range(3))
-    )
+    return SpeakerLayout(azimuth + 2.0 * math.pi * np.arange(3) / 3.0, np.zeros(3))
 
 
 def cross_corr_peak_lag(left, right, max_lag=30):
@@ -54,44 +51,44 @@ def cross_corr_peak_lag(left, right, max_lag=30):
 
 class TestRenderStatic:
     def test_silence_in_silence_out(self):
-        out = render_static(AudioBuffer(np.zeros(4000), FS), Direction(0.3))
+        out = render_static(AudioBuffer(np.zeros(4000), FS), 0.3)
         assert np.all(out.left.samples == 0.0)
         assert np.all(out.right.samples == 0.0)
 
     def test_front_center_symmetric(self, rng):
         mono = noise_buffer(rng, 8000)
-        out = render_static(mono, Direction(0.0))
+        out = render_static(mono, 0.0)
         np.testing.assert_allclose(out.left.samples, out.right.samples, atol=1e-6)
 
     def test_hard_left_cross_correlation_lag(self, rng):
         mono = noise_buffer(rng, 16000)
         cfg = RenderConfig(layout=aligned_layout(math.pi / 2))
-        out = render_static(mono, Direction(math.pi / 2), cfg)
+        out = render_static(mono, math.pi / 2, cfg=cfg)
         lag = cross_corr_peak_lag(out.left.samples, out.right.samples)
         assert abs(lag - 10) <= 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            render_static(AudioBuffer(np.zeros(0), FS), Direction(0.0))
+            render_static(AudioBuffer(np.zeros(0), FS), 0.0)
 
     def test_output_length_trimmed(self, rng):
         mono = noise_buffer(rng, 5000)
-        out = render_static(mono, Direction(0.5))
+        out = render_static(mono, 0.5)
         assert len(out) == 5000
 
     def test_linearity(self, rng):
         mono = noise_buffer(rng, 4000)
         scaled = AudioBuffer(0.37 * mono.samples, FS)
-        a = render_static(mono, Direction(0.8))
-        b = render_static(scaled, Direction(0.8))
+        a = render_static(mono, 0.8)
+        b = render_static(scaled, 0.8)
         np.testing.assert_allclose(b.left.samples, 0.37 * a.left.samples, atol=1e-9)
         np.testing.assert_allclose(b.right.samples, 0.37 * a.right.samples, atol=1e-9)
 
     def test_azimuth_mirror_swaps_channels(self, rng):
         mono = noise_buffer(rng, 4000)
         for az in (0.4, 1.1, -0.9):
-            a = render_static(mono, Direction(az))
-            b = render_static(mono, Direction(-az))
+            a = render_static(mono, az)
+            b = render_static(mono, -az)
             np.testing.assert_allclose(a.left.samples, b.right.samples, atol=1e-9)
             np.testing.assert_allclose(a.right.samples, b.left.samples, atol=1e-9)
 
@@ -102,14 +99,11 @@ class TestRenderStatic:
         from binauralkit.hrir import analytic_hrir
 
         dm = decode_matrix(cfg.layout, cfg.order)
+        hrirs = analytic_hrir(cfg.layout.azimuth, cfg.layout.elevation, FS)
         for az in (0.0, 0.7, -1.3):
-            out = render_static(mono, Direction(az), cfg)
+            out = render_static(mono, az, cfg=cfg)
             gains = dm @ sh_basis(az, 0.0, 1)
-            max_ir_energy = max(
-                max(np.sum(analytic_hrir(d, FS)[0] ** 2),
-                    np.sum(analytic_hrir(d, FS)[1] ** 2))
-                for d in cfg.layout.directions
-            )
+            max_ir_energy = np.max(np.sum(hrirs**2, axis=2))
             # loose coherent-sum bound: (sum |g|)^2 over speakers
             bound = (np.sum(np.abs(gains))) ** 2 * max_ir_energy * np.sum(mono.samples**2)
             assert np.sum(out.left.samples**2) <= bound + 1e-9
@@ -122,7 +116,7 @@ class TestRenderStatic:
         for deg in (0, 30, -30, 60, -60, 90, -90):
             az = math.radians(deg)
             cfg = RenderConfig(layout=aligned_layout(az))
-            out = render_static(mono, Direction(az), cfg)
+            out = render_static(mono, az, cfg=cfg)
             expected_delay = round(
                 woodworth_delay(abs(math.asin(math.sin(az)))) * FS
             )
@@ -137,7 +131,7 @@ class TestRenderTrajectory:
     def test_sweep_flips_ild_sign(self, rng):
         mono = noise_buffer(rng, 32000)
         traj = Trajectory(*breakpoints(
-            (i * 0.1, Direction(math.pi / 2 - i * (math.pi / 19))) for i in range(20)
+            (i * 0.1, math.pi / 2 - i * (math.pi / 19), 0.0) for i in range(20)
         ))
         out = render_trajectory(mono, traj)
         frame = 1600
@@ -162,8 +156,8 @@ class TestRenderTrajectory:
         cfg = RenderConfig(normalize_output=False)
         jump = Trajectory([0.0, 0.2], [0.0, math.pi / 2], [0.0, 0.0])
         out = render_trajectory(mono, jump, cfg)
-        seg_a = render_static(mono, Direction(0.0), cfg)
-        seg_b = render_static(mono, Direction(math.pi / 2), cfg)
+        seg_a = render_static(mono, 0.0, cfg=cfg)
+        seg_b = render_static(mono, math.pi / 2, cfg=cfg)
         bound = (
             np.max(np.abs(seg_a.left.samples)) + np.max(np.abs(seg_b.left.samples))
         )
@@ -173,26 +167,24 @@ class TestRenderTrajectory:
 def sphere_layout():
     """Two staggered rings of six at +-34 degrees plus both poles: enough
     spread for a non-singular second-order projection."""
-    rings = [
-        Direction(2.0 * math.pi * k / 6 + (math.pi / 6 if el < 0 else 0.0), el)
-        for el in (-0.6, 0.6)
-        for k in range(6)
-    ]
-    return SpeakerLayout(tuple(rings + [Direction(0.0, math.pi / 2), Direction(0.0, -math.pi / 2)]))
+    ring = 2.0 * math.pi * np.arange(6) / 6
+    azimuth = np.concatenate([ring + math.pi / 6, ring, [0.0, 0.0]])
+    elevation = np.concatenate([np.full(6, -0.6), np.full(6, 0.6), [math.pi / 2, -math.pi / 2]])
+    return SpeakerLayout(azimuth, elevation)
 
 
 def measured_pairs(layout, rng, taps=57):
-    """Dense random 2 x `taps` HRIRs at every layout direction."""
-    return {d: rng.standard_normal((2, taps)) for d in layout.directions}
+    """Dense random 2 x `taps` HRIRs at every layout direction: M x 2 x taps."""
+    return rng.standard_normal((len(layout), 2, taps))
 
 
 def speaker_hrirs(monkeypatch, cfg, hrirs):
-    """Each speaker's HRIR pair: the head model's, or the random pairs in
-    `hrirs`, which the renderer is then patched to look up instead."""
+    """Each speaker's HRIR pair, M x 2 x L: the head model's, or the random
+    pairs `hrirs`, which the renderer is then patched to look up instead."""
     if hrirs is None:
-        return [lookup(d, FS) for d in cfg.layout.directions]
-    monkeypatch.setattr("binauralkit.render.lookup", lambda d, sample_rate: hrirs[d])
-    return [hrirs[d] for d in cfg.layout.directions]
+        return lookup(cfg.layout.azimuth, cfg.layout.elevation, FS)
+    monkeypatch.setattr("binauralkit.render.lookup", lambda azimuth, elevation, sample_rate: hrirs)
+    return hrirs
 
 
 def ola_hop(taps):
@@ -200,9 +192,9 @@ def ola_hop(taps):
     return next_pow2(16 * taps) - taps + 1
 
 
-def oracle_render(mono, directions, cfg, pairs):
+def oracle_render(mono, azimuth, elevation, cfg, pairs):
     """The speaker-loop reference for one clip with per-block directions."""
-    sh = encode_mono(mono, directions, cfg.order, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
+    sh = encode_mono(mono, azimuth, elevation, cfg.order, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
     projection = decode_matrix(cfg.layout, cfg.order)
     left, right = oracle_speaker_render(sh.frames, projection, [(p[0], p[1]) for p in pairs])
     return left[: len(mono)], right[: len(mono)]
@@ -268,10 +260,9 @@ class TestSpeakerLoopOracle:
     def test_static_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
         pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         mono = noise_buffer(rng, n)
-        direction = Direction(0.7, 0.3 if cfg.order == 2 else 0.0)
-        out = render_static(mono, direction, cfg)
-        n_blocks = -(-n // DEFAULT_BLOCK_SIZE)
-        left, right = oracle_render(mono, [direction] * n_blocks, cfg, pairs)
+        elevation = 0.3 if cfg.order == 2 else 0.0
+        out = render_static(mono, 0.7, elevation, cfg)
+        left, right = oracle_render(mono, 0.7, elevation, cfg, pairs)
         np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
 
@@ -287,15 +278,15 @@ class TestSpeakerLoopOracle:
         pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         mono = noise_buffer(rng, n)
         points = tuple(
-            (0.02 * i, Direction(1.3 - 0.4 * i, 0.25 * (i % 3) if cfg.order == 2 else 0.0))
+            (0.02 * i, 1.3 - 0.4 * i, 0.25 * (i % 3) if cfg.order == 2 else 0.0)
             for i in range(8)
         )
         out = render_trajectory(mono, Trajectory(*breakpoints(points)), cfg)
         n_blocks = -(-n // DEFAULT_BLOCK_SIZE)
-        directions = [
+        azimuth, elevation = np.array([
             oracle_direction_at(points, b * DEFAULT_BLOCK_SIZE / FS) for b in range(n_blocks)
-        ]
-        left, right = oracle_render(mono, directions, cfg, pairs)
+        ]).T
+        left, right = oracle_render(mono, azimuth, elevation, cfg, pairs)
         np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
 
@@ -310,10 +301,9 @@ class TestSpeakerLoopOracle:
     def test_render_is_linear(self, seed, n, a, b, azimuth):
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal(n), rng.standard_normal(n)
-        direction = Direction(azimuth)
-        mixed = render_static(AudioBuffer(a * x + b * y, FS), direction)
-        rx = render_static(AudioBuffer(x, FS), direction)
-        ry = render_static(AudioBuffer(y, FS), direction)
+        mixed = render_static(AudioBuffer(a * x + b * y, FS), azimuth)
+        rx = render_static(AudioBuffer(x, FS), azimuth)
+        ry = render_static(AudioBuffer(y, FS), azimuth)
         for got, px, py in ((mixed.left, rx.left, ry.left), (mixed.right, rx.right, ry.right)):
             np.testing.assert_allclose(
                 got.samples, a * px.samples + b * py.samples, rtol=0, atol=1e-9
@@ -321,12 +311,12 @@ class TestSpeakerLoopOracle:
 
 
 def per_block_points(n, seed):
-    """(time_s, Direction) breakpoints at every block start with random
+    """(time_s, azimuth, elevation) breakpoints at every block start with random
     azimuths, so every block boundary, each CHUNK boundary included,
     crossfades."""
     rng = np.random.default_rng(seed)
     return tuple(
-        (b * DEFAULT_BLOCK_SIZE / FS, Direction(rng.uniform(-math.pi, math.pi)))
+        (b * DEFAULT_BLOCK_SIZE / FS, rng.uniform(-math.pi, math.pi), 0.0)
         for b in range(-(-n // DEFAULT_BLOCK_SIZE))
     )
 
@@ -337,8 +327,9 @@ class TestTapSumEdgeCases:
     selection could go wrong."""
 
     def assert_matches_oracle(self, mono, points, cfg, pairs):
-        out = render_trajectory(mono, Trajectory(*breakpoints(points)), cfg)
-        left, right = oracle_render(mono, [d for _, d in points], cfg, pairs)
+        times, azimuth, elevation = breakpoints(points)
+        out = render_trajectory(mono, Trajectory(times, azimuth, elevation), cfg)
+        left, right = oracle_render(mono, azimuth, elevation, cfg, pairs)
         np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
         return out
@@ -346,13 +337,12 @@ class TestTapSumEdgeCases:
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_crossfades_across_chunk_boundaries(self, rng, kernel, n):
         cfg = RenderConfig()
-        pairs = [lookup(d, FS) for d in cfg.layout.directions]
+        pairs = lookup(cfg.layout.azimuth, cfg.layout.elevation, FS)
         self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, n), cfg, pairs)
 
     def test_all_zero_ear(self, rng, monkeypatch, kernel):
         cfg = RenderConfig()
-        hrirs = {d: rng.standard_normal((2, 20)) * np.array([[1.0], [0.0]])
-                 for d in cfg.layout.directions}
+        hrirs = rng.standard_normal((len(cfg.layout), 2, 20)) * np.array([[1.0], [0.0]])
         pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         n = 3000
         out = self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, 1), cfg, pairs)
@@ -363,11 +353,8 @@ class TestTapSumEdgeCases:
         # At order 0 every speaker has the same projection weight, so taps
         # of +1 and -1 on alternate speakers of the ring sum to exactly 0.
         cfg = RenderConfig(order=0)
-        hrirs = {}
-        for m, d in enumerate(cfg.layout.directions):
-            h = rng.standard_normal((2, 12))
-            h[:, 5] = (-1.0) ** m
-            hrirs[d] = h
+        hrirs = rng.standard_normal((len(cfg.layout), 2, 12))
+        hrirs[:, :, 5] = (-1.0) ** np.arange(len(cfg.layout))[:, None]
         pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         bank = _ear_bank(pairs, decode_matrix(cfg.layout, cfg.order))
         assert np.all(bank[:, :, 5] == 0.0) and np.all(bank[:, :, 4] != 0.0)
@@ -425,17 +412,17 @@ class TestKernelChoice:
     def test_head_model_bank(self, rng, fft_calls, speakers, order, rate, expected):
         cfg = RenderConfig(order=order, layout=ring_layout(speakers))
         bank = _ear_bank(
-            [lookup(d, rate) for d in cfg.layout.directions], decode_matrix(cfg.layout, order)
+            lookup(cfg.layout.azimuth, cfg.layout.elevation, rate), decode_matrix(cfg.layout, order)
         )
         taps = np.count_nonzero(np.any(bank != 0.0, axis=1))
         assert (taps > FFT_COST_IN_PASSES * ((order + 1) ** 2 + 1)) == bool(expected)
-        render_static(noise_buffer(rng, 3000, sample_rate=rate), Direction(0.4), cfg)
+        render_static(noise_buffer(rng, 3000, sample_rate=rate), 0.4, cfg=cfg)
         assert len(fft_calls) == expected
 
     def test_dense_random_bank_takes_the_fft(self, rng, monkeypatch, fft_calls):
         cfg = RenderConfig()
         speaker_hrirs(monkeypatch, cfg, measured_pairs(cfg.layout, rng))
-        render_static(noise_buffer(rng, 3000), Direction(0.4), cfg)
+        render_static(noise_buffer(rng, 3000), 0.4, cfg=cfg)
         assert fft_calls == [(2, 4, 57)]
 
 
