@@ -35,6 +35,7 @@ DEFAULT_BLOCK_SIZE = 1024
 DEFAULT_CROSSFADE = 256
 ELEVATION_SLACK = 1e-12
 ELEVATION_LIMIT = math.pi / 2 + ELEVATION_SLACK
+DUPLICATE_SEPARATION = 1e-9  # radians; two layout directions closer are one
 
 
 class LayoutError(ValueError):
@@ -106,8 +107,9 @@ class ShSignal:
 class SpeakerLayout:
     """Pairwise-distinct virtual loudspeaker directions, held as `azimuth`
     (wrapped into [-pi, pi)) and `elevation` arrays in radians. Two
-    directions within ELEVATION_SLACK of one pole are duplicates, whatever
-    their azimuths."""
+    directions whose angle on the sphere, taken between their unit vectors,
+    is below DUPLICATE_SEPARATION are duplicates and raise LayoutError,
+    whatever their azimuths: so are two at one pole, or at -pi and pi."""
 
     def __init__(self, azimuth, elevation):
         azimuth, elevation = _directions(azimuth, elevation)
@@ -115,14 +117,18 @@ class SpeakerLayout:
             raise ValueError("azimuth and elevation must be 1-D arrays of one length")
         if len(azimuth) < 1:
             raise ValueError("layout needs at least one direction")
-        at_pole = np.abs(elevation) >= math.pi / 2 - ELEVATION_SLACK
-        pole = np.copysign(math.pi / 2, elevation)
-        seen = set()
-        for key in zip(np.where(at_pole, 0.0, azimuth).tolist(),
-                       np.where(at_pole, pole, elevation).tolist()):
-            if key in seen:
-                raise LayoutError(f"duplicate layout direction {key}")
-            seen.add(key)
+        ce = np.cos(elevation)
+        units = np.stack([np.cos(azimuth) * ce, np.sin(azimuth) * ce, np.sin(elevation)], axis=1)
+        first, second = np.triu_indices(len(azimuth), 1)
+        # The chord |u - w| = 2 sin(angle / 2) keeps its precision at tiny angles.
+        chord = np.linalg.norm(units[first] - units[second], axis=1)
+        close = np.flatnonzero(chord < 2.0 * math.sin(DUPLICATE_SEPARATION / 2.0))
+        if close.size:
+            i, j = first[close[0]], second[close[0]]
+            raise LayoutError(
+                f"duplicate layout direction ({azimuth[j]}, {elevation[j]}): within "
+                f"{DUPLICATE_SEPARATION} rad of ({azimuth[i]}, {elevation[i]})"
+            )
         self.azimuth = azimuth
         self.elevation = elevation
 

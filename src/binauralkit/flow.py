@@ -1,8 +1,15 @@
 """Toy-scale conditional flow matching: linear interpolation paths, a small
 velocity-field perceptron per channel with exact reverse-mode gradients, the
 dual-channel training objective (one forward and one backward pass per net
-per training step, both nets fed one timestep embedding), an Adam step on
-flat moment vectors, Euler sampling and a weight checkpoint format."""
+per training step, both nets fed one timestep embedding), an in-place Adam
+step on one flat parameter vector, Euler sampling and a weight checkpoint
+format.
+
+While train runs, every trained parameter lives in one flat float64 vector
+(net_l's six arrays, then net_r's, or the shared net's once): each net's
+w1 .. b3 are reshaped views of it, the gradients are written into views of a
+second vector of the same layout, and one AdamState steps the whole vector
+in place. Each net gets its own copies back when train ends."""
 
 from __future__ import annotations
 
@@ -77,6 +84,8 @@ class VelocityFieldNet:
                  embed_dim=DEFAULT_EMBED_DIM, rng_seed=0):
         if latent_dim < 1 or hidden_width < 1:
             raise ValueError("latent_dim and hidden_width must be >= 1")
+        if cond_dim < 0 or embed_dim < 0:
+            raise ValueError("cond_dim and embed_dim must be >= 0")
         if embed_dim % 2 != 0:
             raise ValueError("embedding dimension must be even")
         self.latent_dim = latent_dim
@@ -109,9 +118,14 @@ class VelocityFieldNet:
 
     def _forward_cached(self, x, t, cond, emb=None):
         z = self._inputs(x, t, cond, emb)
-        a1 = np.tanh(z @ self.w1 + self.b1)
-        a2 = np.tanh(a1 @ self.w2 + self.b2)
-        v = a2 @ self.w3 + self.b3
+        a1 = z @ self.w1
+        a1 += self.b1
+        np.tanh(a1, out=a1)
+        a2 = a1 @ self.w2
+        a2 += self.b2
+        np.tanh(a2, out=a2)
+        v = a2 @ self.w3
+        v += self.b3
         return z, a1, a2, v
 
     def forward(self, x, t, cond=None):
@@ -128,71 +142,88 @@ class VelocityFieldNet:
             setattr(self, name, np.array(params[name], dtype=np.float64))
 
 
-def _loss_and_grads(net, x0, x1, t, cond, emb=None):
+def _loss_and_grads(net, x0, x1, t, cond, emb=None, grads=None):
     """cfm_loss and backward from one forward pass: the residual gives both.
-    `emb`, when given, is timestep_embedding(t, net.embed_dim)."""
+    x0 and x1 are B x d float64 arrays with B >= 1 and t holds B timesteps,
+    as _batch returns them; `emb`, when given, is timestep_embedding(t,
+    net.embed_dim). `grads`, when given, maps each parameter name to an
+    array of that parameter's shape, which receives its gradient; otherwise
+    new arrays are returned."""
+    if grads is None:
+        grads = {name: np.empty_like(value) for name, value in net.parameters().items()}
+    tc = t[:, None]
+    xt = (1.0 - tc) * x0 + tc * x1
+    z, a1, a2, v = net._forward_cached(xt, t, cond, emb)
+    residual = np.subtract(v, x1 - x0, out=v)
+    loss = float(np.add.reduce(np.add.reduce(residual * residual, axis=1)) / len(x0))
+    dv = residual
+    dv *= 2.0
+    dv /= len(x0)
+    np.matmul(a2.T, dv, out=grads["w3"])
+    np.add.reduce(dv, axis=0, out=grads["b3"])
+    # 1 - a^2 overwrites each activation once its last other use is past.
+    # dv @ w3.T has inner size d: at d = 1 np.dot takes a fifth of matmul's
+    # time, with equal results.
+    np.square(a2, out=a2)
+    np.subtract(1.0, a2, out=a2)
+    dh2 = np.dot(dv, net.w3.T)
+    dh2 *= a2
+    np.matmul(a1.T, dh2, out=grads["w2"])
+    np.add.reduce(dh2, axis=0, out=grads["b2"])
+    np.square(a1, out=a1)
+    np.subtract(1.0, a1, out=a1)
+    dh1 = dh2 @ net.w2.T
+    dh1 *= a1
+    np.matmul(z.T, dh1, out=grads["w1"])
+    np.add.reduce(dh1, axis=0, out=grads["b1"])
+    return loss, grads
+
+
+def _batch(x0, x1, t):
+    """Endpoints as B x d float64 arrays and B float64 timesteps (a scalar t
+    is broadcast); an empty batch or endpoints of two shapes raise ValueError."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     if len(x0) == 0:
         raise ValueError("empty batch")
-    xt = interpolate(x0, x1, np.asarray(t, dtype=np.float64))
-    z, a1, a2, v = net._forward_cached(xt, t, cond, emb)
-    residual = v - target_velocity(x0, x1)
-    dv = 2.0 * residual / len(x0)
-    grads = {"w3": a2.T @ dv, "b3": dv.sum(axis=0)}
-    dh2 = (dv @ net.w3.T) * (1.0 - a2**2)
-    grads["w2"] = a1.T @ dh2
-    grads["b2"] = dh2.sum(axis=0)
-    dh1 = (dh2 @ net.w2.T) * (1.0 - a1**2)
-    grads["w1"] = z.T @ dh1
-    grads["b1"] = dh1.sum(axis=0)
-    return float(np.mean(np.sum(residual**2, axis=1))), grads
+    if x0.shape != x1.shape:
+        raise ValueError("shape mismatch between endpoints")
+    return x0, x1, np.broadcast_to(np.asarray(t, dtype=np.float64), (len(x0),))
 
 
 def cfm_loss(net, x0, x1, t, cond=None):
     """Mean over the batch of ||v(x_t, t, C) - (x1 - x0)||^2."""
-    return _loss_and_grads(net, x0, x1, t, cond)[0]
+    return _loss_and_grads(net, *_batch(x0, x1, t), cond)[0]
 
 
 def backward(net, x0, x1, t, cond=None):
     """Exact reverse-mode gradients of cfm_loss w.r.t. every net parameter."""
-    return _loss_and_grads(net, x0, x1, t, cond)[1]
+    return _loss_and_grads(net, *_batch(x0, x1, t), cond)[1]
 
 
 class AdamState:
-    """Adaptive-moment gradient descent state for one parameter set, with
-    the fixed hyperparameters ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+    """Adaptive-moment gradient descent state for one flat float64 parameter
+    vector, with the fixed hyperparameters ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS: the first and second moments and one scratch vector, each as
+    long as the parameter vector."""
 
-    The first and second moments are flat float64 vectors laid out at
-    construction as (key, slice, shape) per parameter, so one update is a
-    handful of whole-vector operations however many arrays the set holds.
-    """
-
-    def __init__(self, params):
+    def __init__(self, size):
         self.step_count = 0
-        self.layout = []
-        size = 0
-        for key, value in params.items():
-            n = np.size(value)
-            self.layout.append((key, slice(size, size + n), np.shape(value)))
-            size += n
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._tmp = np.empty(size)
 
-    def update(self, params, grads, learning_rate):
-        """New parameters from one step; params and grads are dicts keyed as
-        at construction and are left unmodified."""
+    def update(self, p, g, learning_rate):
+        """One step on the parameter vector p, in place, from the gradient
+        vector g, which is left overwritten."""
         self.step_count += 1
         bias1 = 1.0 - ADAM_BETA1**self.step_count
         bias2 = 1.0 - ADAM_BETA2**self.step_count
-        p = np.concatenate([params[key] for key, _, _ in self.layout], axis=None)
-        g = np.concatenate([grads[key] for key, _, _ in self.layout], axis=None)
+        tmp = self._tmp
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-        # p - (lr m_hat) / (sqrt(v_hat) + eps) in that operation order, with
-        # g and tmp as the only scratch vectors: each further full-length
-        # temporary shows in the training run's peak memory.
+        # p - (lr m_hat) / (sqrt(v_hat) + eps) in that operation order.
         self.m *= ADAM_BETA1
-        tmp = (1.0 - ADAM_BETA1) * g
+        np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
         self.m += tmp
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - ADAM_BETA2
@@ -205,7 +236,6 @@ class AdamState:
         tmp += ADAM_EPS
         g /= tmp
         p -= g
-        return {key: p[span].reshape(shape) for key, span, shape in self.layout}
 
 
 @dataclass(frozen=True)
@@ -218,7 +248,8 @@ class TrainConfig:
     shared_weights: bool = False
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.batch_size < 1 or self.steps < 0:
+        if (not 0.0 <= self.learning_rate < np.inf or self.batch_size < 1
+                or self.steps < 0):
             raise ValueError("invalid training hyperparameters")
 
 
@@ -302,50 +333,74 @@ def _channel_cond(cond, flag, shared, batch):
     return flag_col if cond is None else np.concatenate([cond, flag_col], axis=1)
 
 
+def _views(flat, nets):
+    """Per net, a dict mapping each parameter name to a view of the vector
+    `flat` in that parameter's shape, laid out net after net in _PARAM_NAMES
+    order."""
+    views, start = [], 0
+    for net in nets:
+        params = {}
+        for name, value in net.parameters().items():
+            params[name] = flat[start:start + value.size].reshape(value.shape)
+            start += value.size
+        views.append(params)
+    return views
+
+
 def train(net_l, net_r, dataset, cfg):
     """Single-threaded, seed-deterministic dual-channel training loop.
 
     Each step draws a batch of target pairs, fresh standard-normal noise per
     channel and one shared timestep per pair, embeds the timesteps once, then
-    runs one forward pass, one backward pass and one adaptive-moment update
-    per net. Raises FlowDivergence before any update if the summed loss is
-    non-finite or exceeds DIVERGENCE_LIMIT.
+    runs one forward and one backward pass per net and one adaptive-moment
+    update of the flat parameter vector both nets' weights are views of (a
+    shared net's gradient is the sum of its two channels'). Raises
+    FlowDivergence before any update if the summed loss is non-finite or
+    exceeds DIVERGENCE_LIMIT. Whether it returns or raises, each net ends
+    holding its own copies of its weights.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     shared = net_l is net_r
-    adam_l = AdamState(net_l.parameters())
-    adam_r = adam_l if shared else AdamState(net_r.parameters())
+    nets = (net_l,) if shared else (net_l, net_r)
+    p = np.concatenate([value for net in nets for value in net.parameters().values()],
+                       axis=None)
+    g = np.empty_like(p)
+    g_r = np.empty_like(g) if shared else g
+    grads_l, grads_r = _views(g, nets)[0], _views(g_r, nets)[-1]
+    adam = AdamState(p.size)
     trace = np.empty(cfg.steps)
-    for step in range(cfg.steps):
-        idx = rng.integers(0, len(dataset), cfg.batch_size)
-        x1_l, x1_r = dataset.x1_left[idx], dataset.x1_right[idx]
-        cond = None if dataset.cond is None else dataset.cond[idx]
-        if dataset.x0_left is not None:
-            x0_l, x0_r = dataset.x0_left[idx], dataset.x0_right[idx]
-        else:
-            x0_l = rng.standard_normal(x1_l.shape)
-            x0_r = rng.standard_normal(x1_r.shape)
-        t = rng.uniform(0.0, 1.0, cfg.batch_size)
-        cond_l = _channel_cond(cond, 1.0, shared, cfg.batch_size)
-        cond_r = _channel_cond(cond, -1.0, shared, cfg.batch_size)
+    try:
+        for net, params in zip(nets, _views(p, nets)):
+            vars(net).update(params)
+        for step in range(cfg.steps):
+            idx = rng.integers(0, len(dataset), cfg.batch_size)
+            x1_l, x1_r = dataset.x1_left[idx], dataset.x1_right[idx]
+            cond = None if dataset.cond is None else dataset.cond[idx]
+            if dataset.x0_left is not None:
+                x0_l, x0_r = dataset.x0_left[idx], dataset.x0_right[idx]
+            else:
+                x0_l = rng.standard_normal(x1_l.shape)
+                x0_r = rng.standard_normal(x1_r.shape)
+            t = rng.uniform(0.0, 1.0, cfg.batch_size)
+            cond_l = _channel_cond(cond, 1.0, shared, cfg.batch_size)
+            cond_r = _channel_cond(cond, -1.0, shared, cfg.batch_size)
 
-        emb_l = timestep_embedding(t, net_l.embed_dim)
-        emb_r = (emb_l if net_r.embed_dim == net_l.embed_dim
-                 else timestep_embedding(t, net_r.embed_dim))
+            emb_l = timestep_embedding(t, net_l.embed_dim)
+            emb_r = (emb_l if net_r.embed_dim == net_l.embed_dim
+                     else timestep_embedding(t, net_r.embed_dim))
 
-        loss_l, grads_l = _loss_and_grads(net_l, x0_l, x1_l, t, cond_l, emb_l)
-        loss_r, grads_r = _loss_and_grads(net_r, x0_r, x1_r, t, cond_r, emb_r)
-        loss = loss_l + loss_r
-        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise FlowDivergence(f"training diverged at step {step}: loss {loss}")
-        trace[step] = loss
+            loss = (_loss_and_grads(net_l, x0_l, x1_l, t, cond_l, emb_l, grads_l)[0]
+                    + _loss_and_grads(net_r, x0_r, x1_r, t, cond_r, emb_r, grads_r)[0])
+            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                raise FlowDivergence(f"training diverged at step {step}: loss {loss}")
+            trace[step] = loss
 
-        if shared:
-            grads = {k: grads_l[k] + grads_r[k] for k in grads_l}
-            net_l.set_parameters(adam_l.update(net_l.parameters(), grads, cfg.learning_rate))
-        else:
-            net_l.set_parameters(adam_l.update(net_l.parameters(), grads_l, cfg.learning_rate))
-            net_r.set_parameters(adam_r.update(net_r.parameters(), grads_r, cfg.learning_rate))
+            if shared:
+                g += g_r
+            adam.update(p, g, cfg.learning_rate)
+    finally:
+        for net in nets:
+            net.set_parameters(net.parameters())
     return trace
 
 

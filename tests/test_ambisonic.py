@@ -163,8 +163,22 @@ class TestDecodeMatrix:
         with pytest.raises(ValueError):
             SpeakerLayout(azimuth, elevation)
 
+    @pytest.mark.parametrize("azimuth", [1e-13, -math.pi + 1e-13, math.pi - 1e-13])
+    def test_near_duplicate_rejected_at_layout(self, azimuth):
+        # 1e-13 rad from the ring's speaker at 0 or at -pi, on either side
+        # of the wrap: decoding would split one speaker's gain over two.
+        ring = ring_layout(6)
+        with pytest.raises(LayoutError, match="duplicate layout direction"):
+            SpeakerLayout(np.append(ring.azimuth, azimuth), np.zeros(7))
+
+    def test_separated_directions_accepted_at_layout(self):
+        assert len(ring_layout(64)) == 64
+        assert len(SpeakerLayout([0.0, 1e-6], [0.0, 0.0])) == 2
+
     def test_near_duplicate_layout_singular(self):
-        layout = SpeakerLayout([0.0, 1e-13], [0.0, 0.0])
+        # Two speakers 1e-6 rad apart pass the layout check, but cannot
+        # carry three first-order horizontal channels.
+        layout = SpeakerLayout([0.0, 1e-6], [0.0, 0.0])
         with pytest.raises(LayoutError):
             decode_matrix(layout, 1)
 

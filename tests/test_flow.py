@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tempfile
 import tracemalloc
@@ -28,6 +29,16 @@ from binauralkit.flow import (
     train,
 )
 from oracles import oracle_adam_update, oracle_cfm_loss
+
+
+def assert_own_weights(net_l, net_r):
+    """Every parameter array of the nets owns its memory and shares none
+    with another (one net counted once when both channels share it)."""
+    arrays = [value for net in dict.fromkeys((net_l, net_r)) for value in net.parameters().values()]
+    for i, value in enumerate(arrays):
+        assert value.flags.owndata
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(value, other)
 
 
 def constant_field_net(latent_dim, value):
@@ -89,6 +100,17 @@ class TestPaths:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             interpolate(np.zeros(3), np.zeros(4), 0.5)
+
+
+class TestNet:
+    @pytest.mark.parametrize(
+        "dims",
+        [{"cond_dim": -1}, {"embed_dim": -2}, {"embed_dim": 3}, {"hidden_width": 0},
+         {"latent_dim": 0}],
+    )
+    def test_bad_dims_rejected_at_construction(self, dims):
+        with pytest.raises(ValueError):
+            VelocityFieldNet(**{"latent_dim": 1, **dims})
 
 
 class TestLoss:
@@ -300,6 +322,11 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("learning_rate", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_learning_rate_must_be_finite_and_non_negative(self, learning_rate):
+        with pytest.raises(ValueError, match="invalid training hyperparameters"):
+            TrainConfig(learning_rate=learning_rate)
+
     @pytest.mark.parametrize("shared", [False, True])
     def test_one_timestep_embedding_per_step(self, monkeypatch, shared):
         calls = []
@@ -356,12 +383,111 @@ class TestTraining:
             for k, v in ref.parameters().items():
                 np.testing.assert_array_equal(net.parameters()[k], v)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_nets_own_their_weights_after_training(self, shared):
+        cfg = TrainConfig(steps=3, batch_size=8, hidden_width=8, shared_weights=shared)
+        net_l, net_r = make_nets(2, 0, cfg)
+        train(net_l, net_r, constant_target_dataset(16, 2, 1.0), cfg)
+        assert_own_weights(net_l, net_r)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_divergence_leaves_nets_as_after_the_last_update(self, shared):
+        # Step 1's loss passes DIVERGENCE_LIMIT, so only step 0's update
+        # happened: the nets equal nets trained for one step.
+        data = constant_target_dataset(16, 2, 1.0)
+        cfg = TrainConfig(steps=5, batch_size=8, hidden_width=8, learning_rate=1e3,
+                          shared_weights=shared)
+        net_l, net_r = make_nets(2, 0, cfg)
+        with pytest.raises(FlowDivergence, match="diverged at step 1"):
+            train(net_l, net_r, data, cfg)
+        one_step = dataclasses.replace(cfg, steps=1)
+        ref_l, ref_r = make_nets(2, 0, one_step)
+        train(ref_l, ref_r, data, one_step)
+        for net, ref in ((net_l, ref_l), (net_r, ref_r)):
+            for k, v in ref.parameters().items():
+                np.testing.assert_array_equal(net.parameters()[k], v)
+        assert_own_weights(net_l, net_r)
+
     def test_adam_first_step_is_signed_lr(self):
         # bias correction makes the very first update exactly lr * sign(g)
-        params = {"w": np.array([1.0, -2.0])}
-        adam = AdamState(params)
-        out = adam.update(params, {"w": np.array([0.5, -3.0])}, 0.01)
-        np.testing.assert_allclose(out["w"], [1.0 - 0.01, -2.0 + 0.01], rtol=1e-6)
+        p = np.array([1.0, -2.0])
+        AdamState(p.size).update(p, np.array([0.5, -3.0]), 0.01)
+        np.testing.assert_allclose(p, [1.0 - 0.01, -2.0 + 0.01], rtol=1e-6)
+
+
+@given(
+    latent_dim=st.integers(1, 4),
+    hidden_width=st.integers(1, 16),
+    batch_size=st.integers(1, 9),
+    shared=st.booleans(),
+    stored_noise=st.booleans(),
+    cond_dim=st.sampled_from([0, 2]),
+    embed_dims=st.tuples(st.sampled_from([0, 2, 8]), st.sampled_from([0, 2, 8])),
+    steps=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_train_equals_step_by_step_replay(latent_dim, hidden_width, batch_size, shared,
+                                          stored_noise, cond_dim, embed_dims, steps, seed):
+    # train's trace and final weights equal a replay of its draws through
+    # cfm_loss, backward and the per-array oracle Adam, for any net shapes.
+    rng = np.random.default_rng(seed)
+    n_items = 12
+    noise = ({"x0_left": rng.standard_normal((n_items, latent_dim)),
+              "x0_right": rng.standard_normal((n_items, latent_dim))} if stored_noise else {})
+    data = FlowDataset(
+        x1_left=rng.standard_normal((n_items, latent_dim)) + 1.0,
+        x1_right=rng.standard_normal((n_items, latent_dim)) - 1.0,
+        cond=rng.standard_normal((n_items, cond_dim)) if cond_dim else None,
+        **noise,
+    )
+    cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, steps=steps,
+                      rng_seed=seed, hidden_width=hidden_width, shared_weights=shared)
+
+    def nets():
+        net_l = VelocityFieldNet(latent_dim, cond_dim + shared, hidden_width,
+                                 embed_dims[0], rng_seed=seed)
+        if shared:
+            return net_l, net_l
+        return net_l, VelocityFieldNet(latent_dim, cond_dim, hidden_width,
+                                       embed_dims[1], rng_seed=seed + 1)
+
+    net_l, net_r = nets()
+    trace = train(net_l, net_r, data, cfg)
+
+    ref_l, ref_r = nets()
+    state_l, state_r = {}, {}
+    draws = np.random.default_rng(seed)
+    flag = np.ones((batch_size, 1))
+    replay = []
+    for _ in range(steps):
+        idx = draws.integers(0, n_items, batch_size)
+        if stored_noise:
+            x0_l, x0_r = data.x0_left[idx], data.x0_right[idx]
+        else:
+            x0_l = draws.standard_normal((batch_size, latent_dim))
+            x0_r = draws.standard_normal((batch_size, latent_dim))
+        t = draws.uniform(0.0, 1.0, batch_size)
+        cond_l = cond_r = None if data.cond is None else data.cond[idx]
+        if shared:
+            cond_l = flag if cond_l is None else np.concatenate([cond_l, flag], axis=1)
+            cond_r = -flag if cond_r is None else np.concatenate([cond_r, -flag], axis=1)
+        args_l = (x0_l, data.x1_left[idx], t, cond_l)
+        args_r = (x0_r, data.x1_right[idx], t, cond_r)
+        replay.append(cfm_loss(ref_l, *args_l) + cfm_loss(ref_r, *args_r))
+        grads_l, grads_r = backward(ref_l, *args_l), backward(ref_r, *args_r)
+        if shared:
+            grads = {k: grads_l[k] + grads_r[k] for k in grads_l}
+            ref_l.set_parameters(oracle_adam_update(
+                state_l, ref_l.parameters(), grads, cfg.learning_rate))
+        else:
+            ref_l.set_parameters(oracle_adam_update(
+                state_l, ref_l.parameters(), grads_l, cfg.learning_rate))
+            ref_r.set_parameters(oracle_adam_update(
+                state_r, ref_r.parameters(), grads_r, cfg.learning_rate))
+    np.testing.assert_array_equal(trace, replay)
+    for net, ref in ((net_l, ref_l), (net_r, ref_r)):
+        for k, v in ref.parameters().items():
+            np.testing.assert_array_equal(net.parameters()[k], v)
 
 
 _ADAM_SHAPES = st.sampled_from([(), (1,), (3,), (2, 3), (4, 1), (1, 5)])
@@ -373,28 +499,23 @@ class TestAdamOracle:
         steps=st.integers(1, 4),
         learning_rate=st.sampled_from([0.0, 1e-3, 0.5]),
         seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
     )
-    def test_flat_state_equals_per_array_oracle(self, shapes, steps, learning_rate, seed, data):
+    def test_flat_state_equals_per_array_oracle(self, shapes, steps, learning_rate, seed):
+        # The arrays laid end to end in one vector, stepped in place, equal
+        # the per-array oracle's new arrays.
         rng = np.random.default_rng(seed)
         keys = [f"p{i}" for i in range(len(shapes))]
-        params = {k: rng.standard_normal(shape) for k, shape in zip(keys, shapes)}
-        adam, oracle_state = AdamState(params), {}
-        oracle_params = params
+        oracle_params = {k: rng.standard_normal(shape) for k, shape in zip(keys, shapes)}
+        p = np.concatenate([oracle_params[k] for k in keys], axis=None)
+        adam, oracle_state = AdamState(p.size), {}
         for _ in range(steps):
-            order = data.draw(st.permutations(keys))
-            grads = {k: rng.standard_normal(np.shape(params[k])) * 10.0 ** rng.integers(-3, 3)
-                     for k in order}
-            before = {k: np.copy(v) for k, v in params.items()}
-            grads_before = {k: np.copy(v) for k, v in grads.items()}
-            expected = oracle_adam_update(oracle_state, oracle_params, grads, learning_rate)
-            out = adam.update(params, grads, learning_rate)
-            for k in keys:
-                np.testing.assert_array_equal(params[k], before[k])
-                np.testing.assert_array_equal(grads[k], grads_before[k])
-                assert np.shape(out[k]) == np.shape(params[k])
-                np.testing.assert_array_equal(out[k], expected[k])
-            params, oracle_params = out, expected
+            grads = {k: rng.standard_normal(np.shape(oracle_params[k])) * 10.0 ** rng.integers(-3, 3)
+                     for k in keys}
+            g = np.concatenate([grads[k] for k in keys], axis=None)
+            oracle_params = oracle_adam_update(oracle_state, oracle_params, grads, learning_rate)
+            adam.update(p, g, learning_rate)
+            np.testing.assert_array_equal(
+                p, np.concatenate([oracle_params[k] for k in keys], axis=None))
 
 
 class TestDatasets:
