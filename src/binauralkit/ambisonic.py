@@ -104,6 +104,27 @@ class ShSignal:
         return len(self.frames)
 
 
+def _close_pair(units, limit):
+    """Indices (i, j), i < j, of two rows of `units` less than `limit` apart,
+    or None. A pair that close is as close on every axis, so the rows are
+    sorted along their widest axis and each is compared with the next k-th
+    row, for every k up to the longest run of keys within `limit`: memory
+    stays linear in the row count, and so does time unless many rows share
+    one key."""
+    axis = np.argmax(np.ptp(units, axis=0))
+    order = np.argsort(units[:, axis], kind="stable")
+    ordered = units[order]
+    keys = ordered[:, axis]
+    later = np.searchsorted(keys, keys + limit) - np.arange(1, len(keys) + 1)
+    for k in range(1, int(later.max()) + 1):
+        rows = np.flatnonzero(later >= k)
+        # The chord |u - w| = 2 sin(angle / 2) keeps its precision at tiny angles.
+        close = rows[np.linalg.norm(ordered[rows + k] - ordered[rows], axis=1) < limit]
+        if close.size:
+            return tuple(sorted((int(order[close[0]]), int(order[close[0] + k]))))
+    return None
+
+
 class SpeakerLayout:
     """Pairwise-distinct virtual loudspeaker directions, held as `azimuth`
     (wrapped into [-pi, pi)) and `elevation` arrays in radians. Two
@@ -119,12 +140,9 @@ class SpeakerLayout:
             raise ValueError("layout needs at least one direction")
         ce = np.cos(elevation)
         units = np.stack([np.cos(azimuth) * ce, np.sin(azimuth) * ce, np.sin(elevation)], axis=1)
-        first, second = np.triu_indices(len(azimuth), 1)
-        # The chord |u - w| = 2 sin(angle / 2) keeps its precision at tiny angles.
-        chord = np.linalg.norm(units[first] - units[second], axis=1)
-        close = np.flatnonzero(chord < 2.0 * math.sin(DUPLICATE_SEPARATION / 2.0))
-        if close.size:
-            i, j = first[close[0]], second[close[0]]
+        pair = _close_pair(units, 2.0 * math.sin(DUPLICATE_SEPARATION / 2.0))
+        if pair is not None:
+            i, j = pair
             raise LayoutError(
                 f"duplicate layout direction ({azimuth[j]}, {elevation[j]}): within "
                 f"{DUPLICATE_SEPARATION} rad of ({azimuth[i]}, {elevation[i]})"

@@ -1,4 +1,4 @@
-"""Toy-scale conditional flow matching: linear interpolation paths, a small
+"""Toy-scale conditional flow matching along linear paths: a small
 velocity-field perceptron per channel with exact reverse-mode gradients, the
 dual-channel training objective (one forward and one backward pass per net
 per training step, both nets fed one timestep embedding), an in-place Adam
@@ -50,27 +50,6 @@ def timestep_embedding(t, dim):
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out[0] if scalar else out
-
-
-def interpolate(x0, x1, t):
-    """x_t = (1 - t) x0 + t x1, elementwise."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ValueError("shape mismatch between endpoints")
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 1 and x0.ndim == 2:
-        t = t[:, None]
-    return (1.0 - t) * x0 + t * x1
-
-
-def target_velocity(x0, x1):
-    """Ground-truth velocity of the linear path: x1 - x0 (t-independent)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ValueError("shape mismatch between endpoints")
-    return x1 - x0
 
 
 class VelocityFieldNet:

@@ -183,6 +183,27 @@ def oracle_heatmap_features(values, mask_threshold_rel=0.5, shape_epsilon=1e-8):
     ]
 
 
+def oracle_interpolate(x0, x1, t):
+    """x_t = (1 - t) x0 + t x1, elementwise; a 1-D t scales the rows of 2-D endpoints."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x0.shape != x1.shape:
+        raise ValueError("shape mismatch between endpoints")
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim == 1 and x0.ndim == 2:
+        t = t[:, None]
+    return (1.0 - t) * x0 + t * x1
+
+
+def oracle_target_velocity(x0, x1):
+    """Ground-truth velocity of the linear path: x1 - x0 (t-independent)."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x0.shape != x1.shape:
+        raise ValueError("shape mismatch between endpoints")
+    return x1 - x0
+
+
 def oracle_cfm_loss(v_out, u):
     total = 0.0
     for vb, ub in zip(v_out, u):
@@ -229,6 +250,18 @@ def _unit_vector(azimuth, elevation):
     """Cartesian unit vector of a direction: x front, y left, z up."""
     ce = math.cos(elevation)
     return np.array([ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)])
+
+
+def oracle_has_close_directions(azimuth, elevation, separation):
+    """Whether any two directions are less than `separation` rad apart,
+    comparing every pair by the chord between their unit vectors."""
+    units = [_unit_vector(a, e) for a, e in zip(azimuth, elevation)]
+    limit = 2.0 * math.sin(separation / 2.0)
+    return any(
+        np.linalg.norm(units[i] - units[j]) < limit
+        for i in range(len(units))
+        for j in range(i + 1, len(units))
+    )
 
 
 def oracle_analytic_hrir(azimuth, elevation, sample_rate):

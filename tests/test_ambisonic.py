@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binauralkit.audio import AudioBuffer
 from binauralkit.ambisonic import (
+    DUPLICATE_SEPARATION,
     LayoutError,
     ShSignal,
     SpeakerLayout,
@@ -20,7 +22,7 @@ from binauralkit.ambisonic import (
     wrap_azimuth,
 )
 from conftest import breakpoints
-from oracles import oracle_direction_at
+from oracles import oracle_direction_at, oracle_has_close_directions
 
 
 def one_point_trajectory(azimuth, elevation):
@@ -174,6 +176,52 @@ class TestDecodeMatrix:
     def test_separated_directions_accepted_at_layout(self):
         assert len(ring_layout(64)) == 64
         assert len(SpeakerLayout([0.0, 1e-6], [0.0, 0.0])) == 2
+
+    def test_large_ring_layout_memory_is_linear(self):
+        # Comparing all pairs at once would hold M^2 / 2 chord vectors:
+        # about 45 MB here, against about 0.15 MB for the sorted check.
+        m = 1000
+        tracemalloc.start()
+        try:
+            layout = ring_layout(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(layout) == m
+        assert peak < 1000 * m
+
+    @given(
+        m=st.integers(1, 24),
+        extra=st.lists(
+            st.tuples(st.integers(0, 23),
+                      st.sampled_from(["mirror", "pole", 0.0, 1e-13, 1e-10, 1e-6, -1e-6])),
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_duplicate_check_equals_all_pairs(self, m, extra, seed):
+        # Extra directions copy, offset or mirror (-azimuth, same x) a drawn
+        # one, or sit at a pole, so rows tie or nearly tie on an axis. The
+        # layout raises exactly when some pair is closer than the limit.
+        rng = np.random.default_rng(seed)
+        azimuth = list(rng.uniform(-math.pi, math.pi, m))
+        elevation = list(np.arcsin(rng.uniform(-1.0, 1.0, m)))
+        for index, kind in extra:
+            az, el = azimuth[index % m], elevation[index % m]
+            if kind == "mirror":
+                az = -az
+            elif kind == "pole":
+                az, el = rng.uniform(-math.pi, math.pi), math.pi / 2
+            else:
+                az += kind
+            azimuth.append(az)
+            elevation.append(el)
+        wrapped = wrap_azimuth(np.array(azimuth))
+        if oracle_has_close_directions(wrapped, elevation, DUPLICATE_SEPARATION):
+            with pytest.raises(LayoutError, match="duplicate layout direction"):
+                SpeakerLayout(azimuth, elevation)
+        else:
+            assert len(SpeakerLayout(azimuth, elevation)) == len(azimuth)
 
     def test_near_duplicate_layout_singular(self):
         # Two speakers 1e-6 rad apart pass the layout check, but cannot

@@ -18,17 +18,20 @@ from binauralkit.flow import (
     backward,
     cfm_loss,
     constant_target_dataset,
-    interpolate,
     load_checkpoint,
     make_nets,
     sample_euler,
     save_checkpoint,
     save_loss_trace,
-    target_velocity,
     timestep_embedding,
     train,
 )
-from oracles import oracle_adam_update, oracle_cfm_loss
+from oracles import (
+    oracle_adam_update,
+    oracle_cfm_loss,
+    oracle_interpolate,
+    oracle_target_velocity,
+)
 
 
 def assert_own_weights(net_l, net_r):
@@ -39,6 +42,50 @@ def assert_own_weights(net_l, net_r):
         assert value.flags.owndata
         for other in arrays[i + 1:]:
             assert not np.shares_memory(value, other)
+
+
+def replay_train(ref_l, ref_r, data, cfg):
+    """Replay train step by step: its draws in its order, then cfm_loss,
+    backward and the per-array oracle Adam (a shared net steps once on the
+    sum of both channels' gradients). Updates ref_l and ref_r; returns the
+    loss trace."""
+    shared = cfg.shared_weights
+    state_l, state_r = {}, {}
+    draws = np.random.default_rng(cfg.rng_seed)
+    b, d = cfg.batch_size, data.latent_dim
+    flag = np.ones((b, 1))
+    trace = []
+    for _ in range(cfg.steps):
+        idx = draws.integers(0, len(data), b)
+        if data.x0_left is None:
+            x0_l, x0_r = draws.standard_normal((b, d)), draws.standard_normal((b, d))
+        else:
+            x0_l, x0_r = data.x0_left[idx], data.x0_right[idx]
+        t = draws.uniform(0.0, 1.0, b)
+        cond_l = cond_r = None if data.cond is None else data.cond[idx]
+        if shared:
+            cond_l = flag if cond_l is None else np.concatenate([cond_l, flag], axis=1)
+            cond_r = -flag if cond_r is None else np.concatenate([cond_r, -flag], axis=1)
+        args_l = (x0_l, data.x1_left[idx], t, cond_l)
+        args_r = (x0_r, data.x1_right[idx], t, cond_r)
+        trace.append(cfm_loss(ref_l, *args_l) + cfm_loss(ref_r, *args_r))
+        grads_l, grads_r = backward(ref_l, *args_l), backward(ref_r, *args_r)
+        if shared:
+            grads = {k: grads_l[k] + grads_r[k] for k in grads_l}
+            ref_l.set_parameters(oracle_adam_update(
+                state_l, ref_l.parameters(), grads, cfg.learning_rate))
+        else:
+            ref_l.set_parameters(oracle_adam_update(
+                state_l, ref_l.parameters(), grads_l, cfg.learning_rate))
+            ref_r.set_parameters(oracle_adam_update(
+                state_r, ref_r.parameters(), grads_r, cfg.learning_rate))
+    return trace
+
+
+def assert_same_weights(nets, refs):
+    for net, ref in zip(nets, refs):
+        for k, v in ref.parameters().items():
+            np.testing.assert_array_equal(net.parameters()[k], v)
 
 
 def constant_field_net(latent_dim, value):
@@ -84,22 +131,22 @@ class TestPaths:
     def test_interpolate_endpoints(self, rng):
         x0 = rng.standard_normal((4, 3))
         x1 = rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(interpolate(x0, x1, 0.0), x0)
-        np.testing.assert_array_equal(interpolate(x0, x1, 1.0), x1)
+        np.testing.assert_array_equal(oracle_interpolate(x0, x1, 0.0), x0)
+        np.testing.assert_array_equal(oracle_interpolate(x0, x1, 1.0), x1)
 
     def test_midpoint(self):
-        np.testing.assert_allclose(interpolate([0.0, 2.0], [4.0, 6.0], 0.5), [2.0, 4.0])
+        np.testing.assert_allclose(oracle_interpolate([0.0, 2.0], [4.0, 6.0], 0.5), [2.0, 4.0])
 
     def test_velocity_is_time_derivative(self, rng):
         x0 = rng.standard_normal(6)
         x1 = rng.standard_normal(6)
         h = 1e-6
-        fd = (interpolate(x0, x1, 0.3 + h) - interpolate(x0, x1, 0.3 - h)) / (2 * h)
-        np.testing.assert_allclose(fd, target_velocity(x0, x1), atol=1e-8)
+        fd = (oracle_interpolate(x0, x1, 0.3 + h) - oracle_interpolate(x0, x1, 0.3 - h)) / (2 * h)
+        np.testing.assert_allclose(fd, oracle_target_velocity(x0, x1), atol=1e-8)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            interpolate(np.zeros(3), np.zeros(4), 0.5)
+            oracle_interpolate(np.zeros(3), np.zeros(4), 0.5)
 
 
 class TestNet:
@@ -134,7 +181,7 @@ class TestLoss:
         x0 = rng.standard_normal((6, d))
         x1 = rng.standard_normal((6, d))
         t = rng.uniform(0, 1, 6)
-        xt = interpolate(x0, x1, t)
+        xt = oracle_interpolate(x0, x1, t)
         v = net.forward(xt, t)
         expected = oracle_cfm_loss(v.tolist(), (x1 - x0).tolist())
         assert cfm_loss(net, x0, x1, t) == pytest.approx(expected, rel=1e-12)
@@ -357,31 +404,8 @@ class TestTraining:
         trace = train(net_l, net_r, data, cfg)
 
         ref_l, ref_r = make_nets(3, 0, cfg)
-        state_l, state_r = {}, {}
-        rng = np.random.default_rng(cfg.rng_seed)
-        flag = np.ones((cfg.batch_size, 1))
-        cond_l, cond_r = (flag, -flag) if shared else (None, None)
-        replay = []
-        for _ in range(cfg.steps):
-            idx = rng.integers(0, len(data), cfg.batch_size)
-            t = rng.uniform(0.0, 1.0, cfg.batch_size)
-            args_l = (data.x0_left[idx], data.x1_left[idx], t, cond_l)
-            args_r = (data.x0_right[idx], data.x1_right[idx], t, cond_r)
-            replay.append(cfm_loss(ref_l, *args_l) + cfm_loss(ref_r, *args_r))
-            grads_l, grads_r = backward(ref_l, *args_l), backward(ref_r, *args_r)
-            if shared:
-                grads = {k: grads_l[k] + grads_r[k] for k in grads_l}
-                ref_l.set_parameters(oracle_adam_update(
-                    state_l, ref_l.parameters(), grads, cfg.learning_rate))
-            else:
-                ref_l.set_parameters(oracle_adam_update(
-                    state_l, ref_l.parameters(), grads_l, cfg.learning_rate))
-                ref_r.set_parameters(oracle_adam_update(
-                    state_r, ref_r.parameters(), grads_r, cfg.learning_rate))
-        np.testing.assert_array_equal(trace, replay)
-        for net, ref in ((net_l, ref_l), (net_r, ref_r)):
-            for k, v in ref.parameters().items():
-                np.testing.assert_array_equal(net.parameters()[k], v)
+        np.testing.assert_array_equal(trace, replay_train(ref_l, ref_r, data, cfg))
+        assert_same_weights((net_l, net_r), (ref_l, ref_r))
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_nets_own_their_weights_after_training(self, shared):
@@ -403,9 +427,7 @@ class TestTraining:
         one_step = dataclasses.replace(cfg, steps=1)
         ref_l, ref_r = make_nets(2, 0, one_step)
         train(ref_l, ref_r, data, one_step)
-        for net, ref in ((net_l, ref_l), (net_r, ref_r)):
-            for k, v in ref.parameters().items():
-                np.testing.assert_array_equal(net.parameters()[k], v)
+        assert_same_weights((net_l, net_r), (ref_l, ref_r))
         assert_own_weights(net_l, net_r)
 
     def test_adam_first_step_is_signed_lr(self):
@@ -455,39 +477,8 @@ def test_train_equals_step_by_step_replay(latent_dim, hidden_width, batch_size, 
     trace = train(net_l, net_r, data, cfg)
 
     ref_l, ref_r = nets()
-    state_l, state_r = {}, {}
-    draws = np.random.default_rng(seed)
-    flag = np.ones((batch_size, 1))
-    replay = []
-    for _ in range(steps):
-        idx = draws.integers(0, n_items, batch_size)
-        if stored_noise:
-            x0_l, x0_r = data.x0_left[idx], data.x0_right[idx]
-        else:
-            x0_l = draws.standard_normal((batch_size, latent_dim))
-            x0_r = draws.standard_normal((batch_size, latent_dim))
-        t = draws.uniform(0.0, 1.0, batch_size)
-        cond_l = cond_r = None if data.cond is None else data.cond[idx]
-        if shared:
-            cond_l = flag if cond_l is None else np.concatenate([cond_l, flag], axis=1)
-            cond_r = -flag if cond_r is None else np.concatenate([cond_r, -flag], axis=1)
-        args_l = (x0_l, data.x1_left[idx], t, cond_l)
-        args_r = (x0_r, data.x1_right[idx], t, cond_r)
-        replay.append(cfm_loss(ref_l, *args_l) + cfm_loss(ref_r, *args_r))
-        grads_l, grads_r = backward(ref_l, *args_l), backward(ref_r, *args_r)
-        if shared:
-            grads = {k: grads_l[k] + grads_r[k] for k in grads_l}
-            ref_l.set_parameters(oracle_adam_update(
-                state_l, ref_l.parameters(), grads, cfg.learning_rate))
-        else:
-            ref_l.set_parameters(oracle_adam_update(
-                state_l, ref_l.parameters(), grads_l, cfg.learning_rate))
-            ref_r.set_parameters(oracle_adam_update(
-                state_r, ref_r.parameters(), grads_r, cfg.learning_rate))
-    np.testing.assert_array_equal(trace, replay)
-    for net, ref in ((net_l, ref_l), (net_r, ref_r)):
-        for k, v in ref.parameters().items():
-            np.testing.assert_array_equal(net.parameters()[k], v)
+    np.testing.assert_array_equal(trace, replay_train(ref_l, ref_r, data, cfg))
+    assert_same_weights((net_l, net_r), (ref_l, ref_r))
 
 
 _ADAM_SHAPES = st.sampled_from([(), (1,), (3,), (2, 3), (4, 1), (1, 5)])
