@@ -2,8 +2,11 @@
 file writes, framing, the Hann window and Hann STFT, and multichannel FFT
 convolution.
 
-Framing builds no copies: `frames` is a strided view of the signal, and
-`frame_energy` (under `frame_rms`) sums squares per frame from chunk sums.
+Every channel is a C-contiguous float64 array: `AudioBuffer` copies any
+other input once, and `read_wav` deinterleaves a stereo file in the pass that
+scales it. Framing builds no copies: `frames` is a strided view of a
+channel, and `frame_energy` (under `frame_rms`) sums squares per frame from
+chunk sums.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ class AudioFormatError(ValueError):
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono signal: float64 samples (nominal range [-1, 1]) plus sample rate."""
+    """Mono signal: C-contiguous float64 samples (nominal range [-1, 1]) plus
+    sample rate; other input is copied, contiguous float64 input is kept."""
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples, dtype=np.float64, order="C")
         if samples.ndim != 1:
             raise ValueError("AudioBuffer samples must be 1-D")
         if not np.all(np.isfinite(samples)):
@@ -98,10 +102,11 @@ def read_wav(path):
         raise
     except OSError as exc:
         raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
+    scaled = np.empty((channels, len(samples)))  # the scaling pass deinterleaves: one row a channel
     with np.errstate(invalid="ignore"):  # a signalling NaN fails the finiteness check below
-        samples = np.multiply(samples, 1 / _PCM16_SCALE if dtype == "i2" else 1.0, dtype=float)
+        np.multiply(samples.T, 1 / _PCM16_SCALE if dtype == "i2" else 1.0, out=scaled, dtype=float)
     try:  # the buffers' own checks (finite samples, positive rate), naming the file
-        mono = [AudioBuffer(column, rate) for column in samples.T]
+        mono = [AudioBuffer(row, rate) for row in scaled]
         return mono[0] if channels == 1 else BinauralBuffer(*mono)
     except ValueError as exc:
         raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc

@@ -10,9 +10,12 @@ channel reaches `SILENCE_GATE_DB`, as `_gate` alone decides. ILD and ITD use
 `FRAME_SIZE`/`HOP` frames, ISD and IPD Hann `STFT_FRAME`/`STFT_HOP` frames.
 `spatial_report` frames each channel once per (size, hop): the gate takes its
 frame energies from chunk sums of x^2 (`audio.frame_energy`) and ILD reuses
-them; the frames themselves are strided views, of which only the voiced rows
-are copied, for the ITD lag search and, windowed, for the one transform ISD
-and IPD share.
+them; the frames themselves are strided views of the contiguous channels.
+When every frame is voiced the views are used as they are, else only the
+voiced rows are copied: for the ITD lag search and, windowed into one array
+of both channels, for the one transform ISD and IPD share. Each lag search,
+IACC's over the whole signal and ITD's over every frame, is one contraction
+over a sliding view of a zero-padded copy of the right channel.
 """
 
 from __future__ import annotations
@@ -56,14 +59,6 @@ class SpatialMetricsReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _overlap(left, right, lag):
-    """Views along the last axis pairing left[n] with right[n + lag]."""
-    n = left.shape[-1]
-    if lag >= 0:
-        return left[..., : n - lag], right[..., lag:]
-    return left[..., -lag:], right[..., : n + lag]
-
-
 def _lag_order(max_lag):
     """Lags ordered by increasing |lag| so argmax ties resolve toward 0."""
     return [0] + [sign * k for k in range(1, max_lag + 1) for sign in (-1, 1)]
@@ -87,23 +82,28 @@ def _voiced(b, size, hop):
 
 
 def _voiced_rows(b, size, hop, mask):
-    """Copies of the voiced (size, hop) frames of both channels."""
-    return tuple(frames(ch.samples, size, hop)[mask] for ch in (b.left, b.right))
+    """The voiced (size, hop) frames of both channels: the read-only frame
+    views themselves when every frame is voiced, else copies of the voiced
+    rows."""
+    views = [frames(ch.samples, size, hop) for ch in (b.left, b.right)]
+    return views if mask.all() else [rows[mask] for rows in views]
+
+
+_WINDOW = hann(STFT_FRAME)
 
 
 def _voiced_spectra(b):
-    """Hann-windowed spectra of the voiced STFT frames of both channels; only
-    voiced frames are windowed and transformed."""
+    """Hann-windowed spectra of the voiced STFT frames of both channels, one
+    2 x T x (STFT_FRAME/2 + 1) array; only voiced frames are windowed and
+    transformed, both channels in one call."""
     size, hop = STFT_FRAME, STFT_HOP
     if len(b) < size:
         raise ValueError("signal shorter than one frame")
     mask = _voiced(b, size, hop)
-    window = hann(size)
-    spectra = []
-    for rows in _voiced_rows(b, size, hop, mask):
-        rows *= window
-        spectra.append(np.fft.rfft(rows, axis=1))
-    return spectra
+    windowed = np.empty((2, int(mask.sum()), size))
+    for out, rows in zip(windowed, _voiced_rows(b, size, hop, mask)):
+        np.multiply(rows, _WINDOW, out=out)
+    return np.fft.rfft(windowed, axis=-1)
 
 
 def _itd_max_lag(sample_rate):
@@ -113,10 +113,15 @@ def _itd_max_lag(sample_rate):
     return max_lag
 
 
-def _dot(a, b):
-    # einsum, not np.dot: a BLAS dot may run threads of its own, which then
-    # contend with the worker pool's.
-    return float(np.einsum("i,i->", a, b))
+def _lagged_rows(rows, max_lag):
+    """Read-only view of a zero-padded copy of `rows` (one signal or a stack
+    of frames) whose entry [..., l, n] is rows[..., n + l - max_lag], 0
+    outside the rows: one contraction with the other channel gives every
+    lagged dot, and the padding adds only exact zeros to each sum."""
+    n = rows.shape[-1]
+    padded = np.zeros(rows.shape[:-1] + (n + 2 * max_lag,))
+    padded[..., max_lag : max_lag + n] = rows
+    return sliding_window_view(padded, n, axis=-1)
 
 
 def iacc(b):
@@ -126,11 +131,16 @@ def iacc(b):
     left, right = b.left.samples, b.right.samples
     if len(left) <= max_lag:
         raise ValueError("signal shorter than the lag search window")
-    norm = math.sqrt(_dot(left, left) * _dot(right, right))
+    # einsum, not np.dot or matmul: a BLAS call may run threads of its own,
+    # which then contend with the worker pool's.
+    el, er = np.einsum("n,n->", left, left), np.einsum("n,n->", right, right)
+    norm = math.sqrt(el * er)
     if norm == 0.0:
-        raise ValueError("both channels are all-zero")
-    peak = max(abs(_dot(*_overlap(left, right, lag))) for lag in _lag_order(max_lag))
-    return min(peak / norm, 1.0)
+        silent = [name for name, e in (("left", el), ("right", er)) if e == 0.0]
+        raise ValueError(f"{silent[0]} channel is all-zero" if len(silent) == 1
+                         else "both channels are all-zero")
+    corr = np.einsum("n,ln->l", left, _lagged_rows(right, max_lag))
+    return min(float(np.max(np.abs(corr))) / norm, 1.0)
 
 
 def _ild(el, er):
@@ -144,10 +154,9 @@ def ild(b):
 
 
 def _itd(max_lag, sample_rate, fl, fr):
-    # Row l of corr holds every frame's lagged dot at lag l - max_lag; the
-    # zero padding only adds exact zeros, so exact ties stay exact.
-    padded = np.pad(fr, ((0, 0), (max_lag, max_lag)))
-    corr = np.einsum("in,iln->li", fl, sliding_window_view(padded, fl.shape[1], axis=1))
+    # Row l of corr holds every frame's lagged dot at lag l - max_lag; exact
+    # ties stay exact.
+    corr = np.einsum("in,iln->li", fl, _lagged_rows(fr, max_lag))
     order = np.array(_lag_order(max_lag))
     lags = np.abs(order)[np.argmax(np.abs(corr[order + max_lag]), axis=0)]
     return float(np.mean(lags)) / sample_rate * 1e3
@@ -161,30 +170,41 @@ def itd(b):
     return _itd(max_lag, b.sample_rate, *_voiced_rows(b, FRAME_SIZE, HOP, mask))
 
 
-def _isd(al, ar):
-    return float(np.mean(np.abs(np.log10((al + EPSILON) / (ar + EPSILON)))))
+def _isd(magnitudes):
+    """ISD of the 2 x T x F magnitudes, computed in their buffer."""
+    magnitudes += EPSILON
+    ratio = np.divide(*magnitudes, out=magnitudes[0])
+    return float(np.mean(np.abs(np.log10(ratio, out=ratio), out=ratio)))
 
 
 def isd(b):
     """Mean over time-frequency bins of |log10(|L|+eps) - log10(|R|+eps)|
     (non-gated frames only)."""
-    return _isd(*(np.abs(s) for s in _voiced_spectra(b)))
+    return _isd(np.abs(_voiced_spectra(b)))
 
 
-def _ipd(sl, sr, weights):
-    # The angle of L * conj(R) is the phase difference already wrapped to
-    # [-pi, pi]; weights holds |L| * |R|.
+def _ipd(spectra, weights):
+    """IPD of the 2 x T x F spectra: conj(R) * L overwrites their right
+    half, its angle takes one new array, and weights, which holds
+    |L| * |R|, is overwritten."""
+    # The angle of conj(R) * L is the phase difference already wrapped to
+    # [-pi, pi]. The operand order is fixed: a complex product rounds
+    # differently with its operands swapped. The angle goes to a contiguous
+    # array: NumPy's arctan2 into a strided one rounds differently.
     total = float(np.sum(weights))
     if total == 0.0:
         raise ValueError("all spectral weights are zero")
-    return float(np.sum(weights * np.abs(np.angle(sl * np.conj(sr)))) / total)
+    sl, sr = spectra
+    phase = np.angle(np.multiply(np.conjugate(sr, out=sr), sl, out=sr))
+    weights *= np.abs(phase, out=phase)
+    return float(np.sum(weights)) / total
 
 
 def ipd(b):
     """Magnitude-weighted mean |interaural phase difference| in [0, pi]
     (non-gated frames, weights |L|*|R|, phase wrapped to (-pi, pi])."""
-    sl, sr = _voiced_spectra(b)
-    return _ipd(sl, sr, np.abs(sl) * np.abs(sr))
+    spectra = _voiced_spectra(b)
+    return _ipd(spectra, np.multiply(*np.abs(spectra)))
 
 
 def spatial_report(b):
@@ -194,7 +214,8 @@ def spatial_report(b):
     level = _ild(el[mask], er[mask])
     max_lag = _itd_max_lag(b.sample_rate)
     delay = _itd(max_lag, b.sample_rate, *_voiced_rows(b, FRAME_SIZE, HOP, mask))
-    sl, sr = _voiced_spectra(b)
-    al, ar = np.abs(sl), np.abs(sr)
-    spread, phase = _isd(al, ar), _ipd(sl, sr, al * ar)
+    spectra = _voiced_spectra(b)
+    magnitudes = np.abs(spectra)
+    weights = np.multiply(*magnitudes)
+    spread, phase = _isd(magnitudes), _ipd(spectra, weights)
     return SpatialMetricsReport(coherence, level, delay, spread, phase, int(mask.sum()))

@@ -254,6 +254,36 @@ class TestBuffers:
         with pytest.raises(ValueError):
             AudioBuffer(np.zeros(10), 0)
 
+    def test_strided_input_stored_as_contiguous_copy(self, rng):
+        interleaved = rng.standard_normal((500, 2))
+        before = interleaved.copy()
+        for column in (interleaved[:, 1], interleaved[::-1, 0]):
+            samples = AudioBuffer(column).samples
+            assert samples.flags.c_contiguous and samples.dtype == np.float64
+            assert not np.shares_memory(samples, interleaved)
+            np.testing.assert_array_equal(samples, column)
+        np.testing.assert_array_equal(interleaved, before)
+
+    def test_contiguous_float64_input_kept(self, rng):
+        x = rng.standard_normal(500)
+        assert AudioBuffer(x).samples is x
+
+
+class TestChannelLayout:
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_read_channels_are_contiguous_float64(self, tmp_path, rng, channels, dtype):
+        data = rng.standard_normal((1001, channels)) * 0.3
+        data = (data * 32767).astype(np.int16) if dtype == np.int16 else data.astype(np.float32)
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 16000, data[:, 0] if channels == 1 else data)
+        _, columns = oracle_read_wav(path)
+        loaded = read_wav(path)
+        buffers = [loaded] if channels == 1 else [loaded.left, loaded.right]
+        for buffer, column in zip(buffers, columns.T):
+            assert buffer.samples.flags.c_contiguous and buffer.samples.dtype == np.float64
+            np.testing.assert_array_equal(buffer.samples, column)
+
 
 def convolve_one(x, k):
     """One channel and one kernel through fft_convolve: the N x 1 signal

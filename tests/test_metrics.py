@@ -1,8 +1,9 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from binauralkit import audio, metrics
 from binauralkit.audio import AudioBuffer, BinauralBuffer
@@ -85,6 +86,19 @@ class TestTrivialValues:
             isd(b)
         with pytest.raises(ValueError):
             ipd(b)
+
+    @pytest.mark.parametrize("silent, message", [
+        ("left", "left channel is all-zero"),
+        ("right", "right channel is all-zero"),
+        ("both", "both channels are all-zero"),
+    ])
+    def test_silent_channel_named(self, rng, silent, message):
+        x = rng.standard_normal(8000)
+        left = np.zeros(8000) if silent in ("left", "both") else x
+        right = np.zeros(8000) if silent in ("right", "both") else 0.5 * x
+        for fn in (iacc, spatial_report):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(stereo(left, right))
 
     def test_antiphase_ipd(self, rng):
         x = rng.standard_normal(8000)
@@ -317,3 +331,54 @@ class TestItdAgainstOracle:
             return
         want = oracle_itd(left, right, FRAME_SIZE, HOP, lag, SILENCE_GATE_DB, FS)
         assert itd(b) == want
+
+
+@st.composite
+def _noise_pairs(draw):
+    """A delayed, scaled noise pair, each channel with noise of its own; when
+    `gated`, both hold a stretch of digital silence between voiced stretches,
+    long enough to hold a whole frame of either size, so the gate drops
+    frames in the middle."""
+    n = draw(st.integers(2100, 2800))
+    lag = draw(st.integers(-12, 12))
+    gated = draw(st.booleans())
+    start = draw(st.integers(700, n - 1380))
+    stop = draw(st.integers(start + 680, n - 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = rng.standard_normal(n + 24)
+    left = 0.2 * shared[12 : 12 + n] + 0.05 * rng.standard_normal(n)
+    right = 0.15 * shared[12 + lag : 12 + lag + n] + 0.05 * rng.standard_normal(n)
+    if gated:
+        left[start:stop] = right[start:stop] = 0.0
+    return left, right, gated
+
+
+class TestLayouts:
+    @settings(max_examples=20)
+    @given(pair=_noise_pairs())
+    def test_every_layout_gives_the_oracle_values(self, pair):
+        """All five metrics equal the direct sums to 1e-9, and the report is
+        bit-identical whether the channels arrive contiguous, as stride-2
+        columns of an interleaved array or as reversed views; the gated
+        pairs take the path that copies the voiced rows, the others the
+        path that uses the frame views."""
+        left, right, gated = pair
+        interleaved = np.stack([left, right], axis=1)
+        reversed_views = [np.ascontiguousarray(x[::-1])[::-1] for x in (left, right)]
+        assert interleaved[:, 0].strides == (16,) and reversed_views[0].strides == (-8,)
+        b = stereo(left, right)
+        for size, hop in ((FRAME_SIZE, HOP), (STFT_FRAME, STFT_HOP)):
+            assert _voiced(b, size, hop).all() != gated
+        report = astuple(spatial_report(b))
+        for channels in ((interleaved[:, 0], interleaved[:, 1]), reversed_views):
+            assert astuple(spatial_report(stereo(*channels))) == report
+        assert report[:5] == (iacc(b), ild(b), itd(b), isd(b), ipd(b))
+        lag = max_lag_samples(FS)
+        want = (
+            oracle_iacc(left, right, lag),
+            oracle_ild(left, right, FRAME_SIZE, HOP, SILENCE_GATE_DB, EPSILON),
+            oracle_itd(left, right, FRAME_SIZE, HOP, lag, SILENCE_GATE_DB, FS),
+            oracle_isd(left, right, STFT_FRAME, STFT_HOP, SILENCE_GATE_DB, EPSILON),
+            oracle_ipd(left, right, STFT_FRAME, STFT_HOP, SILENCE_GATE_DB),
+        )
+        assert report[:5] == pytest.approx(want, rel=1e-9)

@@ -402,6 +402,17 @@ class TestBatchMetrics:
         assert len(lines) == 6
         assert all(line.endswith(",2") for line in lines[1:])
 
+    def test_silent_ear_failure_names_the_channel(self, tmp_path, rng):
+        write_stereo(tmp_path / "ok.wav", 0.5, seed=1)
+        x = 0.3 * rng.standard_normal(8000)
+        write_wav(tmp_path / "deaf.wav",
+                  BinauralBuffer(AudioBuffer(x, FS), AudioBuffer(np.zeros(8000), FS)), "pcm16")
+        json_path = tmp_path / "metrics.json"
+        write_metrics_json(json_path, batch_metrics(str(tmp_path)))
+        payload = json.loads(json_path.read_text())
+        assert set(payload["clips"]) == {"ok"}
+        assert payload["failures"] == {"deaf": "right channel is all-zero"}
+
 
 def _partial_then_fail(text):
     """A stand-in writer that puts `text` in its file, then fails."""
