@@ -4,9 +4,9 @@ convolution.
 
 Every channel is a C-contiguous float64 array: `AudioBuffer` copies any
 other input once, and `read_wav` deinterleaves a stereo file in the pass that
-scales it. Framing builds no copies: `frames` is a strided view of a
-channel, and `frame_energy` (under `frame_rms`) sums squares per frame from
-chunk sums.
+scales it, a block of frames at a time. Framing builds no copies: `frames` is
+a strided view of a channel, and `frame_energy` (under `frame_rms`) sums
+squares per frame from chunk sums.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 DEFAULT_SAMPLE_RATE = 16000
 
 _PCM16_SCALE = 32768.0
+# Frames per block that read_wav loads and scales: the stored samples of a
+# whole long clip are never in memory beside their float64 copy, and the
+# block stays under the CLI's malloc mmap threshold, so it is reused.
+_READ_FRAMES = 1 << 17
 
 _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
 # The KSDATAFORMAT subtype GUID after its format tag, in little- and big-endian files
@@ -97,14 +101,18 @@ def read_wav(path):
         with open(path, "rb") as fh:
             order, dtype, channels, rate, offset, count = _read_chunks(fh, path)
             fh.seek(offset)
-            samples = np.fromfile(fh, order + dtype, count).reshape(-1, channels)
+            frames = count // channels
+            scaled = np.empty((channels, frames))  # the scaling pass deinterleaves: one row a channel
+            scale = 1 / _PCM16_SCALE if dtype == "i2" else 1.0
+            for lo in range(0, frames, _READ_FRAMES):
+                hi = min(lo + _READ_FRAMES, frames)
+                stored = np.fromfile(fh, order + dtype, (hi - lo) * channels).reshape(-1, channels)
+                with np.errstate(invalid="ignore"):  # a signalling NaN fails the finiteness check below
+                    np.multiply(stored.T, scale, out=scaled[:, lo:hi], dtype=float)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
-    scaled = np.empty((channels, len(samples)))  # the scaling pass deinterleaves: one row a channel
-    with np.errstate(invalid="ignore"):  # a signalling NaN fails the finiteness check below
-        np.multiply(samples.T, 1 / _PCM16_SCALE if dtype == "i2" else 1.0, out=scaled, dtype=float)
     try:  # the buffers' own checks (finite samples, positive rate), naming the file
         mono = [AudioBuffer(row, rate) for row in scaled]
         return mono[0] if channels == 1 else BinauralBuffer(*mono)

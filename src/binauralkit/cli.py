@@ -1,15 +1,18 @@
 """Command-line surface: preprocess, render, metrics, features, cfm-train,
 cfm-sample and validate subcommands.
 
-Exit codes: 0 success, 1 per-clip failures under --strict, validation
-problems, an input or output that cannot be read or written, or flow
-training or sampling that diverges (each reported on one stderr line,
-`binauralkit <command>: error: <message>`), 2 usage errors.
+Exit codes: 0 success, 1 a batch command (render, metrics) whose clips all
+failed, per-clip failures under --strict, validation problems, an input or
+output that cannot be read or written, or flow training or sampling that
+diverges (each reported on one stderr line, `binauralkit <command>: error:
+<message>`), 2 usage errors. An empty manifest renders nothing and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -35,6 +38,34 @@ from .pipeline import (
     write_metrics_json,
 )
 from .render import RenderConfig
+
+
+# glibc malloc policy for the CLI process. By default glibc serves each
+# multi-MB NumPy temporary from a fresh mmap and unmaps it when freed, or trims
+# the freed heap top, so the next clip faults the same pages in again. Blocks
+# up to 32 MB (glibc's largest mmap threshold on 64-bit) now come from the
+# heap, and up to 64 MB of freed heap top stays mapped for reuse; 128 MB
+# raised the peak of `metrics` on a 100 s, 48 kHz clip by 8%. Both are set
+# because fixing either one alone turns off glibc's dynamic threshold, which
+# faults more than the default.
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@functools.cache
+def _retain_freed_memory():
+    """Apply the malloc policy above, once per process; a no-op on a libc
+    without mallopt (anything but glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: Windows has no CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _checked(convert, ok, requirement):
@@ -145,15 +176,17 @@ def _cmd_preprocess(args):
 
 def _print_clips(results, strict, show_ok=False):
     """Print `id: FAILED (reason)` on stderr for each failed clip and, with
-    `show_ok`, `id: value` on stdout for the others; 1 on a failure under --strict."""
-    failed = False
+    `show_ok`, `id: value` on stdout for the others. The batch exit rule: 1
+    when clips were given and none succeeded, or on any failure under
+    --strict; otherwise 0."""
+    failed = 0
     for r in results:
         if r.status == "failed":
-            failed = True
+            failed += 1
             print(f"{r.id}: FAILED ({r.reason})", file=sys.stderr)
         elif show_ok:
             print(f"{r.id}: {r.value}")
-    return 1 if failed and strict else 0
+    return 1 if failed and (strict or failed == len(results)) else 0
 
 
 def _cmd_render(args):
@@ -252,6 +285,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    _retain_freed_memory()  # before any worker thread starts
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

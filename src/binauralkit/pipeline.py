@@ -173,7 +173,10 @@ def quality_flags(audio):
     """Clipping-rate and DC-offset sanity flags (informational, never a
     rejection)."""
     flags = []
-    clipped = float(np.mean(np.abs(audio.samples) >= CLIPPING_LEVEL))
+    x = audio.samples
+    # An exact count divided once: equal to the mean of the boolean mask bit
+    # for bit, without its float sum.
+    clipped = np.count_nonzero(np.abs(x) >= CLIPPING_LEVEL) / x.size if x.size else 0.0
     if clipped > CLIPPING_FRACTION_MAX:
         flags.append(f"clipping fraction {clipped:.4f}")
     dc = float(np.mean(audio.samples)) if len(audio) else 0.0

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
 
+from binauralkit import audio
 from binauralkit.audio import (
     AudioBuffer,
     AudioFormatError,
@@ -272,8 +273,8 @@ class TestBuffers:
 class TestChannelLayout:
     @pytest.mark.parametrize("channels", [1, 2])
     @pytest.mark.parametrize("dtype", [np.int16, np.float32])
-    def test_read_channels_are_contiguous_float64(self, tmp_path, rng, channels, dtype):
-        data = rng.standard_normal((1001, channels)) * 0.3
+    def test_read_channels_are_contiguous_float64(self, tmp_path, rng, channels, dtype, frames=1001):
+        data = rng.standard_normal((frames, channels)) * 0.3
         data = (data * 32767).astype(np.int16) if dtype == np.int16 else data.astype(np.float32)
         path = tmp_path / "x.wav"
         wavfile.write(path, 16000, data[:, 0] if channels == 1 else data)
@@ -283,6 +284,29 @@ class TestChannelLayout:
         for buffer, column in zip(buffers, columns.T):
             assert buffer.samples.flags.c_contiguous and buffer.samples.dtype == np.float64
             np.testing.assert_array_equal(buffer.samples, column)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_read_across_blocks(self, tmp_path, rng, channels, dtype):
+        # read_wav loads _READ_FRAMES frames at a time: whole blocks, then a
+        # 3-frame tail.
+        frames = 2 * audio._READ_FRAMES + 3
+        self.test_read_channels_are_contiguous_float64(tmp_path, rng, channels, dtype, frames)
+
+    def test_read_holds_blocks_of_stored_samples(self, tmp_path, rng):
+        # Beside its float64 channels (16 B a stereo frame) and the
+        # finiteness check's mask (1 B a frame), a read holds at most two
+        # blocks of stored frames (the next is read before the last is
+        # freed), never the whole file's 4 B a frame.
+        n = 8 * audio._READ_FRAMES
+        wavfile.write(tmp_path / "x.wav", 16000, rng.integers(-3000, 3000, (n, 2), dtype=np.int16))
+        tracemalloc.start()
+        try:
+            read_wav(tmp_path / "x.wav")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 17 * n < 3 * 4 * audio._READ_FRAMES
 
 
 def convolve_one(x, k):

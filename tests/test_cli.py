@@ -198,6 +198,47 @@ class TestMetricsCommand:
         assert "mono" in capsys.readouterr().err
 
 
+class TestBatchExitRule:
+    """render and metrics exit 1 when clips were given and none succeeded, or
+    on any failure under --strict; otherwise 0."""
+
+    def _render_argv(self, base, good, bad):
+        entries = [{"id": f"ok{i}", "audio": "one.wav", "trajectory": "one.csv"}
+                   for i in range(good)]
+        entries += [{"id": f"ghost{i}", "audio": "ghost.wav", "trajectory": "one.csv"}
+                    for i in range(bad)]
+        manifest = base / f"m{good}{bad}.json"
+        manifest.write_text(json.dumps(entries))
+        return ["render", "--manifest", str(manifest), "--out", str(base / f"r{good}{bad}")]
+
+    def _metrics_argv(self, base, good, bad):
+        clips = base / f"clips{good}{bad}"
+        clips.mkdir()
+        x = AudioBuffer(0.3 * np.random.default_rng(4).standard_normal(8000), FS)
+        for i in range(good):
+            write_wav(clips / f"st{i}.wav", BinauralBuffer(x, x), "float32")
+        for i in range(bad):
+            write_wav(clips / f"mono{i}.wav", x, "float32")
+        return ["metrics", str(clips)]
+
+    @pytest.mark.parametrize("command", ["render", "metrics"])
+    @pytest.mark.parametrize(
+        "good, bad, plain, strict",
+        [(2, 0, 0, 0), (1, 2, 0, 1), (0, 1, 1, 1), (0, 3, 1, 1)],
+    )
+    def test_exit_code(self, dataset, capsys, command, good, bad, plain, strict):
+        base, _ = dataset
+        argv = getattr(self, f"_{command}_argv")(base, good, bad)
+        assert main(argv) == plain
+        assert main(argv + ["--strict"]) == strict
+        assert (capsys.readouterr().err == "") == (bad == 0)
+
+    def test_empty_manifest_renders_nothing(self, dataset):
+        base, _ = dataset
+        assert main(self._render_argv(base, 0, 0)) == 0
+        assert main(self._render_argv(base, 0, 0) + ["--strict"]) == 0
+
+
 class TestFeaturesCommand:
     def test_feature_csv(self, dataset, capsys):
         base, _ = dataset

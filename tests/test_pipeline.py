@@ -249,6 +249,23 @@ class TestQualityFlags:
         flags = quality_flags(audio.read_wav(tmp_path / "sq.wav"))
         assert "clipping fraction 1.0000" in flags
 
+    @pytest.mark.parametrize("n, planted", [(1, 1), (7, 3), (1000, 1), (100_003, 9_001)])
+    def test_clipping_fraction_equals_mask_mean(self, rng, n, planted):
+        # The fraction is the mean of the clipped mask, bit for bit, as an
+        # exact count divided once.
+        samples = 0.3 * rng.standard_normal(n)
+        at = rng.choice(n, planted, replace=False)
+        samples[at] = rng.choice([-1.2, -1.0, pipeline.CLIPPING_LEVEL, 1.0], planted)
+        mask = np.abs(samples) >= pipeline.CLIPPING_LEVEL
+        mean = float(np.mean(mask))
+        assert np.count_nonzero(mask) / samples.size == mean
+        want = [f"clipping fraction {mean:.4f}"] if mean > pipeline.CLIPPING_FRACTION_MAX else []
+        flags = quality_flags(AudioBuffer(samples, FS))
+        assert [f for f in flags if f.startswith("clipping")] == want
+
+    def test_empty_buffer_no_flags(self):
+        assert quality_flags(AudioBuffer(np.zeros(0), FS)) == []
+
     def test_dc_offset_flagged(self, rng):
         audio = AudioBuffer(0.1 * rng.standard_normal(4000) + 0.1, FS)
         flags = quality_flags(audio)
