@@ -14,11 +14,6 @@ from .ambisonic import (
 from .hrir import analytic_hrir, lookup
 from .render import RenderConfig, direction_from_features, render_trajectory
 from .metrics import SpatialMetricsReport, spatial_report
-from .heatmap import (
-    HeatmapSequence,
-    SpatialFeatureSequence,
-    extract_features,
-    load_heatmap_sequence,
-)
+from .heatmap import extract_features, load_heatmap_sequence
 
 __version__ = "0.1.0"

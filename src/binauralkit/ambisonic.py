@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, atomic_write, read_text
+from .audio import AudioBuffer, read_text
 
 RIDGE = 1e-12
 SINGULARITY_TOL = 1e-10
@@ -341,10 +341,3 @@ def _read_trajectory_rows(path, text):
         rows.append(values)
     return np.array(rows).reshape(-1, 3)
 
-
-def save_trajectory_csv(path, trajectory):
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for row in zip(trajectory.times, trajectory.azimuth, trajectory.elevation):
-            writer.writerow([f"{row[0]:.9g}"] + [f"{math.degrees(v):.9g}" for v in row[1:]])

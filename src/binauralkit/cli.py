@@ -37,7 +37,7 @@ from .pipeline import (
     write_aggregate_csv,
     write_metrics_json,
 )
-from .render import RenderConfig
+from .render import DEFAULT_FIELD_OF_VIEW, RenderConfig
 
 
 # glibc malloc policy for the CLI process. By default glibc serves each
@@ -85,7 +85,6 @@ def _checked(convert, ok, requirement):
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _FINITE = _checked(float, math.isfinite, "finite")
 _NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
-_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _FRACTION = _checked(float, lambda v: 0.0 <= v <= 1.0, "finite and in [0, 1]")
 _SPEAKERS = _checked(int, lambda v: v >= 2, ">= 2")
 _SEED = _checked(int, lambda v: v >= 0, ">= 0")
@@ -109,7 +108,7 @@ def _build_parser():
     p = sub.add_parser("render", help="batch-render manifest clips to stereo WAVs")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--fov-deg", type=_FINITE, default=90.0)
+    p.add_argument("--fov-deg", type=_FINITE, default=math.degrees(DEFAULT_FIELD_OF_VIEW))
     # Every CLI layout is a horizontal ring, where SH order 2 is degenerate.
     p.add_argument("--order", type=int, choices=(0, 1), default=1)
     p.add_argument("--speakers", type=_SPEAKERS, default=8)
@@ -126,7 +125,6 @@ def _build_parser():
     p = sub.add_parser("features", help="extract spatial features from a heatmap file")
     p.add_argument("--hmap", required=True)
     p.add_argument("--out", required=True, help="feature CSV")
-    p.add_argument("--frame-rate", type=_POSITIVE, default=31.25)
 
     p = sub.add_parser("cfm-train", help="train the toy dual-channel flow matcher")
     p.add_argument("--checkpoint", required=True)
@@ -207,19 +205,19 @@ def _cmd_metrics(args):
     if source.endswith(".json"):
         source = load_manifest(source)
     results = batch_metrics(source)
-    aggregate = aggregate_metrics(results)
-    if args.json_out:
-        write_metrics_json(args.json_out, results)
-    if args.csv_out:
-        write_aggregate_csv(args.csv_out, aggregate)
-    for name, (mean, count) in aggregate.items():
-        print(f"{name}: mean {mean:.6g} over {count} clips")
+    if any(r.status == "ok" for r in results):
+        aggregate = aggregate_metrics(results)
+        if args.json_out:
+            write_metrics_json(args.json_out, results)
+        if args.csv_out:
+            write_aggregate_csv(args.csv_out, aggregate)
+        for name, (mean, count) in aggregate.items():
+            print(f"{name}: mean {mean:.6g} over {count} clips")
     return _print_clips(results, args.strict)
 
 
 def _cmd_features(args):
-    seq = load_heatmap_sequence(args.hmap, args.frame_rate)
-    features = extract_features(seq)
+    features = extract_features(load_heatmap_sequence(args.hmap))
     save_features_csv(args.out, features)
     print(f"wrote {len(features)} feature rows to {args.out}")
     return 0

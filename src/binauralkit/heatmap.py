@@ -5,17 +5,17 @@ horizontal position (column centroid / width), active-area fraction,
 spatial variance, left-right energy bias and the horizontal/vertical
 spread ratio. Pixel coordinates are 1-based throughout.
 
-A HeatmapSequence holds its frames as one T x H x W array: the HMAP loader
-reads all data rows with one np.loadtxt call, and extract_features, the one
-implementation of the features, computes every frame at once from the row
-and column marginals of the stack.
+A heatmap sequence is a T x H x W float64 array of finite, non-negative
+values, one frame every 1/FRAME_RATE s: the HMAP loader reads all data rows
+with one np.loadtxt call, and extract_features, the one implementation of the
+features, computes every frame at once from the row and column marginals of
+the stack and returns them as a T x 5 array.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,59 +25,18 @@ NEUTRAL_FEATURES = (0.5, 0.0, 0.0, 0.0, 0.0)
 FEATURE_NAMES = ("s_h", "s_area", "s_var", "s_lr", "s_shape")
 MASK_THRESHOLD_REL = 0.5
 SHAPE_EPSILON = 1e-8
+# Frames per second of every heatmap sequence; HMAP v1 has no rate field.
+FRAME_RATE = 31.25
 
 
 class HeatmapFormatError(ValueError):
     """Malformed HMAP file."""
 
 
-def _check_frame_rate(frame_rate):
-    if not (math.isfinite(frame_rate) and frame_rate > 0):
-        raise ValueError("frame_rate must be finite and positive")
-
-
-@dataclass(frozen=True)
-class HeatmapSequence:
-    """T heatmaps of identical shape at a fixed frame rate, held as one
-    T x H x W array of finite, non-negative values."""
-
-    values: np.ndarray
-    frame_rate: float = 31.25
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 3 or values.size == 0:
-            raise ValueError("sequence must be a non-empty T x H x W array")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("heatmap values must be finite and non-negative")
-        _check_frame_rate(self.frame_rate)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class SpatialFeatureSequence:
-    """T x 5 per-frame feature vectors (s_h, s_area, s_var, s_lr, s_shape)."""
-
-    features: np.ndarray
-    frame_rate: float = 31.25
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != 5:
-            raise ValueError("features must be T x 5")
-        _check_frame_rate(self.frame_rate)
-        object.__setattr__(self, "features", features)
-
-    def __len__(self):
-        return len(self.features)
-
-
-def load_heatmap_sequence(path, frame_rate=31.25):
+def load_heatmap_sequence(path):
     """Parse an HMAP v1 text file: header `hmap 1 T H W`, then T blocks of
-    H rows with W floats each; only blank lines may follow them.
+    H rows with W floats each; only blank lines may follow them. Returns the
+    T x H x W float64 array of finite, non-negative values.
 
     The T*H data rows are read with one np.loadtxt call and checked as one
     array. When that fails, the rows are read one by one, which raises at
@@ -112,7 +71,7 @@ def load_heatmap_sequence(path, frame_rate=31.25):
     valid = values is not None and values.shape == (t * h, w)
     if not (valid and np.all(np.isfinite(values) & (values >= 0))):
         values = _read_rows(path, rows, w)
-    return HeatmapSequence(values.reshape(t, h, w), frame_rate)
+    return values.reshape(t, h, w)
 
 
 def _read_rows(path, rows, w):
@@ -134,24 +93,21 @@ def _read_rows(path, rows, w):
     return np.array(values)
 
 
-def save_heatmap_sequence(path, seq):
-    """Write HMAP v1 with 9 significant decimal digits."""
-    t, h, w = seq.values.shape
-    with atomic_write(path) as fh:
-        fh.write(f"hmap 1 {t} {h} {w}\n")
-        for row in seq.values.reshape(t * h, w):
-            fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
-
-
-def extract_features(seq):
-    """The five features of every frame, from the row and column marginals
-    M(x), M(y) of the T x H x W stack (1-based pixel coordinates): s_h = cx/W;
-    s_area, the fraction of pixels >= MASK_THRESHOLD_REL * max; s_var =
-    var_x + var_y, the variances of M(x) and M(y); s_lr = (right-half mass -
-    left-half mass) / total, the middle column of an odd width counting half
-    to each side; s_shape = var_x / (var_y + SHAPE_EPSILON). All-zero frames
-    get the neutral vector (0.5, 0, 0, 0, 0)."""
-    m = seq.values
+def extract_features(values):
+    """The T x 5 features of the T x H x W heatmap array `values`, from the
+    row and column marginals M(x), M(y) of each frame (1-based pixel
+    coordinates): s_h = cx/W; s_area, the fraction of pixels >=
+    MASK_THRESHOLD_REL * max; s_var = var_x + var_y, the variances of M(x)
+    and M(y); s_lr = (right-half mass - left-half mass) / total, the middle
+    column of an odd width counting half to each side; s_shape = var_x /
+    (var_y + SHAPE_EPSILON). All-zero frames get the neutral vector
+    (0.5, 0, 0, 0, 0). Raises ValueError unless `values` is a non-empty
+    T x H x W array of finite, non-negative values."""
+    m = np.asarray(values, dtype=np.float64)
+    if m.ndim != 3 or m.size == 0:
+        raise ValueError("sequence must be a non-empty T x H x W array")
+    if not np.all(np.isfinite(m)) or np.any(m < 0):
+        raise ValueError("heatmap values must be finite and non-negative")
     t, h, w = m.shape
     total = m.reshape(t, -1).sum(axis=1)
     live = total > 0.0
@@ -183,13 +139,13 @@ def extract_features(seq):
         axis=1,
     )
     features[~live] = NEUTRAL_FEATURES
-    return SpatialFeatureSequence(features, seq.frame_rate)
+    return features
 
 
 def save_features_csv(path, features):
-    """Write `frame,s_h,s_area,s_var,s_lr,s_shape` rows."""
+    """Write the T x 5 `features` as `frame,s_h,s_area,s_var,s_lr,s_shape` rows."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("frame",) + FEATURE_NAMES)
-        for i, row in enumerate(features.features):
+        for i, row in enumerate(features):
             writer.writerow([i] + [f"{v:.12g}" for v in row])

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -15,7 +14,7 @@ import numpy as np
 from .audio import BinauralBuffer, atomic_write, frame_rms, read_json, read_wav, write_wav
 from .heatmap import extract_features, load_heatmap_sequence
 from .metrics import SpatialMetricsReport, spatial_report
-from .render import RenderConfig, direction_from_features, render_trajectory
+from .render import DEFAULT_FIELD_OF_VIEW, RenderConfig, direction_from_features, render_trajectory
 from .ambisonic import load_trajectory_csv
 
 THREADS_ENV_VAR = "SV2A_THREADS"
@@ -228,18 +227,20 @@ def preprocess_report(results):
     return report
 
 
-def clip_trajectory(manifest, entry, fov=math.pi / 2):
+def clip_trajectory(manifest, entry, fov=DEFAULT_FIELD_OF_VIEW):
     """Trajectory for one clip: its CSV if present, otherwise derived from
     its heatmap features."""
     if entry.trajectory is not None:
         return load_trajectory_csv(manifest.resolve(entry.trajectory))
     if entry.heatmap is not None:
-        seq = load_heatmap_sequence(manifest.resolve(entry.heatmap))
-        return direction_from_features(extract_features(seq), fov)
+        values = load_heatmap_sequence(manifest.resolve(entry.heatmap))
+        return direction_from_features(extract_features(values), fov)
     raise ValueError(f"clip {entry.id} {NO_DIRECTION_SOURCE}")
 
 
-def batch_render(manifest, render_cfg=None, out_dir=".", fov=math.pi / 2, encoding="float32"):
+def batch_render(
+    manifest, render_cfg=None, out_dir=".", fov=DEFAULT_FIELD_OF_VIEW, encoding="float32"
+):
     """Render every clip to `<id>_binaural.wav`. Returns one ClipResult per
     entry: "ok" with the output path as its value, or "failed"."""
     render_cfg = render_cfg or RenderConfig()
@@ -283,7 +284,7 @@ def _stereo_inputs(source):
 def batch_metrics(source):
     """One ClipResult per stereo clip of `source`, a directory of WAVs or a
     ClipManifest, with its SpatialMetricsReport as the value of an "ok"
-    clip. Raises ValueError when no clip has a report."""
+    clip. Raises ValueError when `source` holds no clip."""
     inputs = _stereo_inputs(source)
     if not inputs:
         raise ValueError("no stereo inputs")
@@ -294,10 +295,7 @@ def batch_metrics(source):
             raise ValueError("not a stereo file")
         return ClipResult(clip_id, "ok", value=spatial_report(loaded))
 
-    results = _each_clip(measure, inputs)
-    if not any(r.status == "ok" for r in results):
-        raise ValueError("no stereo inputs produced a metric report")
-    return results
+    return _each_clip(measure, inputs)
 
 
 def aggregate_metrics(results):

@@ -45,6 +45,7 @@ from .ambisonic import (
     ring_layout,
     sh_basis,
 )
+from .heatmap import FEATURE_NAMES, FRAME_RATE
 from .hrir import lookup
 
 DEFAULT_FIELD_OF_VIEW = math.pi / 2
@@ -124,14 +125,17 @@ def render_trajectory(mono, trajectory, cfg=None):
 
 
 def direction_from_features(features, field_of_view=DEFAULT_FIELD_OF_VIEW):
-    """Map per-frame horizontal positions (s_h in [0,1]) to an azimuth
-    trajectory: azimuth = (0.5 - s_h) * field_of_view, elevation 0.
+    """Map the horizontal positions (s_h in [0,1], column 0) of the T x 5
+    per-frame features to an azimuth trajectory with a breakpoint every
+    1/FRAME_RATE s: azimuth = (0.5 - s_h) * field_of_view, elevation 0.
 
     s_h = 0.5 is straight ahead; s_h = 0 (left edge of the frame) maps to
     +fov/2 under the left-positive azimuth convention.
     """
-    rows = features.features
+    rows = np.asarray(features, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != len(FEATURE_NAMES):
+        raise ValueError("features must be T x 5")
     if len(rows) == 0:
         raise ValueError("empty feature sequence")
-    times = np.arange(len(rows)) / features.frame_rate
+    times = np.arange(len(rows)) / FRAME_RATE
     return Trajectory(times, (0.5 - rows[:, 0]) * field_of_view, np.zeros(len(rows)))

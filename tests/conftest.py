@@ -1,3 +1,5 @@
+import csv
+import math
 import re
 import struct
 
@@ -68,6 +70,25 @@ def breakpoints(points):
     """(times, azimuths, elevations) arrays of (time_s, azimuth, elevation)
     triples, the arguments of Trajectory."""
     return tuple(np.array(col) for col in zip(*points))
+
+
+def write_hmap(path, values):
+    """Write a T x H x W heatmap array as HMAP v1 with 9 significant digits."""
+    t, h, w = values.shape
+    with open(path, "w") as fh:
+        fh.write(f"hmap 1 {t} {h} {w}\n")
+        for row in values.reshape(t * h, w):
+            fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+
+
+def write_trajectory_csv(path, trajectory):
+    """Write a Trajectory as `time_s,azimuth_deg,elevation_deg` rows with 9
+    significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("time_s", "azimuth_deg", "elevation_deg"))
+        for row in zip(trajectory.times, trajectory.azimuth, trajectory.elevation):
+            writer.writerow([f"{row[0]:.9g}"] + [f"{math.degrees(v):.9g}" for v in row[1:]])
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -22,7 +22,7 @@ from binauralkit.flow import (
     sample_euler,
     train,
 )
-from binauralkit.heatmap import HeatmapSequence, extract_features
+from binauralkit.heatmap import extract_features
 from binauralkit.hrir import woodworth_delay
 from binauralkit.metrics import (
     EPSILON,
@@ -116,7 +116,7 @@ def test_criterion_03_sh_round_trip():
 
 def features_of(m):
     """(s_h, s_area, s_var, s_lr, s_shape) of one H x W map."""
-    return extract_features(HeatmapSequence(m[None])).features[0]
+    return extract_features(m[None])[0]
 
 
 def test_criterion_04_heatmap_oracles():

@@ -17,11 +17,10 @@ from binauralkit.ambisonic import (
     load_trajectory_csv,
     project_to_speakers,
     ring_layout,
-    save_trajectory_csv,
     sh_basis,
     wrap_azimuth,
 )
-from conftest import breakpoints
+from conftest import breakpoints, write_trajectory_csv
 from oracles import oracle_direction_at, oracle_has_close_directions
 
 
@@ -404,7 +403,7 @@ class TestTrajectory:
     def test_csv_roundtrip(self, tmp_path):
         traj = Trajectory([0.0, 0.5], [0.1, -1.2], [0.02, -0.3])
         path = tmp_path / "traj.csv"
-        save_trajectory_csv(path, traj)
+        write_trajectory_csv(path, traj)
         loaded = load_trajectory_csv(path)
         np.testing.assert_allclose(loaded.times, traj.times, rtol=1e-6)
         np.testing.assert_allclose(loaded.azimuth, traj.azimuth, rtol=1e-6)
@@ -429,7 +428,7 @@ class TestTrajectory:
             (t, math.radians(az), math.radians(el)) for t, az, el in rows
         ))
         path = tmp_path / "rt.csv"
-        save_trajectory_csv(path, traj)
+        write_trajectory_csv(path, traj)
         loaded = load_trajectory_csv(path)
         assert len(loaded.times) == len(traj.times)
         for t0, a0, e0, t1, a1, e1 in zip(

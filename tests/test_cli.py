@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -231,7 +232,20 @@ class TestBatchExitRule:
         argv = getattr(self, f"_{command}_argv")(base, good, bad)
         assert main(argv) == plain
         assert main(argv + ["--strict"]) == strict
-        assert (capsys.readouterr().err == "") == (bad == 0)
+        err = capsys.readouterr().err
+        assert (err == "") == (bad == 0)
+        # Each of the two runs names every bad clip on one line, and nothing else.
+        lines = err.splitlines()
+        assert len(lines) == 2 * bad
+        assert all(re.fullmatch(r"(ghost|mono)\d+: FAILED \(.+\)", line) for line in lines)
+
+    def test_metrics_without_a_report_writes_nothing(self, dataset, capsys):
+        base, _ = dataset
+        json_out, csv_out = base / "m.json", base / "m.csv"
+        argv = self._metrics_argv(base, 0, 2) + ["--json", str(json_out), "--csv", str(csv_out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert not json_out.exists() and not csv_out.exists()
 
     def test_empty_manifest_renders_nothing(self, dataset):
         base, _ = dataset
@@ -498,13 +512,13 @@ class TestRenderAndFeatureUsageErrors:
             for m in range(2, 65):
                 assert decode_matrix(ring_layout(m), o).shape == (m, (o + 1) ** 2)
 
-    @pytest.mark.parametrize("rate", ["0", "-31.25", "nan", "inf"])
-    def test_features_frame_rate_out_of_range_exits_2(self, dataset, capsys, rate):
+    def test_features_has_no_frame_rate_flag(self, dataset, capsys):
+        # Every heatmap has one frame rate, heatmap.FRAME_RATE.
         base, _ = dataset
         out = base / "features.csv"
         argv = ["features", "--hmap", str(base / "two.hmap"), "--out", str(out)]
-        assert main(argv + ["--frame-rate", rate]) == 2
-        assert "--frame-rate" in capsys.readouterr().err
+        assert main(argv + ["--frame-rate", "25"]) == 2
+        assert "unrecognized arguments: --frame-rate" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binauralkit.ambisonic import Trajectory, load_trajectory_csv, save_trajectory_csv
+from binauralkit.ambisonic import Trajectory, load_trajectory_csv
 from binauralkit.audio import AudioBuffer, AudioFormatError, BinauralBuffer, read_wav, write_wav
 from binauralkit.flow import VelocityFieldNet, load_checkpoint, save_checkpoint
-from binauralkit.heatmap import HeatmapSequence, load_heatmap_sequence, save_heatmap_sequence
+from binauralkit.heatmap import load_heatmap_sequence
 from binauralkit.pipeline import ClipEntry, ClipManifest, load_manifest, save_manifest
-from conftest import GUID_TAIL, channel_columns, chunk, fmt_chunk, riff, rf64
+from conftest import (
+    GUID_TAIL, channel_columns, chunk, fmt_chunk, riff, rf64, write_hmap, write_trajectory_csv,
+)
 from oracles import oracle_read_wav
 
 
@@ -30,11 +32,11 @@ def _stereo_float32(path):
 
 
 def _heatmap(path):
-    save_heatmap_sequence(path, HeatmapSequence(np.arange(24.0).reshape(2, 3, 4) / 24))
+    write_hmap(path, np.arange(24.0).reshape(2, 3, 4) / 24)
 
 
 def _trajectory(path):
-    save_trajectory_csv(path, Trajectory([0.0, 0.5, 1.0], [0.0, 0.5, -0.5], [0.0, 0.1, 0.0]))
+    write_trajectory_csv(path, Trajectory([0.0, 0.5, 1.0], [0.0, 0.5, -0.5], [0.0, 0.1, 0.0]))
 
 
 def _manifest(path):

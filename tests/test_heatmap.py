@@ -5,20 +5,18 @@ from hypothesis.extra.numpy import arrays
 
 from binauralkit.heatmap import (
     HeatmapFormatError,
-    HeatmapSequence,
     NEUTRAL_FEATURES,
-    SpatialFeatureSequence,
     extract_features,
     load_heatmap_sequence,
     save_features_csv,
-    save_heatmap_sequence,
 )
+from conftest import write_hmap
 from oracles import oracle_heatmap_features
 
 
 def features_of(m):
     """(s_h, s_area, s_var, s_lr, s_shape) of one H x W map."""
-    return extract_features(HeatmapSequence(np.asarray(m, float)[None])).features[0]
+    return extract_features(np.asarray(m, float)[None])[0]
 
 
 class TestHmapFormat:
@@ -28,20 +26,17 @@ class TestHmapFormat:
         return path
 
     def test_minimal_file(self, tmp_path):
-        seq = load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 1\n0.5\n"))
-        assert len(seq) == 1
-        assert seq.values[0, 0, 0] == 0.5
+        values = load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 1\n0.5\n"))
+        assert values.shape == (1, 1, 1)
+        assert values.dtype == np.float64
+        assert values[0, 0, 0] == 0.5
 
     def test_two_frames(self, tmp_path):
         text = "hmap 1 2 2 3\n1 2 3\n4 5 6\n0 0 0\n0 0 1\n"
-        seq = load_heatmap_sequence(self._write(tmp_path, text))
-        assert len(seq) == 2
-        np.testing.assert_array_equal(seq.values[0], [[1, 2, 3], [4, 5, 6]])
-        assert seq.values[1, 1, 2] == 1.0
-
-    def test_default_frame_rate(self, tmp_path):
-        seq = load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 1\n1\n"))
-        assert seq.frame_rate == 31.25
+        values = load_heatmap_sequence(self._write(tmp_path, text))
+        assert len(values) == 2
+        np.testing.assert_array_equal(values[0], [[1, 2, 3], [4, 5, 6]])
+        assert values[1, 1, 2] == 1.0
 
     def test_bad_magic(self, tmp_path):
         with pytest.raises(HeatmapFormatError, match=":1:"):
@@ -79,16 +74,16 @@ class TestHmapFormat:
             load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 2\n1 2\n3 4\n5 6\n"))
 
     def test_trailing_blank_lines_allowed(self, tmp_path):
-        seq = load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 2\n1 2\n\n  \n"))
-        assert len(seq) == 1
+        values = load_heatmap_sequence(self._write(tmp_path, "hmap 1 1 1 2\n1 2\n\n  \n"))
+        assert len(values) == 1
 
     def test_roundtrip(self, tmp_path, rng):
-        seq = HeatmapSequence(rng.uniform(0, 1, (3, 6, 8)), 25.0)
+        values = rng.uniform(0, 1, (3, 6, 8))
         path = tmp_path / "rt.hmap"
-        save_heatmap_sequence(path, seq)
-        loaded = load_heatmap_sequence(path, frame_rate=25.0)
+        write_hmap(path, values)
+        loaded = load_heatmap_sequence(path)
         assert len(loaded) == 3
-        np.testing.assert_allclose(loaded.values, seq.values, rtol=1e-8)
+        np.testing.assert_allclose(loaded, values, rtol=1e-8)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -100,9 +95,9 @@ class TestHmapFormat:
     )
     def test_save_load_keeps_nine_significant_digits(self, tmp_path, values):
         path = tmp_path / "rt.hmap"
-        save_heatmap_sequence(path, HeatmapSequence(values))
+        write_hmap(path, values)
         loaded = load_heatmap_sequence(path)
-        np.testing.assert_allclose(loaded.values, values, rtol=5e-9, atol=0.0)
+        np.testing.assert_allclose(loaded, values, rtol=5e-9, atol=0.0)
 
 
 class TestFeatureTrivials:
@@ -175,18 +170,18 @@ class TestFeatureProperties:
 
 class TestSequences:
     def test_extract_features_shape(self, rng):
-        feats = extract_features(HeatmapSequence(rng.uniform(0, 1, (5, 4, 6)), 31.25))
-        assert feats.features.shape == (5, 5)
-        assert feats.frame_rate == 31.25
+        feats = extract_features(rng.uniform(0, 1, (5, 4, 6)))
+        assert feats.shape == (5, 5)
+        assert feats.dtype == np.float64
 
     def test_mixed_zero_frames(self):
         values = np.stack([np.zeros((3, 3)), np.ones((3, 3))])
-        feats = extract_features(HeatmapSequence(values, 31.25))
-        np.testing.assert_array_equal(feats.features[0], NEUTRAL_FEATURES)
-        assert feats.features[1][1] == 1.0
+        feats = extract_features(values)
+        np.testing.assert_array_equal(feats[0], NEUTRAL_FEATURES)
+        assert feats[1][1] == 1.0
 
     def test_features_csv(self, tmp_path, rng):
-        feats = extract_features(HeatmapSequence(rng.uniform(0, 1, (3, 4, 4)), 31.25))
+        feats = extract_features(rng.uniform(0, 1, (3, 4, 4)))
         path = tmp_path / "f.csv"
         save_features_csv(path, feats)
         lines = path.read_text().strip().splitlines()
@@ -194,15 +189,17 @@ class TestSequences:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0"
-        assert float(first[1]) == pytest.approx(feats.features[0][0], rel=1e-10)
+        assert float(first[1]) == pytest.approx(feats[0][0], rel=1e-10)
 
     def test_frame_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="T x H x W"):
-            HeatmapSequence(np.ones((3, 3)), 31.25)
+            extract_features(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="T x H x W"):
+            extract_features(np.ones((0, 2, 2)))
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
-    def test_frame_rate_must_be_finite_and_positive(self, rate):
-        with pytest.raises(ValueError, match="frame_rate"):
-            HeatmapSequence(np.ones((1, 2, 2)), rate)
-        with pytest.raises(ValueError, match="frame_rate"):
-            SpatialFeatureSequence(np.zeros((3, 5)), rate)
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_values_must_be_finite_and_non_negative(self, value):
+        values = np.ones((2, 2, 2))
+        values[1, 0, 1] = value
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            extract_features(values)

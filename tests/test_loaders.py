@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from binauralkit.ambisonic import load_trajectory_csv
-from binauralkit.heatmap import HeatmapSequence, extract_features, load_heatmap_sequence
+from binauralkit.heatmap import extract_features, load_heatmap_sequence
 from binauralkit.pipeline import load_manifest
 from oracles import oracle_load_hmap, oracle_load_trajectory
 
@@ -92,7 +92,7 @@ def damage_hmap(text, kind, line, field):
 
 
 def load_values(path):
-    return (load_heatmap_sequence(path).values,)
+    return (load_heatmap_sequence(path),)
 
 
 def oracle_values(path):
@@ -282,23 +282,18 @@ class TestTextDecoding:
             load_manifest(path)
 
     @pytest.mark.parametrize(
-        "load, text, fields",
+        "load, text",
         [
-            (load_heatmap_sequence, "hmap 1 2 1 2\n0.5 0.25\n1 2\n", ("values",)),
-            (
-                load_trajectory_csv,
-                "time_s,azimuth_deg,elevation_deg\n0,30,0\n1,-45,10\n",
-                ("times", "azimuth", "elevation"),
-            ),
+            (load_values, "hmap 1 2 1 2\n0.5 0.25\n1 2\n"),
+            (load_arrays, "time_s,azimuth_deg,elevation_deg\n0,30,0\n1,-45,10\n"),
         ],
         ids=["heatmap", "trajectory"],
     )
-    def test_crlf_and_lf_files_load_alike(self, tmp_path, load, text, fields):
+    def test_crlf_and_lf_files_load_alike(self, tmp_path, load, text):
         (tmp_path / "lf.txt").write_bytes(text.encode())
         (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode())
-        lf, crlf = load(tmp_path / "lf.txt"), load(tmp_path / "crlf.txt")
-        for name in fields:
-            np.testing.assert_array_equal(getattr(lf, name), getattr(crlf, name))
+        for lf, crlf in zip(load(tmp_path / "lf.txt"), load(tmp_path / "crlf.txt"), strict=True):
+            np.testing.assert_array_equal(lf, crlf)
 
 
 # ------------------------------------------------------------------ features
@@ -316,6 +311,6 @@ def test_extract_features_matches_frame_features(values, zero):
     values = values.copy()
     values[np.array(zero[: len(values)])] = 0.0
     with warnings_as_errors():
-        got = extract_features(HeatmapSequence(values)).features
-        want = np.stack([extract_features(HeatmapSequence(v[None])).features[0] for v in values])
+        got = extract_features(values)
+        want = np.stack([extract_features(v[None])[0] for v in values])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -7,8 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from binauralkit import ambisonic, audio, cli, flow, heatmap, pipeline
-from binauralkit.ambisonic import Trajectory
+from binauralkit import audio, cli, flow, heatmap, pipeline
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
 from binauralkit.cli import main as cli_main
 from binauralkit.metrics import SpatialMetricsReport
@@ -292,6 +291,19 @@ class TestClipTrajectory:
         traj = clip_trajectory(manifest, manifest.entries[0], fov=math.pi / 2)
         assert traj.azimuth[0] == pytest.approx(math.pi / 8)
 
+    def test_heatmap_breakpoints_at_the_frame_rate(self, tmp_path):
+        # Three frames, the mass moving left to right: one breakpoint per
+        # frame, 1/FRAME_RATE s apart.
+        (tmp_path / "h.hmap").write_text("hmap 1 3 1 3\n1 0 0\n0 1 0\n0 0 1\n")
+        manifest = ClipManifest(
+            (ClipEntry("a", "a.wav", heatmap="h.hmap"),), str(tmp_path)
+        )
+        traj = clip_trajectory(manifest, manifest.entries[0])
+        np.testing.assert_array_equal(traj.times, np.arange(3) / heatmap.FRAME_RATE)
+        np.testing.assert_allclose(
+            traj.azimuth, [math.pi / 12, -math.pi / 12, -math.pi / 4], atol=1e-15
+        )
+
     def test_neither_raises(self, tmp_path):
         manifest = ClipManifest((ClipEntry("a", "a.wav"),), str(tmp_path))
         with pytest.raises(ValueError, match="a"):
@@ -384,6 +396,14 @@ class TestBatchMetrics:
         by_id = {r.id: r for r in batch_metrics(str(tmp_path))}
         assert by_id["ok"].status == "ok"
         assert by_id["mono"].status == "failed"
+
+    def test_all_failed_clips_are_returned(self, tmp_path):
+        write_noise(tmp_path / "a.wav", 0.5, seed=1)
+        write_noise(tmp_path / "b.wav", 0.5, seed=2)
+        results = batch_metrics(str(tmp_path))
+        assert [(r.id, r.status, r.reason) for r in results] == [
+            ("a", "failed", "not a stereo file"), ("b", "failed", "not a stereo file"),
+        ]
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no stereo inputs"):
@@ -502,22 +522,10 @@ def _fail_sample_csv(tmp_path, monkeypatch, path):
     cli_main(["cfm-sample", "--checkpoint", str(ckpt), "--draws", "2", "--out", str(path)])
 
 
-def _fail_heatmap_sequence(tmp_path, monkeypatch, path):
-    # The header and the first frame are written before the second frame's
-    # value cannot be formatted.
-    seq = heatmap.HeatmapSequence(np.ones((2, 1, 2)))
-    object.__setattr__(seq, "values", np.array([[[1.0, 1.0]], [[1.0, None]]], dtype=object))
-    heatmap.save_heatmap_sequence(path, seq)
-
-
 def _fail_features_csv(tmp_path, monkeypatch, path):
     monkeypatch.setattr(heatmap.csv, "writer", _partial_then_fail("frame,"))
-    heatmap.save_features_csv(path, heatmap.SpatialFeatureSequence(np.zeros((2, 5))))
+    heatmap.save_features_csv(path, np.zeros((2, 5)))
 
-
-def _fail_trajectory_csv(tmp_path, monkeypatch, path):
-    monkeypatch.setattr(ambisonic.csv, "writer", _partial_then_fail("time_s,"))
-    ambisonic.save_trajectory_csv(path, Trajectory([0.0], [0.0], [0.0]))
 
 
 class TestAtomicWrites:
@@ -526,7 +534,7 @@ class TestAtomicWrites:
         [
             _fail_wav, _fail_manifest, _fail_metrics_json, _fail_aggregate_csv,
             _fail_preprocess_report, _fail_checkpoint, _fail_loss_trace, _fail_sample_csv,
-            _fail_heatmap_sequence, _fail_features_csv, _fail_trajectory_csv,
+            _fail_features_csv,
         ],
     )
     def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch, fail):

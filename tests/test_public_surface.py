@@ -25,8 +25,6 @@ ALLOWED_UNUSED = {
     "audio.stft": "reference-only, the metrics transform their own frames; item 3 removes it",
     "flow.backward": "thin wrapper of `_loss_and_grads` kept for tests; item 3 removes it",
     "flow.cfm_loss": "thin wrapper of `_loss_and_grads` kept for tests; item 3 removes it",
-    "ambisonic.save_trajectory_csv": "writer only tests call; item 8 moves it beside them",
-    "heatmap.save_heatmap_sequence": "writer only tests call; item 8 moves it beside them",
     "metrics.SpatialMetricsReport.to_json": "the README library example calls it; item 8 keeps it",
     "metrics.ild": "per-metric API that tests/test_metrics.py pins; item 8 keeps it",
     "metrics.ipd": "per-metric API that tests/test_metrics.py pins; item 8 keeps it",

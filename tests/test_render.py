@@ -15,7 +15,7 @@ from binauralkit.ambisonic import (
     ring_layout,
 )
 import binauralkit.render as render
-from binauralkit.heatmap import SpatialFeatureSequence
+from binauralkit.heatmap import FRAME_RATE
 from binauralkit.hrir import lookup, woodworth_delay
 from binauralkit.render import (
     CHUNK,
@@ -427,9 +427,8 @@ class TestKernelChoice:
 
 
 class TestDirectionFromFeatures:
-    def _features(self, s_h_values, rate=31.25):
-        rows = [[v, 0.1, 0.0, 0.0, 0.0] for v in s_h_values]
-        return SpatialFeatureSequence(np.array(rows), rate)
+    def _features(self, s_h_values):
+        return np.array([[v, 0.1, 0.0, 0.0, 0.0] for v in s_h_values])
 
     def test_center(self):
         traj = direction_from_features(self._features([0.5, 0.5, 0.5]))
@@ -445,11 +444,19 @@ class TestDirectionFromFeatures:
         expected = (0.5 - values) * math.pi / 2
         np.testing.assert_allclose(traj.azimuth, expected, atol=1e-12)
 
+    def test_breakpoints_at_the_frame_rate(self):
+        traj = direction_from_features(self._features(np.linspace(0.0, 1.0, 37)))
+        np.testing.assert_array_equal(traj.times, np.arange(37) / FRAME_RATE)
+        np.testing.assert_array_equal(traj.elevation, np.zeros(37))
+
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            direction_from_features(
-                SpatialFeatureSequence(np.zeros((0, 5)).reshape(0, 5))
-            )
+        with pytest.raises(ValueError, match="empty feature sequence"):
+            direction_from_features(np.zeros((0, 5)))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 4), (2, 3, 5)])
+    def test_shape_must_be_t_by_5(self, shape):
+        with pytest.raises(ValueError, match="T x 5"):
+            direction_from_features(np.zeros(shape))
 
 
 def test_trajectory_render_memory_peak():
