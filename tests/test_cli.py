@@ -512,12 +512,14 @@ class TestRenderAndFeatureUsageErrors:
             for m in range(2, 65):
                 assert decode_matrix(ring_layout(m), o).shape == (m, (o + 1) ** 2)
 
-    def test_features_has_no_frame_rate_flag(self, dataset, capsys):
-        # Every heatmap has one frame rate, heatmap.FRAME_RATE.
+    @pytest.mark.parametrize("rate", ["0", "-31.25", "nan", "inf", "25"])
+    def test_features_frame_rate_out_of_range_exits_2(self, dataset, capsys, rate):
+        # Every heatmap has one frame rate, heatmap.FRAME_RATE, so features
+        # has no --frame-rate flag and every value of it is a usage error.
         base, _ = dataset
         out = base / "features.csv"
         argv = ["features", "--hmap", str(base / "two.hmap"), "--out", str(out)]
-        assert main(argv + ["--frame-rate", "25"]) == 2
+        assert main(argv + ["--frame-rate", rate]) == 2
         assert "unrecognized arguments: --frame-rate" in capsys.readouterr().err
         assert not out.exists()
 
