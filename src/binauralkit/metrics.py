@@ -13,9 +13,12 @@ frame energies from chunk sums of x^2 (`audio.frame_energy`) and ILD reuses
 them; the frames themselves are strided views of the contiguous channels.
 When every frame is voiced the views are used as they are, else only the
 voiced rows are copied: for the ITD lag search and, windowed into one array
-of both channels, for the one transform ISD and IPD share. Each lag search,
-IACC's over the whole signal and ITD's over every frame, is one contraction
-over a sliding view of a zero-padded copy of the right channel.
+of both channels, for the one transform ISD and IPD share. Each lag search
+is one `np.vecdot` over a read-only rows x lags x samples view of a
+zero-padded copy of the right channel: ITD's rows are the voiced frames,
+IACC's the whole signal cut into `IACC_BLOCK`-sample blocks, whose partial
+dots it then sums. On PCM-16 input of up to 2^21 samples per channel every
+lagged sum is exact, so no summation order can change a bit of a metric.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ SILENCE_GATE_DB = -60.0
 STFT_FRAME = 512
 STFT_HOP = 160
 EPSILON = 1e-10
+IACC_BLOCK = 2048  # samples per row of IACC's lag search; at most 10,000 (see iacc)
 
 
 def max_lag_samples(sample_rate):
@@ -114,14 +118,27 @@ def _itd_max_lag(sample_rate):
 
 
 def _lagged_rows(rows, max_lag):
-    """Read-only view of a zero-padded copy of `rows` (one signal or a stack
-    of frames) whose entry [..., l, n] is rows[..., n + l - max_lag], 0
-    outside the rows: one contraction with the other channel gives every
-    lagged dot, and the padding adds only exact zeros to each sum."""
+    """Read-only view of a zero-padded copy of the stacked frames `rows`
+    whose entry [i, l, n] is rows[i, n + l - max_lag], 0 outside the row:
+    one vecdot with the other channel's frames gives every lagged dot, and
+    the padding adds only exact zeros to each sum."""
     n = rows.shape[-1]
     padded = np.zeros(rows.shape[:-1] + (n + 2 * max_lag,))
     padded[..., max_lag : max_lag + n] = rows
     return sliding_window_view(padded, n, axis=-1)
+
+
+def _lagged_blocks(x, max_lag):
+    """Read-only k x (2 max_lag + 1) x IACC_BLOCK view of a zero-padded copy
+    of the signal `x` whose entry [j, l, m] is x[j B + m + l - max_lag], with
+    B = IACC_BLOCK and 0 outside x: its vecdot with the other channel cut
+    into zero-padded blocks, summed over j, gives the whole-signal lagged
+    dots."""
+    k = -(-len(x) // IACC_BLOCK)
+    padded = np.zeros(k * IACC_BLOCK + 2 * max_lag)
+    padded[max_lag : max_lag + len(x)] = x
+    spans = sliding_window_view(padded, IACC_BLOCK + 2 * max_lag)[::IACC_BLOCK]
+    return sliding_window_view(spans, IACC_BLOCK, axis=-1)
 
 
 def iacc(b):
@@ -131,15 +148,20 @@ def iacc(b):
     left, right = b.left.samples, b.right.samples
     if len(left) <= max_lag:
         raise ValueError("signal shorter than the lag search window")
-    # einsum, not np.dot or matmul: a BLAS call may run threads of its own,
-    # which then contend with the worker pool's.
+    # A BLAS call may run threads of its own, which then contend with the
+    # worker pool's. OpenBLAS runs a dot of at most 10,000 samples on one
+    # thread, so the lag search's vecdot takes rows of IACC_BLOCK samples,
+    # and the whole-signal energies stay einsum.
     el, er = np.einsum("n,n->", left, left), np.einsum("n,n->", right, right)
     norm = math.sqrt(el * er)
     if norm == 0.0:
         silent = [name for name, e in (("left", el), ("right", er)) if e == 0.0]
         raise ValueError(f"{silent[0]} channel is all-zero" if len(silent) == 1
                          else "both channels are all-zero")
-    corr = np.einsum("n,ln->l", left, _lagged_rows(right, max_lag))
+    lagged = _lagged_blocks(right, max_lag)
+    blocks = np.zeros((len(lagged), IACC_BLOCK))
+    blocks.reshape(-1)[: len(left)] = left
+    corr = np.add.reduce(np.vecdot(lagged, blocks[:, None, :]), axis=0)
     return min(float(np.max(np.abs(corr))) / norm, 1.0)
 
 
@@ -154,11 +176,11 @@ def ild(b):
 
 
 def _itd(max_lag, sample_rate, fl, fr):
-    # Row l of corr holds every frame's lagged dot at lag l - max_lag; exact
-    # ties stay exact.
-    corr = np.einsum("in,iln->li", fl, _lagged_rows(fr, max_lag))
+    # Column l of corr holds every frame's lagged dot at lag l - max_lag;
+    # ties stay exact where the lagged sums are exact.
+    corr = np.vecdot(_lagged_rows(fr, max_lag), fl[:, None, :])
     order = np.array(_lag_order(max_lag))
-    lags = np.abs(order)[np.argmax(np.abs(corr[order + max_lag]), axis=0)]
+    lags = np.abs(order)[np.argmax(np.abs(corr[:, order + max_lag]), axis=1)]
     return float(np.mean(lags)) / sample_rate * 1e3
 
 

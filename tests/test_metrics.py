@@ -11,6 +11,7 @@ from binauralkit.metrics import (
     EPSILON,
     FRAME_SIZE,
     HOP,
+    IACC_BLOCK,
     MAX_LAG_MS,
     SILENCE_GATE_DB,
     STFT_FRAME,
@@ -382,3 +383,67 @@ class TestLayouts:
             oracle_ipd(left, right, STFT_FRAME, STFT_HOP, SILENCE_GATE_DB),
         )
         assert report[:5] == pytest.approx(want, rel=1e-9)
+
+
+# Lengths the lag window allows at 16 and 48 kHz (33 and 97 lags): the
+# shortest, one IACC block and a sample either side of it, and several blocks.
+_BLOCK_LENGTHS = [
+    (rate, n)
+    for rate in (FS, 48000)
+    for n in (max_lag_samples(rate) + 1, IACC_BLOCK - 1, IACC_BLOCK, IACC_BLOCK + 1,
+              2 * IACC_BLOCK + 1, 3 * IACC_BLOCK - 1)
+]
+
+
+@st.composite
+def _delayed_pairs(draw, rate, n, integer):
+    """A delayed n-sample pair, each channel with noise of its own; with
+    `integer`, small-integer samples, whose lagged sums are exact in any
+    summation order."""
+    max_lag = max_lag_samples(rate)
+    lag = draw(st.integers(-max_lag, max_lag))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if integer:
+        shared = rng.integers(-3, 4, n + 2 * max_lag).astype(float)
+        own = [rng.integers(-1, 2, n).astype(float) for _ in range(2)]
+    else:
+        shared = rng.standard_normal(n + 2 * max_lag)
+        own = [0.3 * rng.standard_normal(n) for _ in range(2)]
+    left = shared[max_lag : max_lag + n] + own[0]
+    right = 0.5 * shared[max_lag + lag : max_lag + lag + n] + own[1]
+    assume(left.any() and right.any())
+    return left, right
+
+
+class TestIaccBlocks:
+    """IACC sums its lagged dots over IACC_BLOCK-sample blocks; across block
+    boundaries and at both rates, both lag searches still give the direct
+    sums."""
+
+    @staticmethod
+    def _check(left, right, rate, exact):
+        b = stereo(left, right, rate)
+        lag = max_lag_samples(rate)
+        want_iacc = oracle_iacc(left.tolist(), right.tolist(), lag)
+        assert iacc(b) == (want_iacc if exact else pytest.approx(want_iacc, rel=1e-9))
+        if len(left) < FRAME_SIZE:
+            with pytest.raises(ValueError, match="all frames below the silence gate"):
+                itd(b)
+            return
+        want_itd = oracle_itd(left.tolist(), right.tolist(), FRAME_SIZE, HOP, lag,
+                              SILENCE_GATE_DB, rate)
+        assert itd(b) == (want_itd if exact else pytest.approx(want_itd, rel=1e-9))
+
+    @pytest.mark.parametrize("rate, n", _BLOCK_LENGTHS)
+    @settings(max_examples=4)
+    @given(data=st.data())
+    def test_float_signals_match_the_oracles(self, rate, n, data):
+        left, right = data.draw(_delayed_pairs(rate, n, integer=False))
+        self._check(left, right, rate, exact=False)
+
+    @pytest.mark.parametrize("rate, n", _BLOCK_LENGTHS)
+    @settings(max_examples=4)
+    @given(data=st.data())
+    def test_integer_signals_match_the_oracles_exactly(self, rate, n, data):
+        left, right = data.draw(_delayed_pairs(rate, n, integer=True))
+        self._check(left, right, rate, exact=True)
