@@ -14,8 +14,9 @@ SpeakerLayout holds its directions as azimuth and elevation arrays, and a
 Trajectory its breakpoints as time, azimuth and elevation arrays (the CSV
 loader reads them with one np.loadtxt call); index_at finds the breakpoint
 in force at many times with one search.
-EncodedRows is the mono signal encoded along per-block gains, built on
-demand a range of rows at a time; encode_mono builds all of it.
+SH signals and speaker feeds are plain N x K and N x M arrays. EncodedRows
+is the mono signal encoded along per-block gains, a row source whose rows
+are built on demand a slice at a time; encode_mono builds all of it.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, read_text
+from .audio import read_text
 
 RIDGE = 1e-12
 SINGULARITY_TOL = 1e-10
@@ -84,24 +84,6 @@ def sh_basis(azimuth, elevation, order):
             r3_2 * np.cos(2.0 * az) * ce * ce,
         ]
     return np.stack(channels, axis=-1)
-
-
-@dataclass(frozen=True)
-class ShSignal:
-    """Time series of SH coefficient vectors: frames is T x (order+1)^2."""
-
-    order: int
-    frames: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != (self.order + 1) ** 2:
-            raise ValueError("frames must be T x (order+1)^2")
-        object.__setattr__(self, "frames", frames)
-
-    def __len__(self):
-        return len(self.frames)
 
 
 def _close_pair(units, limit):
@@ -181,43 +163,45 @@ def decode_matrix(layout, order):
 
 
 def project_to_speakers(sh, projection):
-    """Apply an M x K projection per sample, yielding M per-speaker buffers."""
-    if projection.shape[1] != (sh.order + 1) ** 2:
+    """The N x M speaker feeds of the N x K SH rows `sh` through the M x K
+    projection: sh @ projection.T."""
+    if projection.shape[1] != np.shape(sh)[1]:
         raise ValueError("SH order mismatch between signal and decode matrix")
-    feeds = sh.frames @ projection.T  # T x M
-    return [AudioBuffer(feeds[:, m], sh.sample_rate) for m in range(feeds.shape[1])]
+    return sh @ projection.T
 
 
 class EncodedRows:
-    """A mono signal weighted by K per-block gains, as N x K rows built on
-    demand: `rows(lo, hi)` builds rows lo..hi-1, so the N x K array is never
-    held whole. With SH gains the rows are the SH encoding (encode_mono,
-    and the row source of the render's FFT path); the render's tap sum
-    passes one gain per nonzero tap of its ear filter bank.
+    """A mono signal weighted by K per-block gains: an N x K row source whose
+    rows are built on demand, so the N x K array is never held whole.
+    `self[lo:hi]` builds rows lo..hi-1, as an N x K array would give them.
+    With SH gains the rows are the SH encoding (encode_mono, and the row
+    source of the render's FFT path); the render's tap sum passes one gain
+    per nonzero tap of its ear filter bank.
 
-    Block b of `block_size` samples takes the gain row `gains[b]`; the first
-    `crossfade` samples of every block after the first ramp linearly from
-    the previous block's gains.
+    Block b of DEFAULT_BLOCK_SIZE samples takes the gain row `gains[b]`; the
+    first DEFAULT_CROSSFADE samples of every block after the first ramp
+    linearly from the previous block's gains.
     """
 
-    def __init__(self, samples, gains, block_size, crossfade):
+    def __init__(self, samples, gains):
         self.samples = samples
         self.gains = gains
-        self.block_size = block_size
-        self.crossfade = crossfade
         self.shape = (len(samples), gains.shape[1])
 
-    def rows(self, lo, hi):
+    def __getitem__(self, rows):
+        lo, hi, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ValueError("EncodedRows takes a slice of consecutive rows")
         # Built channel-major (K x rows), so every fill runs along a long
         # contiguous axis; returned as its N x K transpose.
-        size, fade = self.block_size, self.crossfade
+        size, fade = DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE
         first, last = lo // size, -(-hi // size)  # the blocks that rows lo..hi-1 touch
         gains = self.gains.T[:, :, None]  # K x blocks x 1
         weights = np.empty((self.shape[1], last - first, size))
         weights[:] = gains[:, first:last]
         ramped = max(first, 1)  # block 0 has no previous block to fade from
-        if fade and last > ramped:
-            alpha = (np.arange(min(fade, size)) + 1.0) / fade
+        if last > ramped:
+            alpha = (np.arange(fade) + 1.0) / fade
             weights[:, ramped - first :, :fade] = (
                 (1.0 - alpha) * gains[:, ramped - 1 : last - 1] + alpha * gains[:, ramped:last]
             )
@@ -226,25 +210,25 @@ class EncodedRows:
         return weights.T
 
 
-def encode_mono(signal, azimuth, elevation, order=1, block_size=DEFAULT_BLOCK_SIZE,
-                crossfade=DEFAULT_CROSSFADE):
-    """Encode a mono signal into an SH signal along a per-block trajectory.
+def encode_mono(samples, azimuth, elevation, order=1):
+    """The N x (order+1)^2 SH rows of the N mono samples encoded along a
+    per-block trajectory: EncodedRows(samples, gains)[0:N].
 
     `azimuth` and `elevation` give one direction (constant) or one per
-    `block_size`-sample block, covering the whole signal. Directions
-    change block-wise with a linear crossfade at block boundaries.
+    DEFAULT_BLOCK_SIZE-sample block, covering the whole signal. Directions
+    change block-wise with a DEFAULT_CROSSFADE-sample linear crossfade at
+    block boundaries.
     """
     gains = sh_basis(*_directions(azimuth, elevation), order).reshape(-1, (order + 1) ** 2)
     if len(gains) == 0:
         raise ValueError("empty trajectory")
-    n = len(signal)
-    n_blocks = max(1, -(-n // block_size))
+    n = len(samples)
+    n_blocks = max(1, -(-n // DEFAULT_BLOCK_SIZE))
     if len(gains) == 1:
         gains = np.repeat(gains, n_blocks, axis=0)
     if len(gains) < n_blocks:
         raise ValueError(f"trajectory covers {len(gains)} blocks, signal needs {n_blocks}")
-    rows = EncodedRows(signal.samples, gains[:n_blocks], block_size, crossfade).rows(0, n)
-    return ShSignal(order, rows, signal.sample_rate)
+    return EncodedRows(samples, gains[:n_blocks])[0:n]
 
 
 class Trajectory:

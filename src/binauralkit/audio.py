@@ -3,10 +3,12 @@ file writes, framing, the Hann window and Hann STFT, and multichannel FFT
 convolution.
 
 Every channel is a C-contiguous float64 array: `AudioBuffer` copies any
-other input once, and `read_wav` deinterleaves a stereo file in the pass that
-scales it, a block of frames at a time. Framing builds no copies: `frames` is
-a strided view of a channel, and `frame_energy` (under `frame_rms`) sums
-squares per frame from chunk sums.
+other input once and proves it finite from one sum, and `read_wav`
+deinterleaves a stereo file in the pass that scales it, a block of frames at
+a time. Framing builds no copies: `frames` is a strided view of a channel,
+and `frame_energy` (under `frame_rms`) sums squares per frame from chunk
+sums. `fft_convolve` reads its N x K signal from a row source, anything with
+a `shape` that slices by rows: an array, or ambisonic.EncodedRows.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=np.float64, order="C")
         if samples.ndim != 1:
             raise ValueError("AudioBuffer samples must be 1-D")
-        if not np.all(np.isfinite(samples)):
+        # A finite sum proves every sample finite in one pass, with no mask;
+        # a non-finite one (NaN, inf or overflow) leaves the mask to decide.
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.add.reduce(samples))
+        if not (finite or np.all(np.isfinite(samples))):
             raise ValueError("AudioBuffer samples must be finite")
         if int(self.sample_rate) <= 0:
             raise ValueError("sample_rate must be positive")
@@ -283,16 +289,19 @@ def next_pow2(n):
     return 1 << (int(n) - 1).bit_length()
 
 
+_OLA_GROUP = 64  # blocks per group in fft_convolve
+
+
 def fft_convolve(signal, kernel):
     """Full linear convolution of a multichannel signal with a filter bank,
     by block overlap-add.
 
-    `signal` is an N x K array, or an N x K row source, and `kernel` an
+    `signal` is an N x K row source, anything with `shape` (N, K) whose
+    slice `signal[lo:hi]` gives rows lo..hi-1 (an array, or an
+    ambisonic.EncodedRows, which is never built whole), and `kernel` an
     E x K x L bank; the result is an E x (N + L - 1) array whose row e is
-    sum_k x[:, k] * bank[e, k]. A row source stands in for an array that is
-    never built whole: it has `shape` (N, K) and `rows(lo, hi)`, which
-    returns rows lo..hi-1. One channel and one kernel is the N x 1 signal
-    with a 1 x 1 x L bank.
+    sum_k x[:, k] * bank[e, k]. One channel and one kernel is the N x 1
+    signal with a 1 x 1 x L bank.
 
     The signal is cut into hops of nfft - L + 1 samples, with nfft =
     next_pow2(16 L) (less for a signal shorter than that). Each channel's
@@ -302,22 +311,10 @@ def fft_convolve(signal, kernel):
     Matches direct time-domain convolution to ~1e-12 relative.
     """
     bank = np.asarray(kernel, dtype=np.float64)
-    if hasattr(signal, "rows"):
-        rows, shape = signal.rows, signal.shape
-    else:
-        x = np.asarray(signal, dtype=np.float64)
-        rows, shape = (lambda lo, hi: x[lo:hi]), x.shape
+    shape = signal.shape
     if len(shape) != 2 or bank.ndim != 3 or bank.shape[1] != shape[1] or bank.shape[2] == 0:
         raise ValueError("expected an N x K signal and an E x K x L bank with L >= 1")
-    return _overlap_add(rows, shape, bank)
-
-
-_OLA_GROUP = 64  # blocks per group in _overlap_add
-
-
-def _overlap_add(rows, shape, bank):
-    n, k = shape
-    e, _, taps = bank.shape
+    (n, k), (e, _, taps) = shape, bank.shape
     # A short signal fits one block; a hop of at least L - 1 samples keeps
     # each block's tail inside the next block.
     nfft = next_pow2(min(16 * taps, max(n, taps) + taps - 1))
@@ -327,10 +324,11 @@ def _overlap_add(rows, shape, bank):
     out = np.zeros((e, n_blocks + 1, hop))
     # Blocks go through in groups, and each group's rows are taken from the
     # source just before its transform, so neither the spectra nor (from a
-    # row source) the signal of a long clip sit in memory all at once.
+    # row source that builds its rows) the signal of a long clip sit in
+    # memory all at once.
     for lo in range(0, n_blocks, _OLA_GROUP):
         hi = min(lo + _OLA_GROUP, n_blocks)
-        blocks = rows(lo * hop, min(hi * hop, n))
+        blocks = np.asarray(signal[lo * hop : min(hi * hop, n)], dtype=np.float64)
         if len(blocks) < (hi - lo) * hop:  # the last group ends inside a hop
             blocks = np.concatenate([blocks, np.zeros(((hi - lo) * hop - len(blocks), k))])
         # B x K x hop: a channel-major row source gives each transform a

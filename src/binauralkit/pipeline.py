@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -63,6 +64,14 @@ class ClipResult:
     value: object = None
 
 
+# One pool per process, kept across batch calls: fresh threads could land on
+# malloc arenas that hold less of the memory the last call freed, and fault
+# it in again. A new worker count, or a new ThreadPoolExecutor class in this
+# module, replaces it.
+_pool = (None, 0, None)  # (ThreadPoolExecutor class, workers, pool)
+_pool_lock = threading.Lock()
+
+
 def _each_clip(step, items, failed="failed"):
     """`step(id, item)` for each (id, item) pair, in order, on up to
     worker_count() threads; an exception gives ClipResult(id, failed, str(exc))."""
@@ -74,11 +83,17 @@ def _each_clip(step, items, failed="failed"):
         except Exception as exc:
             return ClipResult(clip_id, failed, str(exc))
 
+    global _pool
     workers = worker_count()
     if workers == 1 or len(items) <= 1:
         return [run(pair) for pair in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, items))
+    with _pool_lock:  # no call replaces the pool while another submits to it
+        if _pool[:2] != (ThreadPoolExecutor, workers):
+            if _pool[2] is not None:
+                _pool[2].shutdown()
+            _pool = (ThreadPoolExecutor, workers, ThreadPoolExecutor(max_workers=workers))
+        results = _pool[2].map(run, items)
+    return list(results)
 
 
 @dataclass(frozen=True)

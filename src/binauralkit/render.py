@@ -20,8 +20,9 @@ bank, and costs one pass per nonzero tap: 6 on the head model's 8-speaker
 ring at 16 kHz, 34 on a 64-speaker ring at 48 kHz. A bank with more taps
 than a block FFT convolution of the SH signal costs in passes
 (FFT_COST_IN_PASSES) takes that convolution (audio.fft_convolve) instead,
-as would a measured HRIR set with dense filters. Either way the weights or
-the SH rows are built a chunk at a time, so a render never holds the N x K
+as would a measured HRIR set with dense filters. Both paths slice one
+kind of row source, EncodedRows, a chunk at a time: the FFT path its SH
+rows, the tap sum its per-tap weights. So a render never holds the N x K
 encoded signal, and it is as long as its mono input.
 
 render_trajectory is the one entry point; a fixed direction is the
@@ -38,7 +39,6 @@ import numpy as np
 from .audio import AudioBuffer, BinauralBuffer, fft_convolve
 from .ambisonic import (
     DEFAULT_BLOCK_SIZE,
-    DEFAULT_CROSSFADE,
     EncodedRows,
     Trajectory,
     decode_matrix,
@@ -87,18 +87,15 @@ def _ear_signals(samples, gains, bank):
     n = len(samples)
     ears, taps = np.nonzero(np.any(bank != 0.0, axis=1))
     if len(ears) > FFT_COST_IN_PASSES * (bank.shape[1] + 1):
-        sh = EncodedRows(samples, gains, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
-        return fft_convolve(sh, bank)[:, :n]
+        return fft_convolve(EncodedRows(samples, gains), bank)[:, :n]
     # One pass per nonzero tap (ears[p], taps[p]): the signal weighted by
     # the crossfaded gains @ bank[ear, :, tap], added in tap samples late.
-    weights = EncodedRows(
-        samples, gains @ bank[ears, :, taps].T, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE
-    )
+    weights = EncodedRows(samples, gains @ bank[ears, :, taps].T)
     # Room for the longest delay past the end; the tail is dropped below.
     out = np.zeros((2, n + bank.shape[2]))
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        for row, ear, tap in zip(weights.rows(lo, hi).T, ears, taps):
+        for row, ear, tap in zip(weights[lo:hi].T, ears, taps):
             out[ear, lo + tap : hi + tap] += row
     return out[:, :n]
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from binauralkit.audio import AudioBuffer
+from binauralkit.audio import _OLA_GROUP, fft_convolve, next_pow2
 from binauralkit.ambisonic import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_CROSSFADE,
     DUPLICATE_SEPARATION,
+    EncodedRows,
     LayoutError,
-    ShSignal,
     SpeakerLayout,
     Trajectory,
     decode_matrix,
@@ -33,7 +35,7 @@ def one_speaker_layout(azimuth, elevation):
 
 
 def one_block_encoding(azimuth, elevation):
-    return encode_mono(AudioBuffer(np.ones(4), 16000), azimuth, elevation)
+    return encode_mono(np.ones(4), azimuth, elevation)
 
 
 def rejects(make, azimuth, elevation):
@@ -248,36 +250,30 @@ class TestProjection:
     def test_encoded_layout_direction_dominates(self):
         layout = ring_layout(4)
         dm = decode_matrix(layout, 1)
-        sig = AudioBuffer(np.ones(8), 16000)
-        sh = encode_mono(sig, layout.azimuth[1], layout.elevation[1], order=1)
+        sh = encode_mono(np.ones(8), layout.azimuth[1], layout.elevation[1], order=1)
         feeds = project_to_speakers(sh, dm)
-        energies = [np.sum(f.samples**2) for f in feeds]
+        energies = np.sum(feeds**2, axis=0)
         assert np.argmax(energies) == 1
 
     def test_zero_signal(self):
         dm = decode_matrix(ring_layout(4), 1)
-        sh = ShSignal(1, np.zeros((16, 4)), 16000)
-        for feed in project_to_speakers(sh, dm):
-            assert np.all(feed.samples == 0.0)
+        feeds = project_to_speakers(np.zeros((16, 4)), dm)
+        assert feeds.shape == (16, 4) and np.all(feeds == 0.0)
 
     def test_linearity(self, rng):
         layout = ring_layout(6)
         dm = decode_matrix(layout, 1)
-        sig_a = AudioBuffer(rng.standard_normal(64), 16000)
-        sig_b = AudioBuffer(rng.standard_normal(64), 16000)
-        sh_a = encode_mono(sig_a, 0.4, 0.0, order=1)
-        sh_b = encode_mono(sig_b, -1.1, 0.0, order=1)
-        sh_sum = ShSignal(1, sh_a.frames + sh_b.frames, 16000)
-        feeds_sum = project_to_speakers(sh_sum, dm)
+        sh_a = encode_mono(rng.standard_normal(64), 0.4, 0.0, order=1)
+        sh_b = encode_mono(rng.standard_normal(64), -1.1, 0.0, order=1)
+        feeds_sum = project_to_speakers(sh_a + sh_b, dm)
         feeds_a = project_to_speakers(sh_a, dm)
         feeds_b = project_to_speakers(sh_b, dm)
-        for fs, fa, fb in zip(feeds_sum, feeds_a, feeds_b):
-            np.testing.assert_allclose(fs.samples, fa.samples + fb.samples, atol=1e-9)
+        np.testing.assert_allclose(feeds_sum, feeds_a + feeds_b, atol=1e-9)
 
     def test_order_mismatch(self):
         dm = decode_matrix(ring_layout(4), 1)
-        with pytest.raises(ValueError):
-            project_to_speakers(ShSignal(0, np.zeros((4, 1)), 16000), dm)
+        with pytest.raises(ValueError, match="SH order mismatch"):
+            project_to_speakers(np.zeros((4, 1)), dm)
 
     def test_reencode_consistency(self, rng):
         # encode -> project -> re-encode reproduces the horizontal channels
@@ -308,48 +304,92 @@ class TestProjection:
             np.testing.assert_allclose(gains, gains_rot, atol=1e-9)
 
 
+def random_rows(seed, n, k):
+    """EncodedRows of n random samples under random gains, K per block."""
+    rng = np.random.default_rng(seed)
+    return EncodedRows(rng.standard_normal(n), rng.standard_normal((-(-n // DEFAULT_BLOCK_SIZE), k)))
+
+
+# Slice ends at and beside every block start and crossfade end.
+ROW_EDGES = sorted(
+    b * DEFAULT_BLOCK_SIZE + d
+    for b in range(5)
+    for d in (-1, 0, 1, DEFAULT_CROSSFADE - 1, DEFAULT_CROSSFADE, DEFAULT_CROSSFADE + 1)
+)
+
+
+class TestRowSource:
+    """EncodedRows slices as the N x K array of its rows does, so
+    fft_convolve takes either alike."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4 * DEFAULT_BLOCK_SIZE + 7),
+           k=st.integers(1, 9), data=st.data())
+    def test_slice_is_those_rows_of_the_whole(self, seed, n, k, data):
+        rows = random_rows(seed, n, k)
+        ends = st.one_of(st.integers(0, n), st.sampled_from([e for e in ROW_EDGES if 0 <= e <= n]))
+        lo, hi = sorted((data.draw(ends), data.draw(ends)))
+        whole = rows[0:n]
+        assert whole.shape == (n, k)
+        np.testing.assert_array_equal(rows[lo:hi], whole[lo:hi])
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), taps=st.integers(1, 3),
+           data=st.data())
+    def test_fft_convolve_takes_rows_as_their_array(self, seed, k, taps, data):
+        hop = next_pow2(16 * taps) - taps + 1  # samples per overlap-add block
+        n = data.draw(st.integers(_OLA_GROUP * hop + 1, 3 * _OLA_GROUP * hop))
+        rows = random_rows(seed, n, k)
+        bank = np.random.default_rng(seed + 1).standard_normal((2, k, taps))
+        np.testing.assert_array_equal(
+            fft_convolve(rows, bank), fft_convolve(np.ascontiguousarray(rows[0:n]), bank)
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4 * DEFAULT_BLOCK_SIZE + 7),
+           order=st.integers(0, 2), constant=st.booleans())
+    def test_encode_mono_is_the_rows_of_its_sh_gains(self, seed, n, order, constant):
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal(n)
+        blocks = 1 if constant else -(-n // DEFAULT_BLOCK_SIZE)
+        azimuth = rng.uniform(-math.pi, math.pi, blocks)
+        elevation = rng.uniform(-math.pi / 2, math.pi / 2, blocks)
+        gains = sh_basis(wrap_azimuth(azimuth), elevation, order)
+        gains = np.repeat(gains, -(-n // DEFAULT_BLOCK_SIZE) // blocks, axis=0)
+        np.testing.assert_array_equal(
+            encode_mono(samples, azimuth, elevation, order), EncodedRows(samples, gains)[0:n]
+        )
+
+
 class TestEncodeMono:
     def test_constant_front(self, rng):
         x = rng.standard_normal(3000)
-        sh = encode_mono(AudioBuffer(x, 16000), 0.0, 0.0, order=1)
-        np.testing.assert_allclose(sh.frames[:, 0], x, atol=1e-12)
-        np.testing.assert_allclose(sh.frames[:, 3], x, atol=1e-12)
-        assert np.all(sh.frames[:, 1] == 0.0)
-        assert np.all(sh.frames[:, 2] == 0.0)
+        sh = encode_mono(x, 0.0, 0.0, order=1)
+        np.testing.assert_allclose(sh[:, 0], x, atol=1e-12)
+        np.testing.assert_allclose(sh[:, 3], x, atol=1e-12)
+        assert np.all(sh[:, 1] == 0.0)
+        assert np.all(sh[:, 2] == 0.0)
 
     def test_zero_signal(self):
-        sh = encode_mono(AudioBuffer(np.zeros(2048), 16000), 1.0, 0.0, order=1)
-        assert np.all(sh.frames == 0.0)
+        sh = encode_mono(np.zeros(2048), 1.0, 0.0, order=1)
+        assert sh.shape == (2048, 4) and np.all(sh == 0.0)
 
     def test_crossfade_front_to_left(self):
         # constant-1 signal, front for block 0 then left: X fades 1 -> 0 and
         # Y fades 0 -> 1 over the crossfade window at the block boundary
-        block, xf = 1024, 256
-        sig = AudioBuffer(np.ones(2 * block), 16000)
-        sh = encode_mono(
-            sig, [0.0, math.pi / 2], [0.0, 0.0], order=1,
-            block_size=block, crossfade=xf,
-        )
+        block, xf = DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE
+        sh = encode_mono(np.ones(2 * block), [0.0, math.pi / 2], [0.0, 0.0], order=1)
         alpha = (np.arange(xf) + 1.0) / xf
-        np.testing.assert_allclose(sh.frames[block : block + xf, 3], 1.0 - alpha, atol=1e-12)
-        np.testing.assert_allclose(sh.frames[block : block + xf, 1], alpha, atol=1e-12)
+        np.testing.assert_allclose(sh[block : block + xf, 3], 1.0 - alpha, atol=1e-12)
+        np.testing.assert_allclose(sh[block : block + xf, 1], alpha, atol=1e-12)
         # after the window the new direction holds exactly
-        np.testing.assert_allclose(sh.frames[block + xf :, 1], 1.0, atol=1e-12)
-        np.testing.assert_allclose(sh.frames[block + xf :, 3], 0.0, atol=1e-12)
+        np.testing.assert_allclose(sh[block + xf :, 1], 1.0, atol=1e-12)
+        np.testing.assert_allclose(sh[block + xf :, 3], 0.0, atol=1e-12)
 
     def test_empty_trajectory(self):
         with pytest.raises(ValueError):
-            encode_mono(AudioBuffer(np.ones(10), 16000), [], [], order=1)
+            encode_mono(np.ones(10), [], [], order=1)
 
     def test_trajectory_must_cover_signal(self):
         with pytest.raises(ValueError):
-            encode_mono(
-                AudioBuffer(np.ones(3000), 16000),
-                [0.0, 1.0],
-                [0.0, 0.0],
-                order=1,
-                block_size=1024,
-            )
+            encode_mono(np.ones(3000), [0.0, 1.0], [0.0, 0.0], order=1)
 
 
 class TestTrajectory:

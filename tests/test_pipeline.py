@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -372,6 +374,61 @@ class TestBatchRender:
         monkeypatch.setenv("SV2A_THREADS", "2")
         assert worker_count() == 2
         assert caplog.records == []
+
+
+class TestSharedPool:
+    """_each_clip keeps one thread pool across calls, and replaces it when
+    the worker count or the module's ThreadPoolExecutor changes."""
+
+    @staticmethod
+    def pool_after_call(monkeypatch, workers):
+        monkeypatch.setenv("SV2A_THREADS", str(workers))
+        items = [(i, i) for i in range(5)]
+        assert pipeline._each_clip(lambda clip_id, x: 2 * x, items) == [0, 2, 4, 6, 8]
+        return pipeline._pool[2]
+
+    def test_pool_kept_then_replaced(self, monkeypatch):
+        first = self.pool_after_call(monkeypatch, 2)
+        assert self.pool_after_call(monkeypatch, 2) is first
+        assert self.pool_after_call(monkeypatch, 3) is not first
+        with pytest.raises(RuntimeError):  # the replaced pool is shut down
+            first.submit(int)
+
+        class Subclass(pipeline.ThreadPoolExecutor):
+            pass
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Subclass)
+        assert isinstance(self.pool_after_call(monkeypatch, 3), Subclass)
+
+    def test_concurrent_calls_with_changing_worker_counts(self, monkeypatch):
+        # Callers alternate 2 and 3 workers, so each call may replace the
+        # pool while another submits to it.
+        local = threading.local()
+        monkeypatch.setattr(pipeline, "worker_count", lambda: local.workers)
+        errors = []
+
+        def caller(workers):
+            local.workers = workers
+            items = [(i, i) for i in range(30)]
+            try:
+                for _ in range(20):
+                    got = pipeline._each_clip(lambda clip_id, x: x + workers, items)
+                    assert got == [x + workers for x in range(30)]
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(2 + i % 2,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestBatchMetrics:

@@ -20,7 +20,7 @@ PACKAGE = pathlib.Path(binauralkit.__file__).parent
 # ROADMAP item that removes it.
 ALLOWED_UNUSED = {
     "ambisonic.Trajectory.direction_at": "reference-only, `index_at` covers it; item 3 removes it",
-    "ambisonic.encode_mono": "reference-only, `EncodedRows(...).rows(0, n)` is the same; item 3",
+    "ambisonic.encode_mono": "reference-only, equal to `EncodedRows(samples, gains)[0:n]`; item 3",
     "ambisonic.project_to_speakers": "reference-only, the benchmark tracer wraps it; item 3",
     "audio.stft": "reference-only, the metrics transform their own frames; item 3 removes it",
     "flow.backward": "thin wrapper of `_loss_and_grads` kept for tests; item 3 removes it",

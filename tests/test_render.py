@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from binauralkit.audio import AudioBuffer, fft_convolve, next_pow2
 from binauralkit.ambisonic import (
     DEFAULT_BLOCK_SIZE,
-    DEFAULT_CROSSFADE,
     SpeakerLayout,
     Trajectory,
     decode_matrix,
@@ -194,9 +193,9 @@ def ola_hop(taps):
 
 def oracle_render(mono, azimuth, elevation, cfg, pairs):
     """The speaker-loop reference for one clip with per-block directions."""
-    sh = encode_mono(mono, azimuth, elevation, cfg.order, DEFAULT_BLOCK_SIZE, DEFAULT_CROSSFADE)
+    sh = encode_mono(mono.samples, azimuth, elevation, cfg.order)
     projection = decode_matrix(cfg.layout, cfg.order)
-    left, right = oracle_speaker_render(sh.frames, projection, [(p[0], p[1]) for p in pairs])
+    left, right = oracle_speaker_render(sh, projection, [(p[0], p[1]) for p in pairs])
     return left[: len(mono)], right[: len(mono)]
 
 
