@@ -37,7 +37,7 @@ from .pipeline import (
     write_aggregate_csv,
     write_metrics_json,
 )
-from .render import DEFAULT_FIELD_OF_VIEW, RenderConfig
+from .render import DEFAULT_FIELD_OF_VIEW, DEFAULT_SPEAKERS, RenderConfig
 
 
 # glibc malloc policy for the CLI process. By default glibc serves each
@@ -101,17 +101,19 @@ def _build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="filtered manifest JSON")
     p.add_argument("--report", help="preprocess report JSON")
-    p.add_argument("--min-seconds", type=_NON_NEGATIVE, default=10.0)
-    p.add_argument("--silence-threshold-db", type=_FINITE, default=-50.0)
-    p.add_argument("--max-silence-fraction", type=_FRACTION, default=0.8)
+    p.add_argument("--min-seconds", type=_NON_NEGATIVE, default=PreprocessConfig.min_seconds)
+    p.add_argument("--silence-threshold-db", type=_FINITE,
+                   default=PreprocessConfig.silence_threshold_dbfs)
+    p.add_argument("--max-silence-fraction", type=_FRACTION,
+                   default=PreprocessConfig.max_silence_fraction)
 
     p = sub.add_parser("render", help="batch-render manifest clips to stereo WAVs")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fov-deg", type=_FINITE, default=math.degrees(DEFAULT_FIELD_OF_VIEW))
     # Every CLI layout is a horizontal ring, where SH order 2 is degenerate.
-    p.add_argument("--order", type=int, choices=(0, 1), default=1)
-    p.add_argument("--speakers", type=_SPEAKERS, default=8)
+    p.add_argument("--order", type=int, choices=(0, 1), default=RenderConfig.order)
+    p.add_argument("--speakers", type=_SPEAKERS, default=DEFAULT_SPEAKERS)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--encoding", choices=["float32", "pcm16"], default="float32")
     p.add_argument("--strict", action="store_true")
@@ -129,11 +131,11 @@ def _build_parser():
     p = sub.add_parser("cfm-train", help="train the toy dual-channel flow matcher")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--trace", help="loss trace CSV")
-    p.add_argument("--steps", type=_COUNT, default=2000)
-    p.add_argument("--lr", type=_NON_NEGATIVE, default=1e-3)
-    p.add_argument("--batch-size", type=_COUNT, default=128)
-    p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--hidden", type=_COUNT, default=64)
+    p.add_argument("--steps", type=_COUNT, default=flow.TrainConfig.steps)
+    p.add_argument("--lr", type=_NON_NEGATIVE, default=flow.TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=_COUNT, default=flow.TrainConfig.batch_size)
+    p.add_argument("--seed", type=_SEED, default=flow.TrainConfig.rng_seed)
+    p.add_argument("--hidden", type=_COUNT, default=flow.TrainConfig.hidden_width)
     p.add_argument("--latent-dim", type=_COUNT, default=1)
     p.add_argument("--target", type=_FINITE, default=3.0,
                    help="constant target value for the synthetic task")
@@ -142,7 +144,7 @@ def _build_parser():
 
     p = sub.add_parser("cfm-sample", help="Euler-sample from a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--steps", type=_COUNT, default=32)
+    p.add_argument("--steps", type=_COUNT, default=flow.DEFAULT_EULER_STEPS)
     p.add_argument("--draws", type=_COUNT, default=1000)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", help="CSV of drawn samples")

@@ -5,11 +5,15 @@ per training step, both nets fed one timestep embedding), an in-place Adam
 step on one flat parameter vector, Euler sampling and a weight checkpoint
 format.
 
-While train runs, every trained parameter lives in one flat float64 vector
-(net_l's six arrays, then net_r's, or the shared net's once): each net's
-w1 .. b3 are reshaped views of it, the gradients are written into views of a
-second vector of the same layout, and one AdamState steps the whole vector
-in place. Each net gets its own copies back when train ends."""
+The channel is an array axis: a FlowDataset holds the targets and any stored
+noise as 2 x n x d arrays (left, right), so a training step gathers both
+channels' items with one index, draws both channels' noise in one call and
+loops over the two channels' nets. While train runs, every trained parameter
+lives in one flat float64 vector (net_l's six arrays, then net_r's, or the
+shared net's once): each net's w1 .. b3 are reshaped views of it, the
+gradients are written into views of a second vector of the same layout, and
+one AdamState steps the whole vector in place. Each net gets its own copies
+back when train ends."""
 
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from .audio import atomic_write
 CHECKPOINT_MAGIC = b"SV2A"
 CHECKPOINT_VERSION = 1
 DEFAULT_EMBED_DIM = 8
+DEFAULT_EULER_STEPS = 32
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -234,60 +239,47 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class FlowDataset:
-    """Paired per-channel targets plus an optional shared condition matrix.
+    """Targets x1 and optional stored noise x0 as 2 x n x d arrays, one row
+    of n items per channel (left, right), plus an optional n x c condition
+    matrix that both channels share.
 
-    When x0_left/x0_right are stored, items keep a fixed noise pairing across
-    epochs; otherwise training draws fresh standard-normal noise per step.
+    When x0 is stored, items keep a fixed noise pairing across epochs;
+    otherwise training draws fresh standard-normal noise per step.
     """
 
-    x1_left: np.ndarray
-    x1_right: np.ndarray
+    x1: np.ndarray
+    x0: np.ndarray = None
     cond: np.ndarray = None
-    x0_left: np.ndarray = None
-    x0_right: np.ndarray = None
 
     def __post_init__(self):
-        x1_left = np.atleast_2d(np.asarray(self.x1_left, dtype=np.float64))
-        x1_right = np.atleast_2d(np.asarray(self.x1_right, dtype=np.float64))
-        if x1_left.shape != x1_right.shape:
+        x1 = np.asarray(self.x1, dtype=np.float64)
+        if x1.ndim != 3 or len(x1) != 2:
             raise ValueError("channel targets must be paired")
-        object.__setattr__(self, "x1_left", x1_left)
-        object.__setattr__(self, "x1_right", x1_right)
+        object.__setattr__(self, "x1", x1)
+        if self.x0 is not None:
+            x0 = np.asarray(self.x0, dtype=np.float64)
+            if x0.shape != x1.shape:
+                raise ValueError("stored noise must match target shapes")
+            object.__setattr__(self, "x0", x0)
         if self.cond is not None:
             cond = np.atleast_2d(np.asarray(self.cond, dtype=np.float64))
-            if len(cond) != len(x1_left):
+            if len(cond) != x1.shape[1]:
                 raise ValueError("condition rows must match targets")
             object.__setattr__(self, "cond", cond)
-        if (self.x0_left is None) != (self.x0_right is None):
-            raise ValueError("stored noise must cover both channels")
-        if self.x0_left is not None:
-            x0_left = np.atleast_2d(np.asarray(self.x0_left, dtype=np.float64))
-            x0_right = np.atleast_2d(np.asarray(self.x0_right, dtype=np.float64))
-            if x0_left.shape != x1_left.shape or x0_right.shape != x1_right.shape:
-                raise ValueError("stored noise must match target shapes")
-            object.__setattr__(self, "x0_left", x0_left)
-            object.__setattr__(self, "x0_right", x0_right)
 
     def __len__(self):
-        return len(self.x1_left)
+        return self.x1.shape[1]
 
     @property
     def latent_dim(self):
-        return self.x1_left.shape[1]
+        return self.x1.shape[2]
 
 
 def constant_target_dataset(n_items, latent_dim, target, rng_seed=0):
     """Toy translation task: stored noise x0 ~ N(0, I) paired with
     x1 = x0 + target, so the exact velocity field is the constant target."""
-    rng = np.random.default_rng(rng_seed)
-    x0_l = rng.standard_normal((n_items, latent_dim))
-    x0_r = rng.standard_normal((n_items, latent_dim))
-    return FlowDataset(
-        x1_left=x0_l + target,
-        x1_right=x0_r + target,
-        x0_left=x0_l,
-        x0_right=x0_r,
-    )
+    x0 = np.random.default_rng(rng_seed).standard_normal((2, n_items, latent_dim))
+    return FlowDataset(x1=x0 + target, x0=x0)
 
 
 def make_nets(latent_dim, cond_dim, cfg):
@@ -303,13 +295,6 @@ def make_nets(latent_dim, cond_dim, cfg):
         latent_dim, cond_dim, cfg.hidden_width, rng_seed=cfg.rng_seed + 1
     )
     return net_l, net_r
-
-
-def _channel_cond(cond, flag, shared, batch):
-    if not shared:
-        return cond
-    flag_col = np.full((batch, 1), flag)
-    return flag_col if cond is None else np.concatenate([cond, flag_col], axis=1)
 
 
 def _views(flat, nets):
@@ -345,7 +330,10 @@ def train(net_l, net_r, dataset, cfg):
                        axis=None)
     g = np.empty_like(p)
     g_r = np.empty_like(g) if shared else g
-    grads_l, grads_r = _views(g, nets)[0], _views(g_r, nets)[-1]
+    # Per channel: its net, the views its gradients go to and, for a shared
+    # net, the +1 or -1 column that tells the channels apart.
+    flags = [np.full((cfg.batch_size, 1), f) for f in (1.0, -1.0)] if shared else [None] * 2
+    channels = tuple(zip((net_l, net_r), (_views(g, nets)[0], _views(g_r, nets)[-1]), flags))
     adam = AdamState(p.size)
     trace = np.empty(cfg.steps)
     try:
@@ -353,23 +341,17 @@ def train(net_l, net_r, dataset, cfg):
             vars(net).update(params)
         for step in range(cfg.steps):
             idx = rng.integers(0, len(dataset), cfg.batch_size)
-            x1_l, x1_r = dataset.x1_left[idx], dataset.x1_right[idx]
-            cond = None if dataset.cond is None else dataset.cond[idx]
-            if dataset.x0_left is not None:
-                x0_l, x0_r = dataset.x0_left[idx], dataset.x0_right[idx]
-            else:
-                x0_l = rng.standard_normal(x1_l.shape)
-                x0_r = rng.standard_normal(x1_r.shape)
+            x1 = dataset.x1[:, idx]
+            x0 = rng.standard_normal(x1.shape) if dataset.x0 is None else dataset.x0[:, idx]
             t = rng.uniform(0.0, 1.0, cfg.batch_size)
-            cond_l = _channel_cond(cond, 1.0, shared, cfg.batch_size)
-            cond_r = _channel_cond(cond, -1.0, shared, cfg.batch_size)
-
-            emb_l = timestep_embedding(t, net_l.embed_dim)
-            emb_r = (emb_l if net_r.embed_dim == net_l.embed_dim
-                     else timestep_embedding(t, net_r.embed_dim))
-
-            loss = (_loss_and_grads(net_l, x0_l, x1_l, t, cond_l, emb_l, grads_l)[0]
-                    + _loss_and_grads(net_r, x0_r, x1_r, t, cond_r, emb_r, grads_r)[0])
+            cond = None if dataset.cond is None else dataset.cond[idx]
+            emb = {dim: timestep_embedding(t, dim) for dim in {net.embed_dim for net in nets}}
+            loss = 0.0
+            for c, (net, grads, flag) in enumerate(channels):
+                net_cond = cond if flag is None else (
+                    flag if cond is None else np.concatenate([cond, flag], axis=1))
+                loss += _loss_and_grads(net, x0[c], x1[c], t, net_cond, emb[net.embed_dim],
+                                        grads)[0]
             if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
                 raise FlowDivergence(f"training diverged at step {step}: loss {loss}")
             trace[step] = loss
@@ -383,7 +365,7 @@ def train(net_l, net_r, dataset, cfg):
     return trace
 
 
-def sample_euler(net, x0, cond=None, steps=32):
+def sample_euler(net, x0, cond=None, steps=DEFAULT_EULER_STEPS):
     """Integrate the velocity field from t=0 to 1 with fixed-step Euler."""
     if steps < 1:
         raise ValueError("steps must be >= 1")

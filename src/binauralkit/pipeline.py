@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -24,8 +25,9 @@ log = logging.getLogger(__name__)
 
 _METRIC_FIELDS = tuple(f.name for f in fields(SpatialMetricsReport) if f.name != "frames_used")
 
-# The manifest keys a ClipEntry may leave out.
+# The manifest keys a ClipEntry may leave out, and the keys that name files.
 _OPTIONAL_KEYS = ("heatmap", "trajectory", "caption")
+_PATH_KEYS = ("audio", "heatmap", "trajectory")
 
 # Silence analysis frames (25 ms / 10 ms at 16 kHz) and the informational
 # quality-flag limits. A sample counts as clipped at PCM-16's positive full
@@ -155,12 +157,17 @@ def load_manifest(path):
 
 
 def save_manifest(path, manifest):
+    """Write the manifest as load_manifest reads it: each relative path is
+    rewritten relative to the directory of `path`, so it names the same file
+    from there; an absolute path is kept."""
+    out_dir = os.path.dirname(os.path.abspath(path))
     items = []
     for e in manifest.entries:
-        item = {"id": e.id, "audio": e.audio}
-        for key in _OPTIONAL_KEYS:
-            if getattr(e, key) is not None:
-                item[key] = getattr(e, key)
+        item = {key: getattr(e, key) for key in ("id", "audio", *_OPTIONAL_KEYS)
+                if getattr(e, key) is not None}
+        for key in _PATH_KEYS:
+            if key in item and not os.path.isabs(item[key]):
+                item[key] = os.path.relpath(manifest.resolve(item[key]), out_dir)
         items.append(item)
     with atomic_write(path) as fh:
         json.dump(items, fh, indent=2, sort_keys=True)
@@ -174,7 +181,7 @@ class PreprocessConfig:
     max_silence_fraction: float = 0.8
 
 
-def silence_fraction(audio, threshold_dbfs=-50.0):
+def silence_fraction(audio, threshold_dbfs=PreprocessConfig.silence_threshold_dbfs):
     """Fraction of frames whose RMS falls below the dBFS threshold."""
     rms = frame_rms(audio, SILENCE_FRAME, SILENCE_HOP)
     if len(rms) == 0:
@@ -260,11 +267,8 @@ def batch_render(
     entry: "ok" with the output path as its value, or "failed"."""
     render_cfg = render_cfg or RenderConfig()
     os.makedirs(out_dir, exist_ok=True)
-    probe = os.path.join(out_dir, ".write_probe")
     try:
-        with open(probe, "w"):
-            pass
-        os.remove(probe)
+        tempfile.TemporaryFile(dir=out_dir).close()
     except OSError as exc:
         raise OSError(f"output directory {out_dir} is not writable: {exc}") from exc
 
@@ -345,7 +349,7 @@ def validate_manifest(manifest):
     for entry in manifest.entries:
         if entry.trajectory is None and entry.heatmap is None:
             problems.append(f"{entry.id}: {NO_DIRECTION_SOURCE}")
-        for key in ("audio", "heatmap", "trajectory"):
+        for key in _PATH_KEYS:
             rel = getattr(entry, key)
             if rel is not None and not os.path.exists(manifest.resolve(rel)):
                 problems.append(f"{entry.id}: missing {key} file {rel}")

@@ -20,7 +20,7 @@ bank, and costs one pass per nonzero tap: 6 on the head model's 8-speaker
 ring at 16 kHz, 34 on a 64-speaker ring at 48 kHz. A bank with more taps
 than a block FFT convolution of the SH signal costs in passes
 (FFT_COST_IN_PASSES) takes that convolution (audio.fft_convolve) instead,
-as would a measured HRIR set with dense filters. Both paths slice one
+as the 64-speaker ring at 48 kHz does at SH order 1. Both paths slice one
 kind of row source, EncodedRows, a chunk at a time: the FFT path its SH
 rows, the tap sum its per-tap weights. So a render never holds the N x K
 encoded signal, and it is as long as its mono input.
@@ -49,6 +49,7 @@ from .heatmap import FEATURE_NAMES, FRAME_RATE
 from .hrir import lookup
 
 DEFAULT_FIELD_OF_VIEW = math.pi / 2
+DEFAULT_SPEAKERS = 8  # virtual loudspeakers on the default horizontal ring
 # Samples per pass of the tap sum: 8 blocks keep a pass's weights in cache.
 CHUNK = 8 * DEFAULT_BLOCK_SIZE
 # A block FFT convolution of K SH channels costs about as much as
@@ -66,7 +67,7 @@ class RenderConfig:
     """
 
     order: int = 1
-    layout: object = field(default_factory=lambda: ring_layout(8))
+    layout: object = field(default_factory=lambda: ring_layout(DEFAULT_SPEAKERS))
     normalize_output: bool = False
 
     def __post_init__(self):

@@ -154,7 +154,7 @@ def test_criterion_06_losses_and_gradients():
     t = rng.uniform(0.0, 1.0, 16)
     # The dual-channel objective train records is the sum of the channel
     # losses on the batch and timesteps its seeded generator draws first.
-    data = FlowDataset(x1_left=x1_l, x1_right=x1_r, x0_left=x0_l, x0_right=x0_r)
+    data = FlowDataset(x1=np.stack([x1_l, x1_r]), x0=np.stack([x0_l, x0_r]))
     cfg = TrainConfig(steps=1, batch_size=16, hidden_width=8, rng_seed=6)
     net_l, net_r = make_nets(d, 0, cfg)
     draw = np.random.default_rng(cfg.rng_seed)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import binauralkit
-from binauralkit import flow
+from binauralkit import cli, flow
 from binauralkit.ambisonic import decode_matrix, ring_layout
 from binauralkit.audio import AudioBuffer, BinauralBuffer, read_wav, write_wav
 from binauralkit.cli import _build_parser, main
+from binauralkit.pipeline import PreprocessConfig
+from binauralkit.render import RenderConfig
 
 FS = 16000
 
@@ -89,6 +91,23 @@ class TestPreprocessCommand:
         ]) == 0
         assert main(["validate", "--manifest", str(manifest)]) == 1
         assert "notraj: has neither a trajectory nor a heatmap" in capsys.readouterr().err
+
+
+    def test_kept_manifest_in_another_directory_renders(self, dataset, capsys):
+        # The kept manifest's paths name the clips from its own directory.
+        base, manifest = dataset
+        kept = base / "out" / "kept.json"
+        kept.parent.mkdir()
+        assert main([
+            "preprocess", "--manifest", str(manifest), "--out", str(kept), "--min-seconds", "0.5",
+        ]) == 0
+        assert json.loads(kept.read_text())[0]["audio"] == os.path.join("..", "one.wav")
+        assert main(["validate", "--manifest", str(kept)]) == 0
+        assert main([
+            "render", "--manifest", str(kept), "--out", str(base / "rendered"), "--strict",
+        ]) == 0
+        for clip in ("one", "two"):
+            assert isinstance(read_wav(base / "rendered" / f"{clip}_binaural.wav"), BinauralBuffer)
 
 
 class TestRenderCommand:
@@ -377,6 +396,40 @@ class TestFlowCommands:
             "--batch-size", "8", "--hidden", "16", "--shared-weights",
         ])
         assert len(load_checkpoint(path)) == 1
+
+
+def test_bare_commands_use_the_library_defaults(dataset, monkeypatch, capsys):
+    # Each command given only its required flags passes the library's
+    # default config on.
+    base, manifest = dataset
+    calls = {}
+
+    def record(module, name, result=None):
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls[name] = args
+            return real(*args, **kwargs) if result is None else result
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(cli, "preprocess")
+    record(cli, "batch_render")
+    record(flow, "train", result=np.zeros(1))
+    record(flow, "sample_euler")
+    ckpt = str(base / "model.ckpt")
+    assert main(["preprocess", "--manifest", str(manifest), "--out", str(base / "kept.json")]) == 0
+    assert main(["render", "--manifest", str(manifest), "--out", str(base / "rendered")]) == 0
+    assert main(["cfm-train", "--checkpoint", ckpt]) == 0
+    assert main(["cfm-sample", "--checkpoint", ckpt, "--draws", "2"]) == 0
+
+    assert calls["preprocess"][1] == PreprocessConfig()
+    render_cfg, default = calls["batch_render"][1], RenderConfig()
+    assert (render_cfg.order, render_cfg.normalize_output) == (default.order, default.normalize_output)
+    np.testing.assert_array_equal(render_cfg.layout.azimuth, default.layout.azimuth)
+    np.testing.assert_array_equal(render_cfg.layout.elevation, default.layout.elevation)
+    assert calls["train"][3] == flow.TrainConfig()
+    assert calls["sample_euler"][3] == flow.DEFAULT_EULER_STEPS
 
 
 class TestValidateCommand:

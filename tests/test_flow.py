@@ -57,17 +57,18 @@ def replay_train(ref_l, ref_r, data, cfg):
     trace = []
     for _ in range(cfg.steps):
         idx = draws.integers(0, len(data), b)
-        if data.x0_left is None:
+        if data.x0 is None:
+            # One draw per channel: the stream train's one (2, b, d) draw must match.
             x0_l, x0_r = draws.standard_normal((b, d)), draws.standard_normal((b, d))
         else:
-            x0_l, x0_r = data.x0_left[idx], data.x0_right[idx]
+            x0_l, x0_r = data.x0[0, idx], data.x0[1, idx]
         t = draws.uniform(0.0, 1.0, b)
         cond_l = cond_r = None if data.cond is None else data.cond[idx]
         if shared:
             cond_l = flag if cond_l is None else np.concatenate([cond_l, flag], axis=1)
             cond_r = -flag if cond_r is None else np.concatenate([cond_r, -flag], axis=1)
-        args_l = (x0_l, data.x1_left[idx], t, cond_l)
-        args_r = (x0_r, data.x1_right[idx], t, cond_r)
+        args_l = (x0_l, data.x1[0, idx], t, cond_l)
+        args_r = (x0_r, data.x1[1, idx], t, cond_r)
         trace.append(cfm_loss(ref_l, *args_l) + cfm_loss(ref_r, *args_r))
         grads_l, grads_r = backward(ref_l, *args_l), backward(ref_r, *args_r)
         if shared:
@@ -343,15 +344,15 @@ class TestTraining:
         t = rng.uniform(0.0, 1.0, cfg.batch_size)
         flag = np.ones((cfg.batch_size, 1))
         cond_l, cond_r = (flag, -flag) if shared else (None, None)
-        expected = (cfm_loss(net_l, data.x0_left[idx], data.x1_left[idx], t, cond_l)
-                    + cfm_loss(net_r, data.x0_right[idx], data.x1_right[idx], t, cond_r))
+        expected = (cfm_loss(net_l, data.x0[0, idx], data.x1[0, idx], t, cond_l)
+                    + cfm_loss(net_r, data.x0[1, idx], data.x1[1, idx], t, cond_r))
         assert trace[0] == expected
 
     def test_fresh_noise_per_step(self):
         # No stored x0: train draws standard-normal noise every step.
         rng = np.random.default_rng(2)
         x1 = 1.5 + 0.1 * rng.standard_normal((64, 2))
-        data = FlowDataset(x1_left=x1, x1_right=-x1)
+        data = FlowDataset(x1=np.stack([x1, -x1]))
         cfg = TrainConfig(steps=300, batch_size=32, learning_rate=5e-3,
                           hidden_width=16, rng_seed=3)
         runs = []
@@ -454,13 +455,10 @@ def test_train_equals_step_by_step_replay(latent_dim, hidden_width, batch_size, 
     # cfm_loss, backward and the per-array oracle Adam, for any net shapes.
     rng = np.random.default_rng(seed)
     n_items = 12
-    noise = ({"x0_left": rng.standard_normal((n_items, latent_dim)),
-              "x0_right": rng.standard_normal((n_items, latent_dim))} if stored_noise else {})
     data = FlowDataset(
-        x1_left=rng.standard_normal((n_items, latent_dim)) + 1.0,
-        x1_right=rng.standard_normal((n_items, latent_dim)) - 1.0,
+        x1=rng.standard_normal((2, n_items, latent_dim)) + [[[1.0]], [[-1.0]]],
+        x0=rng.standard_normal((2, n_items, latent_dim)) if stored_noise else None,
         cond=rng.standard_normal((n_items, cond_dim)) if cond_dim else None,
-        **noise,
     )
     cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, steps=steps,
                       rng_seed=seed, hidden_width=hidden_width, shared_weights=shared)
@@ -512,22 +510,35 @@ class TestAdamOracle:
 class TestDatasets:
     def test_constant_target_pairing(self):
         data = constant_target_dataset(10, 3, 2.5, rng_seed=4)
-        np.testing.assert_allclose(data.x1_left - data.x0_left, 2.5, atol=1e-15)
-        np.testing.assert_allclose(data.x1_right - data.x0_right, 2.5, atol=1e-15)
+        assert data.x1.shape == data.x0.shape == (2, 10, 3)
+        np.testing.assert_allclose(data.x1 - data.x0, 2.5, atol=1e-15)
         assert len(data) == 10
         assert data.latent_dim == 3
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_constant_target_noise_is_two_sequential_draws(self, seed):
+        # The one (2, n, d) draw equals a draw per channel, left first: the
+        # stream every cfm-train checkpoint depends on.
+        rng = np.random.default_rng(seed)
+        left, right = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+        data = constant_target_dataset(50, 3, 1.5, rng_seed=seed)
+        assert np.array_equal(data.x0[0], left)
+        assert np.array_equal(data.x0[1], right)
+
     def test_mismatched_channels_rejected(self):
-        with pytest.raises(ValueError):
-            FlowDataset(np.zeros((4, 2)), np.zeros((5, 2)))
+        for shape in [(4, 2), (1, 4, 2), (3, 4, 2)]:
+            with pytest.raises(ValueError, match="channel targets must be paired"):
+                FlowDataset(np.zeros(shape))
 
     def test_half_stored_noise_rejected(self):
-        with pytest.raises(ValueError):
-            FlowDataset(np.zeros((4, 2)), np.zeros((4, 2)), x0_left=np.zeros((4, 2)))
+        # Noise for one channel only, or of another size, fails the shape check.
+        for shape in [(4, 2), (1, 4, 2), (2, 5, 2), (2, 4, 3)]:
+            with pytest.raises(ValueError, match="stored noise must match target shapes"):
+                FlowDataset(np.zeros((2, 4, 2)), x0=np.zeros(shape))
 
     def test_cond_rows_checked(self):
-        with pytest.raises(ValueError):
-            FlowDataset(np.zeros((4, 2)), np.zeros((4, 2)), cond=np.zeros((3, 6)))
+        with pytest.raises(ValueError, match="condition rows must match targets"):
+            FlowDataset(np.zeros((2, 4, 2)), cond=np.zeros((3, 6)))
 
 
 class TestCheckpoints:

@@ -68,6 +68,24 @@ class TestManifests:
         assert loaded.entries[1].heatmap == "b.hmap"
         assert loaded.base_dir == str(tmp_path)
 
+    def test_save_rebases_relative_paths_on_its_directory(self, tmp_path):
+        write_noise(tmp_path / "a.wav", 0.5)
+        elsewhere = str(tmp_path / "abs.csv")
+        manifest = ClipManifest(
+            (ClipEntry("a", "a.wav", heatmap="maps/a.hmap", trajectory=elsewhere,
+                       caption="a.wav"),),
+            str(tmp_path),
+        )
+        path = tmp_path / "out" / "kept.json"
+        path.parent.mkdir()
+        save_manifest(path, manifest)
+        (item,) = json.loads(path.read_text())
+        assert item == {"id": "a", "audio": os.path.join("..", "a.wav"),
+                        "heatmap": os.path.join("..", "maps", "a.hmap"),
+                        "trajectory": elsewhere, "caption": "a.wav"}
+        loaded = load_manifest(path)
+        assert os.path.samefile(loaded.resolve(loaded.entries[0].audio), tmp_path / "a.wav")
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             ClipManifest((ClipEntry("x", "1.wav"), ClipEntry("x", "2.wav")))
@@ -345,6 +363,25 @@ class TestBatchRender:
 
         rendered = read_wav(out_dir / "one_binaural.wav")
         assert isinstance(rendered, BinauralBuffer)
+
+    def test_leftover_probe_directory_does_not_block(self, tmp_path):
+        # The writability check makes an anonymous file, so no name left in
+        # the output directory can collide with it.
+        manifest = self._manifest(tmp_path)
+        out_dir = tmp_path / "out"
+        (out_dir / ".write_probe").mkdir(parents=True)
+        results = batch_render(manifest, out_dir=str(out_dir))
+        assert [r.status for r in results] == ["ok", "ok", "failed"]
+        assert sorted(os.listdir(out_dir)) == [".write_probe", "one_binaural.wav",
+                                               "two_binaural.wav"]
+
+    def test_unwritable_output_directory(self, tmp_path, monkeypatch):
+        def refuse(**kwargs):
+            raise PermissionError("denied")
+
+        monkeypatch.setattr(pipeline.tempfile, "TemporaryFile", refuse)
+        with pytest.raises(OSError, match="output directory .* is not writable: denied"):
+            batch_render(self._manifest(tmp_path), out_dir=str(tmp_path / "out"))
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         manifest = self._manifest(tmp_path)
