@@ -15,6 +15,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -119,7 +120,7 @@ def _build_parser():
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("metrics", help="spatial metric reports for stereo WAVs")
-    p.add_argument("input", help="directory of stereo WAVs or a manifest JSON")
+    p.add_argument("input", help="directory of stereo WAVs, or else a manifest JSON")
     p.add_argument("--json", dest="json_out", help="per-clip report JSON")
     p.add_argument("--csv", dest="csv_out", help="aggregate CSV")
     p.add_argument("--strict", action="store_true")
@@ -150,7 +151,7 @@ def _build_parser():
     p.add_argument("--out", help="CSV of drawn samples")
 
     p = sub.add_parser(
-        "validate", help="check that manifest paths resolve and each clip has a direction source"
+        "validate", help="check that manifest paths are files and each clip has a direction source"
     )
     p.add_argument("--manifest", required=True)
 
@@ -203,9 +204,7 @@ def _cmd_render(args):
 
 
 def _cmd_metrics(args):
-    source = args.input
-    if source.endswith(".json"):
-        source = load_manifest(source)
+    source = args.input if os.path.isdir(args.input) else load_manifest(args.input)
     results = batch_metrics(source)
     if any(r.status == "ok" for r in results):
         aggregate = aggregate_metrics(results)
@@ -249,16 +248,17 @@ def _cmd_cfm_train(args):
 
 def _cmd_cfm_sample(args):
     nets = flow.load_checkpoint(args.checkpoint)
-    net = nets[0]
-    cond = np.ones(net.cond_dim) if net.cond_dim else None
-    x0 = np.random.default_rng(args.seed).standard_normal((args.draws, net.latent_dim))
-    draws = flow.sample_euler(net, x0, cond, args.steps)
+    d = nets[0].latent_dim
+    x0 = np.random.default_rng(args.seed).standard_normal((2, args.draws, d))
+    draws = flow.sample_channels(nets[0], nets[-1], x0, args.steps)
     if args.out:
         with atomic_write(args.out, newline="") as fh:
-            fh.write("draw," + ",".join(f"x{i}" for i in range(net.latent_dim)) + "\n")
-            for i, row in enumerate(draws):
+            fh.write("draw," + ",".join(f"{side}_x{i}" for side in ("left", "right")
+                                        for i in range(d)) + "\n")
+            for i, row in enumerate(np.hstack(draws)):
                 fh.write(f"{i}," + ",".join(f"{v:.12g}" for v in row) + "\n")
-    print(f"mean {np.mean(draws, axis=0)}")
+    left, right = np.mean(draws, axis=1)
+    print(f"mean left {left} right {right}")
     return 0
 
 

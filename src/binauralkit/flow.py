@@ -255,6 +255,8 @@ class FlowDataset:
         x1 = np.asarray(self.x1, dtype=np.float64)
         if x1.ndim != 3 or len(x1) != 2:
             raise ValueError("channel targets must be paired")
+        if x1.shape[1] == 0:
+            raise ValueError("dataset holds no items: training needs at least one target pair")
         object.__setattr__(self, "x1", x1)
         if self.x0 is not None:
             x0 = np.asarray(self.x0, dtype=np.float64)
@@ -311,6 +313,18 @@ def _views(flat, nets):
     return views
 
 
+def _channels(net_l, net_r, cond, rows):
+    """Per channel (left, right), the net that models it and that net's
+    condition: `cond` (None or `rows` rows) for two nets, or for one shared
+    net `cond` with one more column, +1 for the left channel and -1 for the
+    right. train and sample_channels both take the channels from here."""
+    if net_l is not net_r:
+        return (net_l, cond), (net_r, cond)
+    flags = (np.full((rows, 1), f) for f in (1.0, -1.0))
+    return tuple((net_l, flag if cond is None else np.concatenate([cond, flag], axis=1))
+                 for flag in flags)
+
+
 def train(net_l, net_r, dataset, cfg):
     """Single-threaded, seed-deterministic dual-channel training loop.
 
@@ -330,10 +344,8 @@ def train(net_l, net_r, dataset, cfg):
                        axis=None)
     g = np.empty_like(p)
     g_r = np.empty_like(g) if shared else g
-    # Per channel: its net, the views its gradients go to and, for a shared
-    # net, the +1 or -1 column that tells the channels apart.
-    flags = [np.full((cfg.batch_size, 1), f) for f in (1.0, -1.0)] if shared else [None] * 2
-    channels = tuple(zip((net_l, net_r), (_views(g, nets)[0], _views(g_r, nets)[-1]), flags))
+    # Per channel, the views its gradients go to.
+    channel_grads = (_views(g, nets)[0], _views(g_r, nets)[-1])
     adam = AdamState(p.size)
     trace = np.empty(cfg.steps)
     try:
@@ -347,9 +359,8 @@ def train(net_l, net_r, dataset, cfg):
             cond = None if dataset.cond is None else dataset.cond[idx]
             emb = {dim: timestep_embedding(t, dim) for dim in {net.embed_dim for net in nets}}
             loss = 0.0
-            for c, (net, grads, flag) in enumerate(channels):
-                net_cond = cond if flag is None else (
-                    flag if cond is None else np.concatenate([cond, flag], axis=1))
+            channels = _channels(net_l, net_r, cond, cfg.batch_size)
+            for c, ((net, net_cond), grads) in enumerate(zip(channels, channel_grads)):
                 loss += _loss_and_grads(net, x0[c], x1[c], t, net_cond, emb[net.embed_dim],
                                         grads)[0]
             if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
@@ -375,6 +386,14 @@ def sample_euler(net, x0, cond=None, steps=DEFAULT_EULER_STEPS):
         if not np.all(np.isfinite(x)):
             raise FlowDivergence(f"non-finite state at Euler step {k}")
     return x
+
+
+def sample_channels(net_l, net_r, x0, steps):
+    """sample_euler per channel from 2 x n x d noise x0, each channel with
+    the net and channel flag train fits it with; returns a 2 x n x d array."""
+    channels = _channels(net_l, net_r, None, x0.shape[1])
+    return np.stack([sample_euler(net, x0[c], net_cond, steps)
+                     for c, (net, net_cond) in enumerate(channels)])
 
 
 def save_checkpoint(path, nets):

@@ -212,17 +212,26 @@ def _as_mono(loaded):
     return loaded
 
 
+def entry_problems(manifest, entry):
+    """Why `entry` cannot be rendered, from its fields and the file system:
+    no direction source, then each path that is not a regular file."""
+    paths = {key: getattr(entry, key) for key in _PATH_KEYS}
+    problems = [NO_DIRECTION_SOURCE] if entry.trajectory is None and entry.heatmap is None else []
+    return problems + [f"no {key} file at {rel!r}" for key, rel in paths.items()
+                       if rel is not None and not os.path.isfile(manifest.resolve(rel))]
+
+
 def preprocess(manifest, cfg=None):
     """Apply the duration and silence filters to every manifest entry.
     Returns (kept manifest, one ClipResult per entry), each with one of
-    PREPROCESS_STATUSES; an entry with no direction source to render along
-    is rejected_unreadable before its audio is read, and audio shorter than
+    PREPROCESS_STATUSES. An entry with entry_problems is rejected_unreadable,
+    the first being its reason, before its audio is read; audio shorter than
     one silence frame is rejected_short."""
     cfg = cfg or PreprocessConfig()
 
     def evaluate(clip_id, entry):
-        if entry.trajectory is None and entry.heatmap is None:
-            return ClipResult(clip_id, "rejected_unreadable", NO_DIRECTION_SOURCE)
+        if problems := entry_problems(manifest, entry):
+            return ClipResult(clip_id, "rejected_unreadable", problems[0])
         audio = _as_mono(read_wav(manifest.resolve(entry.audio)))
         if audio.duration < cfg.min_seconds:
             return ClipResult(clip_id, "rejected_short",
@@ -343,14 +352,5 @@ def write_aggregate_csv(path, aggregate):
 
 
 def validate_manifest(manifest):
-    """Resolve every referenced path and check that each entry has a
-    direction source; returns a list of problem strings."""
-    problems = []
-    for entry in manifest.entries:
-        if entry.trajectory is None and entry.heatmap is None:
-            problems.append(f"{entry.id}: {NO_DIRECTION_SOURCE}")
-        for key in _PATH_KEYS:
-            rel = getattr(entry, key)
-            if rel is not None and not os.path.exists(manifest.resolve(rel)):
-                problems.append(f"{entry.id}: missing {key} file {rel}")
-    return problems
+    """Every entry's entry_problems, each prefixed with the entry's id."""
+    return [f"{e.id}: {p}" for e in manifest.entries for p in entry_problems(manifest, e)]

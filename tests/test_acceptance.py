@@ -222,6 +222,7 @@ def test_criterion_08_preprocess_fixture(tmp_path):
         AudioBuffer(0.3 * rng.standard_normal(10 * FS), FS),
         "float32",
     )
+    (tmp_path / "t.csv").write_text("time_s,azimuth_deg,elevation_deg\n0,0,0\n")
     manifest = ClipManifest(
         (
             ClipEntry("silent", "silent.wav", trajectory="t.csv"),

@@ -93,6 +93,34 @@ class TestPreprocessCommand:
         assert "notraj: has neither a trajectory nor a heatmap" in capsys.readouterr().err
 
 
+    def test_entries_validate_flags_are_rejected_with_its_problem(self, dataset, capsys):
+        # A missing heatmap and an empty trajectory path: validate and
+        # preprocess name the same problem, and the kept manifest holds only
+        # clips that render.
+        base, manifest = dataset
+        items = json.loads(manifest.read_text())
+        items += [{"id": "nohmap", "audio": "one.wav", "heatmap": "nope.hmap"},
+                  {"id": "emptytraj", "audio": "one.wav", "trajectory": ""}]
+        manifest.write_text(json.dumps(items))
+        kept, report = base / "kept.json", base / "report.json"
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "nohmap: no heatmap file at 'nope.hmap'",
+            "emptytraj: no trajectory file at ''",
+        ]
+        assert main([
+            "preprocess", "--manifest", str(manifest), "--out", str(kept),
+            "--report", str(report), "--min-seconds", "0.5",
+        ]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["rejected_unreadable"] == 2
+        assert payload["reasons"]["nohmap"] == "no heatmap file at 'nope.hmap'"
+        assert payload["reasons"]["emptytraj"] == "no trajectory file at ''"
+        kept_items = json.loads(kept.read_text())
+        assert [e["id"] for e in kept_items] == ["one", "two"]
+        assert "." not in [value for e in kept_items for value in e.values()]
+        assert main(["render", "--manifest", str(kept), "--out", str(base / "r"), "--strict"]) == 0
+
     def test_kept_manifest_in_another_directory_renders(self, dataset, capsys):
         # The kept manifest's paths name the clips from its own directory.
         base, manifest = dataset
@@ -204,6 +232,17 @@ class TestMetricsCommand:
         assert lines[0] == "metric,mean,count"
         assert "iacc" in capsys.readouterr().out
 
+    def test_manifest_input_by_path_type(self, dataset, capsys):
+        # A path that is not a directory is a manifest, whatever its suffix.
+        base, manifest = dataset
+        main(["render", "--manifest", str(manifest), "--out", str(base / "rendered")])
+        entries = [{"id": clip, "audio": f"rendered/{clip}_binaural.wav"}
+                   for clip in ("one", "two")]
+        (base / "clips.txt").write_text(json.dumps(entries))
+        json_out = base / "metrics.json"
+        assert main(["metrics", str(base / "clips.txt"), "--json", str(json_out)]) == 0
+        assert set(json.loads(json_out.read_text())["clips"]) == {"one", "two"}
+
     def test_strict_with_mono_file(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         x = 0.3 * rng.standard_normal(8000)
@@ -304,9 +343,10 @@ class TestFlowCommands:
         ])
         assert code == 0
         rows = out.read_text().strip().splitlines()
-        assert rows[0] == "draw,x0"
-        values = [float(r.split(",")[1]) for r in rows[1:]]
-        assert np.mean(values) == pytest.approx(2.0, abs=0.3)
+        assert rows[0] == "draw,left_x0,right_x0"
+        for column in (1, 2):
+            values = [float(r.split(",")[column]) for r in rows[1:]]
+            assert np.mean(values) == pytest.approx(2.0, abs=0.3)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_sample_matches_per_draw_loop(self, tmp_path, monkeypatch, shared):
@@ -326,11 +366,53 @@ class TestFlowCommands:
         assert main(["cfm-sample", "--checkpoint", str(ckpt), "--draws", "40",
                      "--steps", "8", "--seed", "5"]) == 0
 
+        # The left channel's 40 draws, then the right's, from one noise stream:
+        # the right net, or the shared net with its -1 flag.
+        nets = flow.load_checkpoint(ckpt)
+        flags = [np.ones(1), -np.ones(1)] if shared else [None, None]
+        rng = np.random.default_rng(5)
+        loop = [real(net, rng.standard_normal(3), flag, 8)
+                for net, flag in zip((nets[0], nets[-1]), flags) for _ in range(40)]
+        np.testing.assert_allclose(np.vstack(drawn), np.stack(loop), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_left_columns_are_the_one_channel_draws(self, tmp_path, shared):
+        # The left channel is drawn exactly as when only nets[0] was sampled,
+        # from the first (draws, d) normals of the seed, the +1 flag for a
+        # shared net; the right columns come after all left ones.
+        from binauralkit import flow
+
+        ckpt, out = tmp_path / "model.ckpt", tmp_path / "draws.csv"
+        main(["cfm-train", "--checkpoint", str(ckpt), "--steps", "20", "--batch-size", "8",
+              "--hidden", "8", "--latent-dim", "2"] + (["--shared-weights"] if shared else []))
+        assert main(["cfm-sample", "--checkpoint", str(ckpt), "--draws", "30",
+                     "--steps", "4", "--seed", "9", "--out", str(out)]) == 0
         net = flow.load_checkpoint(ckpt)[0]
         cond = np.ones(net.cond_dim) if net.cond_dim else None
-        rng = np.random.default_rng(5)
-        loop = [real(net, rng.standard_normal(3), cond, 8) for _ in range(40)]
-        np.testing.assert_allclose(np.vstack(drawn), np.stack(loop), rtol=0, atol=1e-12)
+        x0 = np.random.default_rng(9).standard_normal((30, 2))
+        left = flow.sample_euler(net, x0, cond, 4)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "draw,left_x0,left_x1,right_x0,right_x1"
+        assert [line.split(",")[1:3] for line in lines[1:]] == [
+            [f"{v:.12g}" for v in row] for row in left
+        ]
+
+    def test_right_net_is_sampled(self, tmp_path):
+        # Two nets trained on opposite targets: each channel's column follows
+        # its own net.
+        from binauralkit import flow
+
+        cfg = flow.TrainConfig(steps=300, batch_size=32, hidden_width=16, learning_rate=0.01)
+        x0 = np.random.default_rng(0).standard_normal((2, 128, 1))
+        net_l, net_r = flow.make_nets(1, 0, cfg)
+        flow.train(net_l, net_r, flow.FlowDataset(x1=x0 + [[[2.0]], [[-2.0]]], x0=x0), cfg)
+        ckpt, out = tmp_path / "model.ckpt", tmp_path / "draws.csv"
+        flow.save_checkpoint(ckpt, [net_l, net_r])
+        assert main(["cfm-sample", "--checkpoint", str(ckpt), "--draws", "200",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.mean(rows[:, 1]) == pytest.approx(2.0, abs=0.3)
+        assert np.mean(rows[:, 2]) == pytest.approx(-2.0, abs=0.3)
 
     def test_sample_rejects_zero_draws(self, tmp_path):
         ckpt = tmp_path / "model.ckpt"

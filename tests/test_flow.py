@@ -536,6 +536,12 @@ class TestDatasets:
             with pytest.raises(ValueError, match="stored noise must match target shapes"):
                 FlowDataset(np.zeros((2, 4, 2)), x0=np.zeros(shape))
 
+    def test_empty_dataset_rejected(self):
+        # Training draws batch indices from [0, n): n = 0 is named at build time.
+        for x0 in (None, np.zeros((2, 0, 3))):
+            with pytest.raises(ValueError, match="dataset holds no items"):
+                FlowDataset(np.zeros((2, 0, 3)), x0=x0)
+
     def test_cond_rows_checked(self):
         with pytest.raises(ValueError, match="condition rows must match targets"):
             FlowDataset(np.zeros((2, 4, 2)), cond=np.zeros((3, 6)))

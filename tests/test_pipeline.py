@@ -3,11 +3,15 @@ import json
 import math
 import os
 import re
+import pathlib
 import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binauralkit import audio, cli, flow, heatmap, pipeline
 from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
@@ -41,6 +45,10 @@ def write_noise(path, seconds, seed=0, amplitude=0.3):
     rng = np.random.default_rng(seed)
     samples = amplitude * rng.standard_normal(int(seconds * FS))
     write_wav(path, AudioBuffer(samples, FS), "float32")
+
+
+def write_trajectory(path):
+    path.write_text("time_s,azimuth_deg,elevation_deg\n0,0,0\n")
 
 
 def write_stereo(path, seconds=0.5, seed=0):
@@ -181,6 +189,7 @@ class TestPreprocess:
         write_noise(tmp_path / "short.wav", 0.25, seed=2)
         write_wav(tmp_path / "silent.wav", AudioBuffer(np.zeros(FS), FS), "float32")
         (tmp_path / "broken.wav").write_text("not audio")
+        write_trajectory(tmp_path / "t.csv")
         manifest = ClipManifest(
             tuple(
                 ClipEntry(name, f"{name}.wav", trajectory="t.csv")
@@ -217,18 +226,21 @@ class TestPreprocess:
 
     def test_duration_boundary_inclusive(self, tmp_path):
         write_noise(tmp_path / "edge.wav", 0.5, seed=3)  # exactly min_seconds
+        write_trajectory(tmp_path / "t.csv")
         manifest = ClipManifest((ClipEntry("edge", "edge.wav", trajectory="t.csv"),), str(tmp_path))
         kept, _ = preprocess(manifest, PreprocessConfig(min_seconds=0.5))
         assert len(kept) == 1
 
     def test_stereo_input_unreadable(self, tmp_path):
         write_stereo(tmp_path / "st.wav", 1.0)
+        write_trajectory(tmp_path / "t.csv")
         manifest = ClipManifest((ClipEntry("st", "st.wav", trajectory="t.csv"),), str(tmp_path))
         _, results = preprocess(manifest, PreprocessConfig(min_seconds=0.5))
         assert [r.status for r in results] == ["rejected_unreadable"]
 
     def test_shorter_than_one_silence_frame_is_short(self, tmp_path):
         write_noise(tmp_path / "tiny.wav", 100 / FS, seed=4)
+        write_trajectory(tmp_path / "t.csv")
         manifest = ClipManifest((ClipEntry("tiny", "tiny.wav", trajectory="t.csv"),), str(tmp_path))
         _, results = preprocess(manifest, PreprocessConfig(min_seconds=0.0))
         assert [r.status for r in results] == ["rejected_short"]
@@ -243,12 +255,75 @@ class TestPreprocess:
             ("rejected_unreadable", "has neither a trajectory nor a heatmap")
         ]
 
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"heatmap": "nope.hmap"}, "no heatmap file at 'nope.hmap'"),
+            ({"trajectory": ""}, "no trajectory file at ''"),
+            ({"trajectory": "sub"}, "no trajectory file at 'sub'"),
+            ({"audio": "gone.wav", "trajectory": "t.csv"}, "no audio file at 'gone.wav'"),
+        ],
+    )
+    def test_unrenderable_path_rejected_with_validates_problem(self, tmp_path, fields, problem):
+        # A missing file, an empty path or a directory: validate's problem is
+        # preprocess's reason, and the entry never reaches the kept manifest.
+        write_noise(tmp_path / "a.wav", 1.0, seed=5)
+        write_trajectory(tmp_path / "t.csv")
+        (tmp_path / "sub").mkdir()
+        manifest = ClipManifest((ClipEntry("a", **{"audio": "a.wav", **fields}),), str(tmp_path))
+        assert validate_manifest(manifest) == [f"a: {problem}"]
+        kept, results = preprocess(manifest, PreprocessConfig(min_seconds=0.5))
+        assert len(kept) == 0
+        assert [(r.status, r.reason) for r in results] == [("rejected_unreadable", problem)]
+
     def test_report_json(self, tmp_path):
         manifest, cfg = self._dataset(tmp_path)
         _, results = preprocess(manifest, cfg)
         payload = json.loads(json.dumps(preprocess_report(results)))
         assert payload["kept"] == 1
         assert "short" in payload["reasons"]
+
+
+# Planted faults for the manifest property: each field names a good file, a
+# missing one, an empty path or a directory; audio may also be stereo or
+# shorter than the duration filter, and a direction source may be left out.
+_AUDIO = {"mono": "mono.wav", "stereo": "stereo.wav", "short": "short.wav",
+          "missing": "gone.wav", "empty": "", "dir": "sub"}
+_TRAJECTORY = {"none": None, "ok": "t.csv", "missing": "gone.csv", "empty": "", "dir": "sub"}
+_HEATMAP = {"none": None, "ok": "h.hmap", "missing": "gone.hmap", "empty": "", "dir": "sub"}
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(st.sampled_from(list(_AUDIO)), st.sampled_from(list(_TRAJECTORY)),
+                          st.sampled_from(list(_HEATMAP))), min_size=1, max_size=4))
+def test_preprocess_rejects_what_validate_flags_and_keeps_what_renders(faults):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = pathlib.Path(tmp)
+        write_noise(base / "mono.wav", 0.2, seed=1)
+        write_noise(base / "short.wav", 0.05, seed=2)
+        write_stereo(base / "stereo.wav", 0.2)
+        write_trajectory(base / "t.csv")
+        (base / "h.hmap").write_text("hmap 1 1 2 4\n1 0 0 0\n1 0 0 0\n")
+        (base / "sub").mkdir()
+        manifest = ClipManifest(
+            tuple(ClipEntry(f"c{i}", _AUDIO[a], heatmap=_HEATMAP[h], trajectory=_TRAJECTORY[t])
+                  for i, (a, t, h) in enumerate(faults)),
+            str(base),
+        )
+        first_problem = {}
+        for line in validate_manifest(manifest):
+            clip_id, _, problem = line.partition(": ")
+            first_problem.setdefault(clip_id, problem)
+        kept, results = preprocess(manifest, PreprocessConfig(min_seconds=0.1))
+        for r, (a, _, _) in zip(results, faults):
+            if r.id in first_problem:
+                assert (r.status, r.reason) == ("rejected_unreadable", first_problem[r.id])
+            else:
+                want = {"mono": "kept", "stereo": "rejected_unreadable", "short": "rejected_short"}
+                assert r.status == want[a]
+        save_manifest(base / "kept.json", kept)
+        rendered = batch_render(load_manifest(base / "kept.json"), out_dir=str(base / "out"))
+        assert [r.status for r in rendered] == ["ok"] * len(kept)
 
 
 class TestQualityFlags:
