@@ -1,7 +1,7 @@
 """binauralkit: mono-to-binaural spatial audio rendering, interaural metric
 evaluation, heatmap spatial features and toy conditional flow matching."""
 
-from .audio import AudioBuffer, BinauralBuffer, fft_convolve, read_wav, stft, write_wav
+from .audio import AudioBuffer, fft_convolve, read_wav, stft, write_wav
 from .ambisonic import (
     SpeakerLayout,
     Trajectory,

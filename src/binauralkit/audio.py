@@ -2,10 +2,11 @@
 file writes, framing, the Hann window and Hann STFT, and multichannel FFT
 convolution.
 
-Every channel is a C-contiguous float64 array: `AudioBuffer` copies any
-other input once and proves it finite from one sum, and `read_wav`
-deinterleaves a stereo file in the pass that scales it, a block of frames at
-a time. Framing builds no copies: `frames` is a strided view of a channel,
+A signal is one C-contiguous float64 array, N samples (mono) or 2 x N
+(stereo, row 0 the left ear): `AudioBuffer` copies any other input once and
+proves it finite from one sum, and `read_wav` deinterleaves a stereo file
+into its rows in the pass that scales it, a block of frames at a time.
+Framing builds no copies: `frames` is a strided view of the channels,
 and `frame_energy` (under `frame_rms`) sums squares per frame from chunk
 sums. `fft_convolve` reads its N x K signal from a row source, anything with
 a `shape` that slices by rows: an array, or ambisonic.EncodedRows.
@@ -44,20 +45,21 @@ class AudioFormatError(ValueError):
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono signal: C-contiguous float64 samples (nominal range [-1, 1]) plus
-    sample rate; other input is copied, contiguous float64 input is kept."""
+    """Mono (N) or stereo (2 x N, row 0 the left ear) C-contiguous float64
+    samples, nominal range [-1, 1], plus sample rate; other input is copied,
+    contiguous float64 input is kept. len() is the frame count N."""
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64, order="C")
-        if samples.ndim != 1:
-            raise ValueError("AudioBuffer samples must be 1-D")
+        if not (samples.ndim == 1 or samples.shape[:-1] == (2,)):
+            raise ValueError(f"samples must be N (mono) or 2 x N (stereo), not {samples.shape}")
         # A finite sum proves every sample finite in one pass, with no mask;
         # a non-finite one (NaN, inf or overflow) leaves the mask to decide.
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(np.add.reduce(samples))
+            finite = np.isfinite(np.add.reduce(samples, axis=None))
         if not (finite or np.all(np.isfinite(samples))):
             raise ValueError("AudioBuffer samples must be finite")
         if int(self.sample_rate) <= 0:
@@ -66,38 +68,23 @@ class AudioBuffer:
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self):
-        return len(self.samples)
+        return self.samples.shape[-1]
 
     @property
     def duration(self):
         """Length in seconds."""
-        return len(self.samples) / self.sample_rate
+        return len(self) / self.sample_rate
 
 
-@dataclass(frozen=True)
-class BinauralBuffer:
-    """Left/right channel pair with matching sample rate and length."""
-
-    left: AudioBuffer
-    right: AudioBuffer
-
-    def __post_init__(self):
-        if self.left.sample_rate != self.right.sample_rate:
-            raise ValueError("channel sample rates differ")
-        if len(self.left) != len(self.right):
-            raise ValueError("channel lengths differ")
-
-    def __len__(self):
-        return len(self.left)
-
-    @property
-    def sample_rate(self):
-        return self.left.sample_rate
+def BinauralBuffer(left, right):
+    """The stereo AudioBuffer of two mono ones, for the benchmark's own tests."""
+    return AudioBuffer(np.stack([left.samples, right.samples]), left.sample_rate)
 
 
 def read_wav(path):
     """Read a mono or stereo PCM-16 or float-32 RIFF, RIFX (big-endian) or
-    RF64 WAV file, plain or EXTENSIBLE, as an AudioBuffer or BinauralBuffer.
+    RF64 WAV file, plain or EXTENSIBLE, as an AudioBuffer: N samples for a
+    mono file, a 2 x N array for a stereo one.
 
     PCM-16 samples are scaled by 1/32768; float-32 is taken as-is. Chunks
     other than `fmt ` and `data` are skipped silently. A truncated, malformed
@@ -119,9 +106,8 @@ def read_wav(path):
         raise
     except OSError as exc:
         raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
-    try:  # the buffers' own checks (finite samples, positive rate), naming the file
-        mono = [AudioBuffer(row, rate) for row in scaled]
-        return mono[0] if channels == 1 else BinauralBuffer(*mono)
+    try:  # the buffer's own checks (finite samples, positive rate), naming the file
+        return AudioBuffer(scaled[0] if channels == 1 else scaled, rate)
     except ValueError as exc:
         raise AudioFormatError(f"unreadable WAV file {path}: {exc}") from exc
 
@@ -244,7 +230,7 @@ def read_json(path):
 
 
 def write_wav(path, buffer, encoding="float32"):
-    """Write an AudioBuffer or BinauralBuffer as a little-endian RIFF WAV file.
+    """Write a mono or stereo AudioBuffer as a little-endian RIFF WAV file.
 
     encoding is "pcm16" (round to nearest, clipped at full scale; a 16-byte
     `fmt ` chunk) or "float32" (an 18-byte `fmt ` with cbSize 0, then a `fact`
@@ -253,28 +239,26 @@ def write_wav(path, buffer, encoding="float32"):
     the target type, so no float64 copy is made. A file over 4 GiB, or over
     4 GiB/s, more than a RIFF header can declare, raises ValueError.
     """
-    if isinstance(buffer, BinauralBuffer):
-        channels = (buffer.left.samples, buffer.right.samples)
-    else:
-        channels = (buffer.samples,)
-    if len(channels[0]) == 0:
+    shape = buffer.samples.shape
+    channels, frames = shape if len(shape) == 2 else (1, shape[0])
+    if frames == 0:
         raise ValueError("refusing to write an empty buffer")
     if encoding not in ("pcm16", "float32"):
         raise ValueError(f"unknown encoding {encoding!r}")
 
     pcm = encoding == "pcm16"
-    frames, block, rate = len(channels[0]), len(channels) * (2 if pcm else 4), buffer.sample_rate
+    block, rate = channels * (2 if pcm else 4), buffer.sample_rate
     try:  # struct refuses a size or byte rate past the 32 bits a RIFF header holds
-        fmt = struct.pack("<HHIIHH", _PCM if pcm else _FLOAT, len(channels), rate, rate * block,
-                          block, 8 * block // len(channels))
+        fmt = struct.pack("<HHIIHH", _PCM if pcm else _FLOAT, channels, rate, rate * block,
+                          block, 8 * block // channels)
         fmt, fact = (fmt, b"") if pcm else (fmt + b"\0\0", b"fact" + struct.pack("<II", 4, frames))
         body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data"
         size = frames * block
         header = b"RIFF" + struct.pack("<I", len(body) + 4 + size) + body + struct.pack("<I", size)
     except struct.error:
         raise ValueError(f"{path}: {frames} frames at {rate} Hz do not fit a RIFF header") from None
-    data = np.empty((frames, len(channels)), "<i2" if pcm else "<f4")
-    for c, samples in enumerate(channels):
+    data = np.empty((frames, channels), "<i2" if pcm else "<f4")
+    for c, samples in enumerate(np.atleast_2d(buffer.samples)):
         if pcm:
             samples = samples * _PCM16_SCALE
             np.clip(np.rint(samples, out=samples), -32768, 32767, out=samples)
@@ -347,11 +331,12 @@ def hann(n):
 
 def frames(samples, size, hop):
     """T x size read-only view of the full frames of `samples`, frame t
-    starting at sample t * hop; tail samples that do not fill a frame are
-    dropped. Indexing rows with a mask copies only those rows."""
-    if len(samples) < size:
-        return np.empty((0, size), dtype=samples.dtype)
-    return sliding_window_view(samples, size)[::hop]
+    starting at sample t * hop (2 x T x size for 2 x N samples); tail samples
+    that do not fill a frame are dropped. Indexing frames with a mask copies
+    only those frames."""
+    if samples.shape[-1] < size:
+        return np.empty(samples.shape[:-1] + (0, size), dtype=samples.dtype)
+    return sliding_window_view(samples, size, axis=-1)[..., ::hop, :]
 
 
 def frame_energy(samples, size, hop):

@@ -249,6 +249,10 @@ def _cmd_cfm_train(args):
 def _cmd_cfm_sample(args):
     nets = flow.load_checkpoint(args.checkpoint)
     d = nets[0].latent_dim
+    shapes = [(net.latent_dim, net.cond_dim) for net in nets]
+    if shapes not in ([(d, 0), (d, 0)], [(d, 1)]):
+        raise ValueError(f"{args.checkpoint}: not a cfm-train checkpoint, nets (latent_dim, "
+                         f"cond_dim) {shapes}")
     x0 = np.random.default_rng(args.seed).standard_normal((2, args.draws, d))
     draws = flow.sample_channels(nets[0], nets[-1], x0, args.steps)
     if args.out:

@@ -1,9 +1,10 @@
 """Binaural spatialization metrics: IACC, ILD, ITD, ISD and IPD.
 
-All definitions are fixed here, framing and gating included, as module
-constants (the aggregation rules, lag window, gating and units are this
-module's contract): larger ILD/ITD/ISD/IPD means a more spatialized signal,
-IACC near 1 means spatially undifferentiated.
+Each metric takes one stereo AudioBuffer (2 x N samples, row 0 the left
+ear); a mono one raises ValueError. All definitions are fixed here, framing
+and gating included, as module constants (the aggregation rules, lag window,
+gating and units are this module's contract): larger ILD/ITD/ISD/IPD means a
+more spatialized signal, IACC near 1 means spatially undifferentiated.
 
 IACC reads the whole signal, the others only voiced frames: those whose louder
 channel reaches `SILENCE_GATE_DB`, as `_gate` alone decides. ILD and ITD use
@@ -68,11 +69,20 @@ def _lag_order(max_lag):
     return [0] + [sign * k for k in range(1, max_lag + 1) for sign in (-1, 1)]
 
 
+def _ears(b):
+    """The 2 x N samples of the stereo buffer `b`."""
+    if b.samples.ndim != 2:
+        raise ValueError("expected a stereo buffer, got mono")
+    return b.samples
+
+
 def _gate(b, size, hop):
     """Mask of the (size, hop) frames whose louder channel reaches the
-    silence gate, with both channels' frame energies; raises when no frame
-    is voiced."""
-    el, er = (frame_energy(ch.samples, size, hop) for ch in (b.left, b.right))
+    silence gate, with both channels' frame energies; raises when there is
+    no frame or no frame is voiced."""
+    el, er = (frame_energy(ch, size, hop) for ch in _ears(b))
+    if len(el) == 0:
+        raise ValueError("signal shorter than one frame")
     rms = np.sqrt(np.maximum(el, er) / size)
     mask = 20.0 * np.log10(rms + 1e-300) >= SILENCE_GATE_DB
     if not mask.any():
@@ -80,17 +90,12 @@ def _gate(b, size, hop):
     return mask, el, er
 
 
-def _voiced(b, size, hop):
-    """Mask of the voiced (size, hop) frames (see _gate)."""
-    return _gate(b, size, hop)[0]
-
-
 def _voiced_rows(b, size, hop, mask):
-    """The voiced (size, hop) frames of both channels: the read-only frame
-    views themselves when every frame is voiced, else copies of the voiced
-    rows."""
-    views = [frames(ch.samples, size, hop) for ch in (b.left, b.right)]
-    return views if mask.all() else [rows[mask] for rows in views]
+    """The 2 x T x size voiced (size, hop) frames of both channels: the
+    read-only frame view itself when every frame is voiced, else a copy of
+    the voiced frames."""
+    views = frames(b.samples, size, hop)
+    return views if mask.all() else views[:, mask]
 
 
 _WINDOW = hann(STFT_FRAME)
@@ -100,14 +105,10 @@ def _voiced_spectra(b):
     """Hann-windowed spectra of the voiced STFT frames of both channels, one
     2 x T x (STFT_FRAME/2 + 1) array; only voiced frames are windowed and
     transformed, both channels in one call."""
-    size, hop = STFT_FRAME, STFT_HOP
-    if len(b) < size:
-        raise ValueError("signal shorter than one frame")
-    mask = _voiced(b, size, hop)
-    windowed = np.empty((2, int(mask.sum()), size))
-    for out, rows in zip(windowed, _voiced_rows(b, size, hop, mask)):
-        np.multiply(rows, _WINDOW, out=out)
-    return np.fft.rfft(windowed, axis=-1)
+    rows = _voiced_rows(b, STFT_FRAME, STFT_HOP, _gate(b, STFT_FRAME, STFT_HOP)[0])
+    # Windowed into a C-ordered array: a masked copy is laid out frame-major,
+    # and ISD's mean over spectra in that layout sums in another order.
+    return np.fft.rfft(np.multiply(rows, _WINDOW, out=np.empty(rows.shape)), axis=-1)
 
 
 def _itd_max_lag(sample_rate):
@@ -145,7 +146,7 @@ def iacc(b):
     """Peak |normalized cross-correlation| over lags within +-max_lag,
     computed on the full signal."""
     max_lag = max_lag_samples(b.sample_rate)
-    left, right = b.left.samples, b.right.samples
+    left, right = _ears(b)
     if len(left) <= max_lag:
         raise ValueError("signal shorter than the lag search window")
     # A BLAS call may run threads of its own, which then contend with the
@@ -188,7 +189,7 @@ def itd(b):
     """Mean |per-frame cross-correlation peak lag| in ms over non-gated
     frames; ties between equal peaks break toward the smaller |lag|."""
     max_lag = _itd_max_lag(b.sample_rate)
-    mask = _voiced(b, FRAME_SIZE, HOP)
+    mask = _gate(b, FRAME_SIZE, HOP)[0]
     return _itd(max_lag, b.sample_rate, *_voiced_rows(b, FRAME_SIZE, HOP, mask))
 
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .audio import BinauralBuffer, atomic_write, frame_rms, read_json, read_wav, write_wav
+from .audio import atomic_write, frame_rms, read_json, read_wav, write_wav
 from .heatmap import extract_features, load_heatmap_sequence
 from .metrics import SpatialMetricsReport, spatial_report
 from .render import DEFAULT_FIELD_OF_VIEW, RenderConfig, direction_from_features, render_trajectory
@@ -45,13 +45,12 @@ NO_DIRECTION_SOURCE = "has neither a trajectory nor a heatmap"
 
 def worker_count():
     """Worker cap from the environment (default 1; output is order-stable
-    regardless). An unparsable value logs a warning and counts as 1."""
+    regardless). A value that is not a positive integer warns and counts as 1."""
     value = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        log.warning("ignoring unparsable %s=%r; using 1 worker", THREADS_ENV_VAR, value)
-        return 1
+    if value.isdecimal() and int(value) > 0:
+        return int(value)
+    log.warning("ignoring %s=%r, not a positive integer; using 1 worker", THREADS_ENV_VAR, value)
+    return 1
 
 
 @dataclass(frozen=True)
@@ -206,12 +205,6 @@ def quality_flags(audio):
     return flags
 
 
-def _as_mono(loaded):
-    if isinstance(loaded, BinauralBuffer):
-        raise ValueError("expected mono audio, got 2 channels")
-    return loaded
-
-
 def entry_problems(manifest, entry):
     """Why `entry` cannot be rendered, from its fields and the file system:
     no direction source, then each path that is not a regular file."""
@@ -232,7 +225,9 @@ def preprocess(manifest, cfg=None):
     def evaluate(clip_id, entry):
         if problems := entry_problems(manifest, entry):
             return ClipResult(clip_id, "rejected_unreadable", problems[0])
-        audio = _as_mono(read_wav(manifest.resolve(entry.audio)))
+        audio = read_wav(manifest.resolve(entry.audio))
+        if audio.samples.ndim == 2:
+            raise ValueError("expected mono audio, got 2 channels")
         if audio.duration < cfg.min_seconds:
             return ClipResult(clip_id, "rejected_short",
                               f"duration {audio.duration:.2f}s < {cfg.min_seconds}s")
@@ -282,7 +277,7 @@ def batch_render(
         raise OSError(f"output directory {out_dir} is not writable: {exc}") from exc
 
     def render_one(clip_id, entry):
-        mono = _as_mono(read_wav(manifest.resolve(entry.audio)))
+        mono = read_wav(manifest.resolve(entry.audio))
         trajectory = clip_trajectory(manifest, entry, fov)
         rendered = render_trajectory(mono, trajectory, render_cfg)
         out_path = os.path.join(out_dir, f"{clip_id}_binaural.wav")
@@ -319,7 +314,7 @@ def batch_metrics(source):
 
     def measure(clip_id, path):
         loaded = read_wav(path)
-        if not isinstance(loaded, BinauralBuffer):
+        if loaded.samples.ndim != 2:
             raise ValueError("not a stereo file")
         return ClipResult(clip_id, "ok", value=spatial_report(loaded))
 

@@ -25,8 +25,9 @@ kind of row source, EncodedRows, a chunk at a time: the FFT path its SH
 rows, the tap sum its per-tap weights. So a render never holds the N x K
 encoded signal, and it is as long as its mono input.
 
-render_trajectory is the one entry point; a fixed direction is the
-one-breakpoint trajectory Trajectory([0.0], [azimuth], [elevation]).
+render_trajectory is the one entry point, and returns one stereo (2 x N)
+AudioBuffer; a fixed direction is the one-breakpoint trajectory
+Trajectory([0.0], [azimuth], [elevation]).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, BinauralBuffer, fft_convolve
+from .audio import AudioBuffer, fft_convolve
 from .ambisonic import (
     DEFAULT_BLOCK_SIZE,
     EncodedRows,
@@ -92,18 +93,20 @@ def _ear_signals(samples, gains, bank):
     # One pass per nonzero tap (ears[p], taps[p]): the signal weighted by
     # the crossfaded gains @ bank[ear, :, tap], added in tap samples late.
     weights = EncodedRows(samples, gains @ bank[ears, :, taps].T)
-    # Room for the longest delay past the end; the tail is dropped below.
-    out = np.zeros((2, n + bank.shape[2]))
+    # A tap's samples that would land past the end are dropped.
+    out = np.zeros((2, n))
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         for row, ear, tap in zip(weights[lo:hi].T, ears, taps):
-            out[ear, lo + tap : hi + tap] += row
-    return out[:, :n]
+            out[ear, lo + tap : hi + tap] += row[: max(n - lo - tap, 0)]
+    return out
 
 
 def render_trajectory(mono, trajectory, cfg=None):
     """Render a mono buffer along a time-varying trajectory, sampled at the
     block starts with one search."""
+    if mono.samples.ndim != 1:
+        raise ValueError("expected mono audio, got 2 channels")
     if len(mono) == 0:
         raise ValueError("cannot render an empty signal")
     cfg = cfg or RenderConfig()
@@ -113,13 +116,12 @@ def render_trajectory(mono, trajectory, cfg=None):
     hrirs = lookup(cfg.layout.azimuth, cfg.layout.elevation, rate)
     projection = decode_matrix(cfg.layout, cfg.order)
     gains = sh_basis(trajectory.azimuth[i], trajectory.elevation[i], cfg.order)
-    left, right = _ear_signals(mono.samples, gains, _ear_bank(hrirs, projection))
+    ears = _ear_signals(mono.samples, gains, _ear_bank(hrirs, projection))
     if cfg.normalize_output:
-        peak = max(np.max(np.abs(left)), np.max(np.abs(right)))
+        peak = np.max(np.abs(ears))
         if peak > 1.0:
-            left = left / peak
-            right = right / peak
-    return BinauralBuffer(AudioBuffer(left, rate), AudioBuffer(right, rate))
+            ears /= peak
+    return AudioBuffer(ears, rate)
 
 
 def direction_from_features(features, field_of_view=DEFAULT_FIELD_OF_VIEW):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from binauralkit.audio import AudioBuffer, BinauralBuffer
+from binauralkit.audio import AudioBuffer
 
 # Property tests draw the same examples on every run, with no per-example
 # deadline, so a slow or busy machine cannot make them flaky.
@@ -29,11 +29,14 @@ def sine_buffer(freq, n=16000, amplitude=0.5, sample_rate=16000):
     return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq * t), sample_rate)
 
 
+def stereo(left, right, rate=16000):
+    """The stereo AudioBuffer whose rows are the samples `left` and `right`."""
+    return AudioBuffer(np.stack([left, right]), rate)
+
+
 def channel_columns(loaded):
-    """The N x C samples of a loaded AudioBuffer or BinauralBuffer."""
-    if isinstance(loaded, BinauralBuffer):
-        return np.stack([loaded.left.samples, loaded.right.samples], axis=1)
-    return loaded.samples[:, None]
+    """The N x C samples of a loaded mono or stereo AudioBuffer."""
+    return np.atleast_2d(loaded.samples).T
 
 
 # The KSDATAFORMAT subtype GUID of a little-endian EXTENSIBLE `fmt ` chunk,

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from binauralkit.ambisonic import SpeakerLayout, decode_matrix, ring_layout, sh_basis
-from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
+from binauralkit.audio import AudioBuffer, write_wav
 from binauralkit.cli import main as cli_main
 from binauralkit.flow import (
     FlowDataset,
@@ -84,7 +84,7 @@ def test_criterion_01_analytic_itd_ild():
 def test_criterion_02_degenerate_stereo():
     rng = np.random.default_rng(2)
     x = 0.3 * rng.standard_normal(2 * FS)
-    b = BinauralBuffer(AudioBuffer(x, FS), AudioBuffer(x.copy(), FS))
+    b = AudioBuffer(np.stack([x, x]), FS)
     ok = (
         abs(iacc(b) - 1.0) < 1e-9
         and abs(ild(b)) < 1e-9
@@ -293,7 +293,7 @@ def test_criterion_10_metric_oracle_equivalence():
         d = int(rng.integers(0, 8))
         left = shared + 0.4 * rng.standard_normal(4000)
         right = np.concatenate([np.zeros(d), shared[: 4000 - d]]) + 0.4 * rng.standard_normal(4000)
-        b = BinauralBuffer(AudioBuffer(left, FS), AudioBuffer(right, FS))
+        b = AudioBuffer(np.stack([left, right]), FS)
 
         def close(a, bb):
             return abs(a - bb) <= 1e-9 * max(abs(a), abs(bb), 1e-12)

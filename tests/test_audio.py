@@ -13,7 +13,6 @@ from binauralkit import audio
 from binauralkit.audio import (
     AudioBuffer,
     AudioFormatError,
-    BinauralBuffer,
     fft_convolve,
     frame_energy,
     frame_rms,
@@ -22,7 +21,7 @@ from binauralkit.audio import (
     stft,
     write_wav,
 )
-from conftest import GUID_TAIL, channel_columns, chunk, fmt_chunk, riff, rf64, sine_buffer
+from conftest import GUID_TAIL, channel_columns, chunk, fmt_chunk, riff, rf64, sine_buffer, stereo
 from oracles import direct_convolve, direct_dft_frame, hann_window, oracle_read_wav
 
 
@@ -39,10 +38,10 @@ class TestWavIO:
     def test_stereo_identical_channels(self, tmp_path, rng):
         x = rng.standard_normal(4000) * 0.3
         path = tmp_path / "dup.wav"
-        write_wav(path, BinauralBuffer(AudioBuffer(x), AudioBuffer(x)), "float32")
+        write_wav(path, stereo(x, x), "float32")
         loaded = read_wav(path)
-        assert isinstance(loaded, BinauralBuffer)
-        np.testing.assert_array_equal(loaded.left.samples, loaded.right.samples)
+        assert loaded.samples.shape == (2, 4000) and len(loaded) == 4000
+        np.testing.assert_array_equal(*loaded.samples)
 
     def test_pcm16_full_scale_value(self, tmp_path):
         path = tmp_path / "full.wav"
@@ -63,10 +62,10 @@ class TestWavIO:
         assert abs(read_wav(path).samples[0] - 0.5) <= 2.0**-15
 
     def test_binaural_two_channel_file(self, tmp_path, rng):
-        left = AudioBuffer(rng.standard_normal(500) * 0.1)
-        right = AudioBuffer(rng.standard_normal(500) * 0.1)
+        left = rng.standard_normal(500) * 0.1
+        right = rng.standard_normal(500) * 0.1
         path = tmp_path / "st.wav"
-        write_wav(path, BinauralBuffer(left, right), "float32")
+        write_wav(path, stereo(left, right), "float32")
         rate, raw = wavfile.read(path)
         assert raw.shape == (500, 2)
 
@@ -243,13 +242,15 @@ class TestWavRules:
 
 
 class TestBuffers:
-    def test_rate_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BinauralBuffer(AudioBuffer(np.zeros(10), 16000), AudioBuffer(np.zeros(10), 48000))
+    @pytest.mark.parametrize("shape", [(3, 10), (1, 10), (2, 2, 10), ()],
+                             ids=["three_rows", "one_row", "three_dims", "scalar"])
+    def test_only_mono_or_two_row_samples_accepted(self, shape):
+        with pytest.raises(ValueError, match="N \\(mono\\) or 2 x N \\(stereo\\)"):
+            AudioBuffer(np.zeros(shape))
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BinauralBuffer(AudioBuffer(np.zeros(10)), AudioBuffer(np.zeros(11)))
+    def test_stereo_length_is_its_frame_count(self):
+        b = AudioBuffer(np.zeros((2, 10)), 1000)
+        assert len(b) == 10 and b.duration == 0.01
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -294,10 +295,8 @@ class TestChannelLayout:
         wavfile.write(path, 16000, data[:, 0] if channels == 1 else data)
         _, columns = oracle_read_wav(path)
         loaded = read_wav(path)
-        buffers = [loaded] if channels == 1 else [loaded.left, loaded.right]
-        for buffer, column in zip(buffers, columns.T):
-            assert buffer.samples.flags.c_contiguous and buffer.samples.dtype == np.float64
-            np.testing.assert_array_equal(buffer.samples, column)
+        assert loaded.samples.flags.c_contiguous and loaded.samples.dtype == np.float64
+        np.testing.assert_array_equal(channel_columns(loaded), columns)
 
     @pytest.mark.parametrize("channels", [1, 2])
     @pytest.mark.parametrize("dtype", [np.int16, np.float32])
@@ -450,6 +449,7 @@ class TestFrames:
         got = frames(x, size, hop)
         assert got.shape == (len(want), size)
         assert all(np.array_equal(row, w) for row, w in zip(got, want))
+        np.testing.assert_array_equal(frames(np.stack([x, -x]), size, hop), [got, -got])
 
 
 class TestFrameEnergy:
@@ -492,14 +492,11 @@ def _stacked_write(path, columns, rate, encoding):
 
 
 class _Length:
-    """Stands in for a channel of `n` samples: it has a length and no samples,
-    so a writer that does not refuse it fails on it at once."""
+    """Stands in for a mono channel of `n` samples: it has a shape and no
+    samples, so a writer that does not refuse it fails on it at once."""
 
     def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
+        self.shape = (n,)
 
 
 class TestWriteWav:
@@ -538,9 +535,8 @@ class TestWriteWav:
 
 
 def _as_buffer(columns, rate):
-    """AudioBuffer for one column, BinauralBuffer for two."""
-    channels = [AudioBuffer(columns[:, c], rate) for c in range(columns.shape[1])]
-    return channels[0] if len(channels) == 1 else BinauralBuffer(*channels)
+    """The mono AudioBuffer of one column, the stereo one of two."""
+    return AudioBuffer(columns[:, 0] if columns.shape[1] == 1 else columns.T, rate)
 
 
 _SHAPES = st.tuples(st.integers(1, 300), st.sampled_from([1, 2]))

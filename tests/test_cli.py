@@ -12,10 +12,11 @@ import pytest
 import binauralkit
 from binauralkit import cli, flow
 from binauralkit.ambisonic import decode_matrix, ring_layout
-from binauralkit.audio import AudioBuffer, BinauralBuffer, read_wav, write_wav
+from binauralkit.audio import AudioBuffer, read_wav, write_wav
 from binauralkit.cli import _build_parser, main
 from binauralkit.pipeline import PreprocessConfig
 from binauralkit.render import RenderConfig
+from conftest import stereo
 
 FS = 16000
 
@@ -135,7 +136,7 @@ class TestPreprocessCommand:
             "render", "--manifest", str(kept), "--out", str(base / "rendered"), "--strict",
         ]) == 0
         for clip in ("one", "two"):
-            assert isinstance(read_wav(base / "rendered" / f"{clip}_binaural.wav"), BinauralBuffer)
+            assert read_wav(base / "rendered" / f"{clip}_binaural.wav").samples.ndim == 2
 
 
 class TestRenderCommand:
@@ -146,7 +147,7 @@ class TestRenderCommand:
         assert code == 0
         for clip in ("one", "two", "short"):
             rendered = read_wav(out_dir / f"{clip}_binaural.wav")
-            assert isinstance(rendered, BinauralBuffer)
+            assert rendered.samples.ndim == 2
 
     def test_strict_failure_exit_code(self, dataset, capsys):
         base, manifest = dataset
@@ -248,7 +249,7 @@ class TestMetricsCommand:
         x = 0.3 * rng.standard_normal(8000)
         write_wav(
             tmp_path / "st.wav",
-            BinauralBuffer(AudioBuffer(x, FS), AudioBuffer(x.copy(), FS)),
+            stereo(x, x, FS),
             "float32",
         )
         write_wav(tmp_path / "mono.wav", AudioBuffer(x, FS), "float32")
@@ -275,7 +276,7 @@ class TestBatchExitRule:
         clips.mkdir()
         x = AudioBuffer(0.3 * np.random.default_rng(4).standard_normal(8000), FS)
         for i in range(good):
-            write_wav(clips / f"st{i}.wav", BinauralBuffer(x, x), "float32")
+            write_wav(clips / f"st{i}.wav", stereo(x.samples, x.samples, FS), "float32")
         for i in range(bad):
             write_wav(clips / f"mono{i}.wav", x, "float32")
         return ["metrics", str(clips)]
@@ -557,9 +558,9 @@ class TestUnreadableInputs:
         assert not (tmp_path / "escaped_binaural.wav").exists()
 
     def test_metrics_clip_id_collision(self, tmp_path, capsys):
-        x = AudioBuffer(0.3 * np.random.default_rng(1).standard_normal(FS // 2), FS)
+        x = 0.3 * np.random.default_rng(1).standard_normal(FS // 2)
         for name in ("a.wav", "a.WAV"):
-            write_wav(tmp_path / name, BinauralBuffer(x, x), "float32")
+            write_wav(tmp_path / name, stereo(x, x, FS), "float32")
         assert main(["metrics", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -588,6 +589,34 @@ def test_bad_checkpoint_header_is_one_line_error(tmp_path, capsys, nets):
     assert captured.out == ""
     assert captured.err.startswith("binauralkit cfm-sample: error: ")
     assert "bad.ckpt" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "dims, code",
+    [
+        ([(2, 0), (2, 0)], 0),
+        ([(2, 1)], 0),
+        ([(1, 0), (1, 0), (1, 0)], 1),
+        ([(1, 0), (2, 0)], 1),
+        ([(1, 1), (1, 1)], 1),
+        ([(1, 0)], 1),
+        ([(1, 2)], 1),
+    ],
+    ids=["two_nets", "one_shared_net", "three_nets", "two_latent_dims", "two_conditioned_nets",
+         "one_unconditioned_net", "one_net_two_cond_columns"],
+)
+def test_cfm_sample_takes_only_checkpoints_cfm_train_writes(tmp_path, capsys, dims, code):
+    # (latent_dim, cond_dim) per net: cfm-train writes two nets with no
+    # condition, or one shared net whose condition is the channel flag.
+    path = tmp_path / "nets.ckpt"
+    flow.save_checkpoint(path, [flow.VelocityFieldNet(d, c, 8) for d, c in dims])
+    assert main(["cfm-sample", "--checkpoint", str(path), "--draws", "3", "--steps", "2"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("binauralkit cfm-sample: error: ")
+        assert "nets.ckpt" in err and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 class TestPreprocessUsageErrors:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binauralkit.ambisonic import Trajectory, load_trajectory_csv
-from binauralkit.audio import AudioBuffer, AudioFormatError, BinauralBuffer, read_wav, write_wav
+from binauralkit.audio import AudioBuffer, AudioFormatError, read_wav, write_wav
 from binauralkit.flow import VelocityFieldNet, load_checkpoint, save_checkpoint
 from binauralkit.heatmap import load_heatmap_sequence
 from binauralkit.pipeline import ClipEntry, ClipManifest, load_manifest, save_manifest
@@ -28,7 +28,7 @@ def _mono_pcm16(path):
 
 def _stereo_float32(path):
     x = np.linspace(-0.5, 0.5, 100)
-    write_wav(path, BinauralBuffer(AudioBuffer(x, 16000), AudioBuffer(-x, 16000)), "float32")
+    write_wav(path, AudioBuffer(np.stack([x, -x]), 16000), "float32")
 
 
 def _heatmap(path):

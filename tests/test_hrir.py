@@ -57,8 +57,8 @@ class TestAnalyticModel:
         tone = np.sin(2 * np.pi * 440.0 * np.arange(rate // 10) / rate)
         out = render_static(AudioBuffer(tone, rate), math.pi / 2)
         assert out.sample_rate == rate
-        assert len(out.left.samples) == len(tone)
-        assert np.all(np.isfinite(out.left.samples)) and np.any(out.right.samples)
+        assert len(out) == len(tone)
+        assert np.all(np.isfinite(out.samples[0])) and np.any(out.samples[1])
 
     def test_low_rate_banks_keep_ir_length_taps(self):
         for rate in (16000, 48000, 96000):

@@ -22,7 +22,7 @@ import pytest
 
 import binauralkit
 from binauralkit import cli
-from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
+from binauralkit.audio import AudioBuffer, write_wav
 
 
 def _glibc():
@@ -76,9 +76,8 @@ def test_metrics_second_run_reuses_memory(tmp_path, threads):
     rng = np.random.default_rng(5)
     fs = 16000
     for i in range(METRICS_CLIPS):
-        left, right = 0.3 * rng.standard_normal((2, 3 * fs))
         write_wav(tmp_path / f"c{i}.wav",
-                  BinauralBuffer(AudioBuffer(left, fs), AudioBuffer(right, fs)), "pcm16")
+                  AudioBuffer(0.3 * rng.standard_normal((2, 3 * fs)), fs), "pcm16")
     assert _second_run_faults(["metrics", str(tmp_path)], threads) <= METRICS_MAX_FAULTS
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from binauralkit import audio, metrics
-from binauralkit.audio import AudioBuffer, BinauralBuffer
+from binauralkit.audio import AudioBuffer
 from binauralkit.metrics import (
     EPSILON,
     FRAME_SIZE,
@@ -16,7 +16,7 @@ from binauralkit.metrics import (
     SILENCE_GATE_DB,
     STFT_FRAME,
     STFT_HOP,
-    _voiced,
+    _gate,
     iacc,
     ild,
     ipd,
@@ -25,15 +25,10 @@ from binauralkit.metrics import (
     max_lag_samples,
     spatial_report,
 )
-from conftest import noise_buffer
+from conftest import noise_buffer, stereo
 from oracles import _gated, oracle_iacc, oracle_ild, oracle_ipd, oracle_isd, oracle_itd
 
 FS = 16000
-
-
-def stereo(left, right, rate=FS):
-    return BinauralBuffer(AudioBuffer(np.asarray(left, float), rate),
-                          AudioBuffer(np.asarray(right, float), rate))
 
 
 def dup(x, rate=FS):
@@ -120,13 +115,13 @@ class TestProperties:
 
     def test_channel_swap_invariance(self, rng):
         b = self._random_pair(rng)
-        swapped = BinauralBuffer(b.right, b.left)
+        swapped = AudioBuffer(b.samples[::-1], b.sample_rate)
         for fn in (iacc, ild, itd, isd, ipd):
             assert fn(b) == pytest.approx(fn(swapped), rel=1e-9)
 
     def test_common_gain_invariance(self, rng):
         b = self._random_pair(rng)
-        loud = stereo(8.0 * b.left.samples, 8.0 * b.right.samples)
+        loud = AudioBuffer(8.0 * b.samples, b.sample_rate)
         for fn, tol in ((iacc, 1e-9), (ild, 1e-6), (itd, 1e-9), (ipd, 1e-9)):
             assert fn(b) == pytest.approx(fn(loud), rel=1e-4, abs=tol)
 
@@ -200,9 +195,9 @@ class TestShortInputs:
             (450, isd, "signal shorter than one frame"),
             (450, ipd, "signal shorter than one frame"),
             (450, spatial_report, "signal shorter than one frame"),
-            (300, ild, "all frames below the silence gate"),
-            (300, itd, "all frames below the silence gate"),
-            (300, spatial_report, "all frames below the silence gate"),
+            (300, ild, "signal shorter than one frame"),
+            (300, itd, "signal shorter than one frame"),
+            (300, spatial_report, "signal shorter than one frame"),
             (300, isd, "signal shorter than one frame"),
             (300, ipd, "signal shorter than one frame"),
         ],
@@ -213,6 +208,11 @@ class TestShortInputs:
         x = rng.standard_normal(n)
         with pytest.raises(ValueError, match=message):
             fn(stereo(x, 0.5 * x))
+
+    @pytest.mark.parametrize("fn", [iacc, ild, itd, isd, ipd, spatial_report])
+    def test_mono_buffer_rejected(self, rng, fn):
+        with pytest.raises(ValueError, match="expected a stereo buffer, got mono"):
+            fn(AudioBuffer(rng.standard_normal(4000)))
 
     @pytest.mark.parametrize(
         "rate, fn, message",
@@ -267,7 +267,7 @@ class TestGate:
         frame_mask = _oracle_mask(left, right, FRAME_SIZE, HOP, SILENCE_GATE_DB)
         stft_mask = _oracle_mask(left, right, STFT_FRAME, STFT_HOP, SILENCE_GATE_DB)
         if stft_mask.any():
-            assert np.array_equal(_voiced(b, STFT_FRAME, STFT_HOP), stft_mask)
+            assert np.array_equal(_gate(b, STFT_FRAME, STFT_HOP)[0], stft_mask)
         if frame_mask.any() and stft_mask.any():
             assert spatial_report(b).frames_used == int(frame_mask.sum())
         else:
@@ -303,6 +303,20 @@ class TestOneFramingPass:
         b = stereo(x, 0.5 * np.roll(x, 3))
         spatial_report(b)
         assert calls and max(calls.values()) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gated_isd_sums_each_channel_in_frame_order(self, seed):
+        # ISD's mean runs over one channel's C-ordered T x F ratios, as it did
+        # when each channel was framed and windowed on its own: a gated clip's
+        # masked copy must not change the summation order, or a bit.
+        x = np.random.default_rng(seed).standard_normal(16000)
+        x[4000:8000] = 0.0
+        b = stereo(x, 0.5 * np.roll(x, 3))
+        mask = _gate(b, STFT_FRAME, STFT_HOP)[0]
+        assert not mask.all()
+        window = audio.hann(STFT_FRAME)
+        rows = [audio.frames(ch, STFT_FRAME, STFT_HOP)[mask] * window for ch in b.samples]
+        assert isd(b) == metrics._isd(np.abs(np.fft.rfft(np.stack(rows), axis=-1)))
 
 
 @st.composite
@@ -369,7 +383,7 @@ class TestLayouts:
         assert interleaved[:, 0].strides == (16,) and reversed_views[0].strides == (-8,)
         b = stereo(left, right)
         for size, hop in ((FRAME_SIZE, HOP), (STFT_FRAME, STFT_HOP)):
-            assert _voiced(b, size, hop).all() != gated
+            assert _gate(b, size, hop)[0].all() != gated
         report = astuple(spatial_report(b))
         for channels in ((interleaved[:, 0], interleaved[:, 1]), reversed_views):
             assert astuple(spatial_report(stereo(*channels))) == report
@@ -427,7 +441,7 @@ class TestIaccBlocks:
         want_iacc = oracle_iacc(left.tolist(), right.tolist(), lag)
         assert iacc(b) == (want_iacc if exact else pytest.approx(want_iacc, rel=1e-9))
         if len(left) < FRAME_SIZE:
-            with pytest.raises(ValueError, match="all frames below the silence gate"):
+            with pytest.raises(ValueError, match="signal shorter than one frame"):
                 itd(b)
             return
         want_itd = oracle_itd(left.tolist(), right.tolist(), FRAME_SIZE, HOP, lag,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binauralkit import audio, cli, flow, heatmap, pipeline
-from binauralkit.audio import AudioBuffer, BinauralBuffer, write_wav
+from binauralkit.audio import AudioBuffer, write_wav
 from binauralkit.cli import main as cli_main
 from binauralkit.metrics import SpatialMetricsReport
 from binauralkit.pipeline import (
@@ -37,6 +37,7 @@ from binauralkit.pipeline import (
     write_aggregate_csv,
     write_metrics_json,
 )
+from conftest import stereo
 
 FS = 16000
 
@@ -54,9 +55,9 @@ def write_trajectory(path):
 def write_stereo(path, seconds=0.5, seed=0):
     rng = np.random.default_rng(seed)
     n = int(seconds * FS)
-    left = AudioBuffer(0.3 * rng.standard_normal(n), FS)
-    right = AudioBuffer(0.3 * rng.standard_normal(n), FS)
-    write_wav(path, BinauralBuffer(left, right), "float32")
+    left = 0.3 * rng.standard_normal(n)
+    right = 0.3 * rng.standard_normal(n)
+    write_wav(path, stereo(left, right, FS), "float32")
 
 
 class TestManifests:
@@ -237,6 +238,7 @@ class TestPreprocess:
         manifest = ClipManifest((ClipEntry("st", "st.wav", trajectory="t.csv"),), str(tmp_path))
         _, results = preprocess(manifest, PreprocessConfig(min_seconds=0.5))
         assert [r.status for r in results] == ["rejected_unreadable"]
+        assert results[0].reason == "expected mono audio, got 2 channels"
 
     def test_shorter_than_one_silence_frame_is_short(self, tmp_path):
         write_noise(tmp_path / "tiny.wav", 100 / FS, seed=4)
@@ -437,7 +439,7 @@ class TestBatchRender:
         from binauralkit.audio import read_wav
 
         rendered = read_wav(out_dir / "one_binaural.wav")
-        assert isinstance(rendered, BinauralBuffer)
+        assert rendered.samples.ndim == 2
 
     def test_leftover_probe_directory_does_not_block(self, tmp_path):
         # The writability check makes an anonymous file, so no name left in
@@ -477,12 +479,14 @@ class TestBatchRender:
         assert worker_count() == 1
 
     def test_unparsable_worker_count_warns(self, monkeypatch, caplog):
-        monkeypatch.setenv("SV2A_THREADS", "two")
-        with caplog.at_level("WARNING", logger="binauralkit.pipeline"):
-            assert worker_count() == 1
-        assert [r.levelname for r in caplog.records] == ["WARNING"]
-        assert "SV2A_THREADS" in caplog.text and "'two'" in caplog.text
-        caplog.clear()
+        # Anything but a positive integer, zero and negatives included.
+        for value in ("two", "0", "-2", "1.5", ""):
+            monkeypatch.setenv("SV2A_THREADS", value)
+            with caplog.at_level("WARNING", logger="binauralkit.pipeline"):
+                assert worker_count() == 1
+            assert [r.levelname for r in caplog.records] == ["WARNING"]
+            assert "SV2A_THREADS" in caplog.text and repr(value) in caplog.text
+            caplog.clear()
         monkeypatch.setenv("SV2A_THREADS", "2")
         assert worker_count() == 2
         assert caplog.records == []
@@ -549,7 +553,7 @@ class TestBatchMetrics:
         x = 0.3 * rng.standard_normal(8000)
         write_wav(
             tmp_path / "dup.wav",
-            BinauralBuffer(AudioBuffer(x, FS), AudioBuffer(x.copy(), FS)),
+            stereo(x, x, FS),
             "float32",
         )
         results = batch_metrics(str(tmp_path))
@@ -612,7 +616,7 @@ class TestBatchMetrics:
         write_stereo(tmp_path / "ok.wav", 0.5, seed=1)
         x = 0.3 * rng.standard_normal(8000)
         write_wav(tmp_path / "deaf.wav",
-                  BinauralBuffer(AudioBuffer(x, FS), AudioBuffer(np.zeros(8000), FS)), "pcm16")
+                  stereo(x, np.zeros(8000), FS), "pcm16")
         json_path = tmp_path / "metrics.json"
         write_metrics_json(json_path, batch_metrics(str(tmp_path)))
         payload = json.loads(json_path.read_text())

@@ -51,24 +51,27 @@ def cross_corr_peak_lag(left, right, max_lag=30):
 class TestRenderStatic:
     def test_silence_in_silence_out(self):
         out = render_static(AudioBuffer(np.zeros(4000), FS), 0.3)
-        assert np.all(out.left.samples == 0.0)
-        assert np.all(out.right.samples == 0.0)
+        assert np.all(out.samples == 0.0)
 
     def test_front_center_symmetric(self, rng):
         mono = noise_buffer(rng, 8000)
         out = render_static(mono, 0.0)
-        np.testing.assert_allclose(out.left.samples, out.right.samples, atol=1e-6)
+        np.testing.assert_allclose(out.samples[0], out.samples[1], atol=1e-6)
 
     def test_hard_left_cross_correlation_lag(self, rng):
         mono = noise_buffer(rng, 16000)
         cfg = RenderConfig(layout=aligned_layout(math.pi / 2))
         out = render_static(mono, math.pi / 2, cfg=cfg)
-        lag = cross_corr_peak_lag(out.left.samples, out.right.samples)
+        lag = cross_corr_peak_lag(out.samples[0], out.samples[1])
         assert abs(lag - 10) <= 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             render_static(AudioBuffer(np.zeros(0), FS), 0.0)
+
+    def test_stereo_input_rejected(self, rng):
+        with pytest.raises(ValueError, match="expected mono audio, got 2 channels"):
+            render_static(AudioBuffer(rng.standard_normal((2, 4000)), FS), 0.0)
 
     def test_output_length_trimmed(self, rng):
         mono = noise_buffer(rng, 5000)
@@ -80,16 +83,14 @@ class TestRenderStatic:
         scaled = AudioBuffer(0.37 * mono.samples, FS)
         a = render_static(mono, 0.8)
         b = render_static(scaled, 0.8)
-        np.testing.assert_allclose(b.left.samples, 0.37 * a.left.samples, atol=1e-9)
-        np.testing.assert_allclose(b.right.samples, 0.37 * a.right.samples, atol=1e-9)
+        np.testing.assert_allclose(b.samples, 0.37 * a.samples, atol=1e-9)
 
     def test_azimuth_mirror_swaps_channels(self, rng):
         mono = noise_buffer(rng, 4000)
         for az in (0.4, 1.1, -0.9):
             a = render_static(mono, az)
             b = render_static(mono, -az)
-            np.testing.assert_allclose(a.left.samples, b.right.samples, atol=1e-9)
-            np.testing.assert_allclose(a.right.samples, b.left.samples, atol=1e-9)
+            np.testing.assert_allclose(a.samples, b.samples[::-1], atol=1e-9)
 
     def test_energy_bound(self, rng):
         mono = noise_buffer(rng, 4000)
@@ -105,8 +106,8 @@ class TestRenderStatic:
             max_ir_energy = np.max(np.sum(hrirs**2, axis=2))
             # loose coherent-sum bound: (sum |g|)^2 over speakers
             bound = (np.sum(np.abs(gains))) ** 2 * max_ir_energy * np.sum(mono.samples**2)
-            assert np.sum(out.left.samples**2) <= bound + 1e-9
-            assert np.sum(out.right.samples**2) <= bound + 1e-9
+            assert np.sum(out.samples[0]**2) <= bound + 1e-9
+            assert np.sum(out.samples[1]**2) <= bound + 1e-9
 
     def test_itd_ild_ground_truth(self, rng):
         from binauralkit.metrics import ild, itd
@@ -137,8 +138,8 @@ class TestRenderTrajectory:
 
         def signed_ild(k):
             sl = slice(k * frame, (k + 1) * frame)
-            el = np.sum(out.left.samples[sl] ** 2) + 1e-12
-            er = np.sum(out.right.samples[sl] ** 2) + 1e-12
+            el = np.sum(out.samples[0, sl] ** 2) + 1e-12
+            er = np.sum(out.samples[1, sl] ** 2) + 1e-12
             return 10.0 * np.log10(el / er)
 
         assert signed_ild(0) > 1.0  # source on the left: left channel louder
@@ -158,9 +159,9 @@ class TestRenderTrajectory:
         seg_a = render_static(mono, 0.0, cfg=cfg)
         seg_b = render_static(mono, math.pi / 2, cfg=cfg)
         bound = (
-            np.max(np.abs(seg_a.left.samples)) + np.max(np.abs(seg_b.left.samples))
+            np.max(np.abs(seg_a.samples[0])) + np.max(np.abs(seg_b.samples[0]))
         )
-        assert np.max(np.abs(out.left.samples)) <= bound + 1e-9
+        assert np.max(np.abs(out.samples[0])) <= bound + 1e-9
 
 
 def sphere_layout():
@@ -262,8 +263,7 @@ class TestSpeakerLoopOracle:
         elevation = 0.3 if cfg.order == 2 else 0.0
         out = render_static(mono, 0.7, elevation, cfg)
         left, right = oracle_render(mono, 0.7, elevation, cfg, pairs)
-        np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.samples, [left, right], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("cfg,hrirs,n", render_cases())
     def test_trajectory_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
@@ -286,8 +286,7 @@ class TestSpeakerLoopOracle:
             oracle_direction_at(points, b * DEFAULT_BLOCK_SIZE / FS) for b in range(n_blocks)
         ]).T
         left, right = oracle_render(mono, azimuth, elevation, cfg, pairs)
-        np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.samples, [left, right], rtol=0, atol=1e-9)
 
     @settings(max_examples=25)
     @given(
@@ -303,10 +302,7 @@ class TestSpeakerLoopOracle:
         mixed = render_static(AudioBuffer(a * x + b * y, FS), azimuth)
         rx = render_static(AudioBuffer(x, FS), azimuth)
         ry = render_static(AudioBuffer(y, FS), azimuth)
-        for got, px, py in ((mixed.left, rx.left, ry.left), (mixed.right, rx.right, ry.right)):
-            np.testing.assert_allclose(
-                got.samples, a * px.samples + b * py.samples, rtol=0, atol=1e-9
-            )
+        np.testing.assert_allclose(mixed.samples, a * rx.samples + b * ry.samples, rtol=0, atol=1e-9)
 
 
 def per_block_points(n, seed):
@@ -329,8 +325,7 @@ class TestTapSumEdgeCases:
         times, azimuth, elevation = breakpoints(points)
         out = render_trajectory(mono, Trajectory(times, azimuth, elevation), cfg)
         left, right = oracle_render(mono, azimuth, elevation, cfg, pairs)
-        np.testing.assert_allclose(out.left.samples, left, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(out.right.samples, right, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.samples, [left, right], rtol=0, atol=1e-9)
         return out
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
@@ -345,8 +340,8 @@ class TestTapSumEdgeCases:
         pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         n = 3000
         out = self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, 1), cfg, pairs)
-        assert np.all(out.right.samples == 0.0)
-        assert np.any(out.left.samples != 0.0)
+        assert np.all(out.samples[1] == 0.0)
+        assert np.any(out.samples[0] != 0.0)
 
     def test_tap_whose_speaker_contributions_cancel(self, rng, monkeypatch, kernel):
         # At order 0 every speaker has the same projection weight, so taps
@@ -379,10 +374,7 @@ class TestTapSumEdgeCases:
             mixed = render_trajectory(AudioBuffer(a * x + b * y, FS), traj)
             rx = render_trajectory(AudioBuffer(x, FS), traj)
             ry = render_trajectory(AudioBuffer(y, FS), traj)
-        for got, px, py in ((mixed.left, rx.left, ry.left), (mixed.right, rx.right, ry.right)):
-            np.testing.assert_allclose(
-                got.samples, a * px.samples + b * py.samples, rtol=0, atol=1e-12
-            )
+        np.testing.assert_allclose(mixed.samples, a * rx.samples + b * ry.samples, rtol=0, atol=1e-12)
 
 
 class TestKernelChoice:
