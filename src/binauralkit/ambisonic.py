@@ -10,10 +10,10 @@ A direction is an azimuth and an elevation in radians, and many directions
 are two arrays: a finite azimuth, wrapped into [-pi, pi), and an elevation
 within [-pi/2, pi/2] (up to ELEVATION_SLACK), the rule _directions checks.
 sh_basis evaluates the SH channels for whole arrays of directions. A
-SpeakerLayout holds its directions as azimuth and elevation arrays, and a
-Trajectory its breakpoints as time, azimuth and elevation arrays (the CSV
-loader reads them with one np.loadtxt call); index_at finds the breakpoint
-in force at many times with one search.
+SpeakerLayout is horizontal and holds its directions as one azimuth array,
+and a Trajectory its breakpoints as time, azimuth and elevation arrays (the
+CSV loader reads them with one np.loadtxt call); index_at finds the
+breakpoint in force at many times with one search.
 SH signals and speaker feeds are plain N x K and N x M arrays. EncodedRows
 is the mono signal encoded along per-block gains, a row source whose rows
 are built on demand a slice at a time; encode_mono builds all of it.
@@ -61,76 +61,39 @@ def _directions(azimuth, elevation):
 
 
 def sh_basis(azimuth, elevation, order):
-    """Real SH basis values (ACN order, SN3D), orders 0-2, for arrays of
+    """Real SH basis values (ACN order, SN3D), orders 0 and 1, for arrays of
     azimuths and elevations in radians: shape (..., (order+1)^2).
 
     Order-1 channels are (W, Y, Z, X) = (1, sin az cos el, sin el, cos az cos el).
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"unsupported SH order {order} (0, 1 or 2)")
+    if order not in (0, 1):
+        raise ValueError(f"unsupported SH order {order} (0 or 1)")
     az = np.asarray(azimuth, dtype=np.float64)
     el = np.broadcast_to(np.asarray(elevation, dtype=np.float64), az.shape)
-    ce, se = np.cos(el), np.sin(el)
     channels = [np.ones_like(az)]
-    if order >= 1:
-        channels += [np.sin(az) * ce, se, np.cos(az) * ce]
-    if order >= 2:
-        r3_2 = math.sqrt(3.0) / 2.0
-        channels += [
-            r3_2 * np.sin(2.0 * az) * ce * ce,
-            r3_2 * np.sin(az) * np.sin(2.0 * el),
-            0.5 * (3.0 * se * se - 1.0),
-            r3_2 * np.cos(az) * np.sin(2.0 * el),
-            r3_2 * np.cos(2.0 * az) * ce * ce,
-        ]
+    if order == 1:
+        ce = np.cos(el)
+        channels += [np.sin(az) * ce, np.sin(el), np.cos(az) * ce]
     return np.stack(channels, axis=-1)
 
 
-def _close_pair(units, limit):
-    """Indices (i, j), i < j, of two rows of `units` less than `limit` apart,
-    or None. A pair that close is as close on every axis, so the rows are
-    sorted along their widest axis and each is compared with the next k-th
-    row, for every k up to the longest run of keys within `limit`: memory
-    stays linear in the row count, and so does time unless many rows share
-    one key."""
-    axis = np.argmax(np.ptp(units, axis=0))
-    order = np.argsort(units[:, axis], kind="stable")
-    ordered = units[order]
-    keys = ordered[:, axis]
-    later = np.searchsorted(keys, keys + limit) - np.arange(1, len(keys) + 1)
-    for k in range(1, int(later.max()) + 1):
-        rows = np.flatnonzero(later >= k)
-        # The chord |u - w| = 2 sin(angle / 2) keeps its precision at tiny angles.
-        close = rows[np.linalg.norm(ordered[rows + k] - ordered[rows], axis=1) < limit]
-        if close.size:
-            return tuple(sorted((int(order[close[0]]), int(order[close[0] + k]))))
-    return None
-
-
 class SpeakerLayout:
-    """Pairwise-distinct virtual loudspeaker directions, held as `azimuth`
-    (wrapped into [-pi, pi)) and `elevation` arrays in radians. Two
-    directions whose angle on the sphere, taken between their unit vectors,
-    is below DUPLICATE_SEPARATION are duplicates and raise LayoutError,
-    whatever their azimuths: so are two at one pole, or at -pi and pi."""
+    """Pairwise-distinct horizontal virtual loudspeaker directions: an
+    `azimuth` array in radians, wrapped into [-pi, pi). Two sorted neighbours,
+    or the last and the first one turn on, less than DUPLICATE_SEPARATION
+    apart are duplicates and raise LayoutError: so are two at -pi and pi."""
 
-    def __init__(self, azimuth, elevation):
-        azimuth, elevation = _directions(azimuth, elevation)
-        if azimuth.ndim != 1 or elevation.shape != azimuth.shape:
-            raise ValueError("azimuth and elevation must be 1-D arrays of one length")
-        if len(azimuth) < 1:
-            raise ValueError("layout needs at least one direction")
-        ce = np.cos(elevation)
-        units = np.stack([np.cos(azimuth) * ce, np.sin(azimuth) * ce, np.sin(elevation)], axis=1)
-        pair = _close_pair(units, 2.0 * math.sin(DUPLICATE_SEPARATION / 2.0))
-        if pair is not None:
-            i, j = pair
-            raise LayoutError(
-                f"duplicate layout direction ({azimuth[j]}, {elevation[j]}): within "
-                f"{DUPLICATE_SEPARATION} rad of ({azimuth[i]}, {elevation[i]})"
-            )
+    def __init__(self, azimuth):
+        azimuth = _directions(azimuth, 0.0)[0]
+        if azimuth.ndim != 1 or len(azimuth) < 1:
+            raise ValueError("azimuth must be a non-empty 1-D array")
+        ordered = np.sort(azimuth)
+        gaps = np.diff(ordered, append=ordered[0] + 2.0 * math.pi)
+        k = int(np.argmin(gaps))
+        if gaps[k] < DUPLICATE_SEPARATION:
+            raise LayoutError(f"duplicate layout direction {ordered[(k + 1) % len(ordered)]}: "
+                              f"within {DUPLICATE_SEPARATION} rad of {ordered[k]}")
         self.azimuth = azimuth
-        self.elevation = elevation
 
     def __len__(self):
         return len(self.azimuth)
@@ -140,16 +103,17 @@ def ring_layout(m):
     """M equally spaced horizontal directions at azimuths 2*pi*k/M."""
     if m < 2:
         raise ValueError("ring layout needs M >= 2")
-    return SpeakerLayout(2.0 * math.pi * np.arange(m) / m, np.zeros(m))
+    return SpeakerLayout(2.0 * math.pi * np.arange(m) / m)
 
 
 def decode_matrix(layout, order):
     """The M x K projection P = D (D^T D + ridge I)^-1 that maps SH vectors
-    to speaker feeds, where row m of D is sh_basis at speaker m. SH channels
-    that no layout direction excites (column norm ~ 0) are dropped from the
-    normal equations and receive zero projection weight. Raises LayoutError
-    when D^T D (restricted to excited channels) is singular beyond tolerance."""
-    d = sh_basis(layout.azimuth, layout.elevation, order)
+    to speaker feeds, where row m of D is sh_basis at speaker m, elevation 0.
+    SH channels that no layout direction excites (column norm ~ 0, as Z) are
+    dropped from the normal equations and receive zero projection weight.
+    Raises LayoutError when D^T D (restricted to excited channels) is
+    singular beyond tolerance."""
+    d = sh_basis(layout.azimuth, 0.0, order)
     col_norms = np.linalg.norm(d, axis=0)
     active = col_norms > 1e-9 * max(1.0, col_norms.max())
     da = d[:, active]

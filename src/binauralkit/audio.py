@@ -235,8 +235,8 @@ def write_wav(path, buffer, encoding="float32"):
     encoding is "pcm16" (round to nearest, clipped at full scale; a 16-byte
     `fmt ` chunk) or "float32" (an 18-byte `fmt ` with cbSize 0, then a `fact`
     chunk): SciPy's headers. float-32 round-trips bit-exactly through
-    read_wav. Each channel is converted straight into one interleaved array of
-    the target type, so no float64 copy is made. A file over 4 GiB, or over
+    read_wav. Each channel goes into one interleaved array of the target type,
+    PCM-16 through one float64 copy of the channel. A file over 4 GiB, or over
     4 GiB/s, more than a RIFF header can declare, raises ValueError.
     """
     shape = buffer.samples.shape

@@ -112,9 +112,10 @@ def _build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fov-deg", type=_FINITE, default=math.degrees(DEFAULT_FIELD_OF_VIEW))
-    # Every CLI layout is a horizontal ring, where SH order 2 is degenerate.
-    p.add_argument("--order", type=int, choices=(0, 1), default=RenderConfig.order)
-    p.add_argument("--speakers", type=_SPEAKERS, default=DEFAULT_SPEAKERS)
+    p.add_argument("--order", type=int, choices=(0, 1), default=RenderConfig.order,
+                   help="SH order of the speaker decode (order 2 is singular on a ring)")
+    p.add_argument("--speakers", type=_SPEAKERS, default=DEFAULT_SPEAKERS,
+                   help="virtual loudspeakers, equally spaced on a horizontal ring")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--encoding", choices=["float32", "pcm16"], default="float32")
     p.add_argument("--strict", action="store_true")

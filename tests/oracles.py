@@ -252,15 +252,17 @@ def _unit_vector(azimuth, elevation):
     return np.array([ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)])
 
 
-def oracle_has_close_directions(azimuth, elevation, separation):
-    """Whether any two directions are less than `separation` rad apart,
-    comparing every pair by the chord between their unit vectors."""
-    units = [_unit_vector(a, e) for a, e in zip(azimuth, elevation)]
-    limit = 2.0 * math.sin(separation / 2.0)
+def oracle_has_close_directions(azimuth, separation):
+    """Whether any two horizontal directions are less than `separation` rad
+    apart, comparing every pair of azimuths the short way around the circle."""
+    def apart(a, b):
+        d = abs(a - b) % (2.0 * math.pi)
+        return min(d, 2.0 * math.pi - d)
+
     return any(
-        np.linalg.norm(units[i] - units[j]) < limit
-        for i in range(len(units))
-        for j in range(i + 1, len(units))
+        apart(azimuth[i], azimuth[j]) < separation
+        for i in range(len(azimuth))
+        for j in range(i + 1, len(azimuth))
     )
 
 

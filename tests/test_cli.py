@@ -510,7 +510,6 @@ def test_bare_commands_use_the_library_defaults(dataset, monkeypatch, capsys):
     render_cfg, default = calls["batch_render"][1], RenderConfig()
     assert (render_cfg.order, render_cfg.normalize_output) == (default.order, default.normalize_output)
     np.testing.assert_array_equal(render_cfg.layout.azimuth, default.layout.azimuth)
-    np.testing.assert_array_equal(render_cfg.layout.elevation, default.layout.elevation)
     assert calls["train"][3] == flow.TrainConfig()
     assert calls["sample_euler"][3] == flow.DEFAULT_EULER_STEPS
 

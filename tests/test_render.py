@@ -33,7 +33,7 @@ FS = 16000
 def aligned_layout(azimuth):
     """Square first-order horizontal system with a speaker at the source:
     projecting the source's SH vector then lands entirely on that speaker."""
-    return SpeakerLayout(azimuth + 2.0 * math.pi * np.arange(3) / 3.0, np.zeros(3))
+    return SpeakerLayout(azimuth + 2.0 * math.pi * np.arange(3) / 3.0)
 
 
 def cross_corr_peak_lag(left, right, max_lag=30):
@@ -99,7 +99,7 @@ class TestRenderStatic:
         from binauralkit.hrir import analytic_hrir
 
         dm = decode_matrix(cfg.layout, cfg.order)
-        hrirs = analytic_hrir(cfg.layout.azimuth, cfg.layout.elevation, FS)
+        hrirs = analytic_hrir(cfg.layout.azimuth, 0.0, FS)
         for az in (0.0, 0.7, -1.3):
             out = render_static(mono, az, cfg=cfg)
             gains = dm @ sh_basis(az, 0.0, 1)
@@ -164,15 +164,6 @@ class TestRenderTrajectory:
         assert np.max(np.abs(out.samples[0])) <= bound + 1e-9
 
 
-def sphere_layout():
-    """Two staggered rings of six at +-34 degrees plus both poles: enough
-    spread for a non-singular second-order projection."""
-    ring = 2.0 * math.pi * np.arange(6) / 6
-    azimuth = np.concatenate([ring + math.pi / 6, ring, [0.0, 0.0]])
-    elevation = np.concatenate([np.full(6, -0.6), np.full(6, 0.6), [math.pi / 2, -math.pi / 2]])
-    return SpeakerLayout(azimuth, elevation)
-
-
 def measured_pairs(layout, rng, taps=57):
     """Dense random 2 x `taps` HRIRs at every layout direction: M x 2 x taps."""
     return rng.standard_normal((len(layout), 2, taps))
@@ -182,7 +173,7 @@ def speaker_hrirs(monkeypatch, cfg, hrirs):
     """Each speaker's HRIR pair, M x 2 x L: the head model's, or the random
     pairs `hrirs`, which the renderer is then patched to look up instead."""
     if hrirs is None:
-        return lookup(cfg.layout.azimuth, cfg.layout.elevation, FS)
+        return lookup(cfg.layout.azimuth, 0.0, FS)
     monkeypatch.setattr("binauralkit.render.lookup", lambda azimuth, elevation, sample_rate: hrirs)
     return hrirs
 
@@ -210,45 +201,50 @@ def kernel(request, monkeypatch):
 
 
 def render_cases():
-    """(id, config, HRIR pairs, signal lengths) covering SH orders 0-2, the
-    head model (a sparse bank) and dense random HRIRs (a dense one), a
-    signal shorter than one FFT block and exact block multiples, signals no
-    longer than the head model's largest tap delay (10 samples at 16 kHz on
-    the ring) and lengths around the tap sum's CHUNK."""
+    """(id, config, HRIR pairs, signal lengths, source elevation) covering SH
+    orders 0 and 1, the head model (a sparse bank) and dense random HRIRs (a
+    dense one), an 8- and a 16-speaker ring, a source above the ring (whose
+    Z channel no horizontal speaker carries), a signal shorter than one FFT
+    block and exact block multiples, signals no longer than the head model's
+    largest tap delay (10 samples at 16 kHz on the ring) and lengths around
+    the tap sum's CHUNK."""
     rng = np.random.default_rng(7)
-    ring, sphere = ring_layout(8), sphere_layout()
+    ring, ring16 = ring_layout(8), ring_layout(16)
     analytic_hop, measured_hop = ola_hop(64), ola_hop(57)
     around_chunk = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
     cases = [
-        ("order0", RenderConfig(order=0), None, (500, 3 * analytic_hop)),
-        ("order1", RenderConfig(order=1), None, (500, 3 * analytic_hop, 5000)),
-        ("order2", RenderConfig(order=2, layout=sphere), None, (500, 2 * analytic_hop)),
+        ("order0", RenderConfig(order=0), None, (500, 3 * analytic_hop), 0.0),
+        ("order1", RenderConfig(order=1), None, (500, 3 * analytic_hop, 5000), 0.0),
+        ("ring16", RenderConfig(layout=ring16), None, (500, 2 * analytic_hop), 0.3),
         (
             "measured_order1",
             RenderConfig(layout=ring),
             measured_pairs(ring, rng),
             (500, 3 * measured_hop),
+            0.0,
         ),
         (
-            "measured_order2",
-            RenderConfig(order=2, layout=sphere),
-            measured_pairs(sphere, rng),
+            "measured_ring16",
+            RenderConfig(layout=ring16),
+            measured_pairs(ring16, rng),
             (700, 2 * measured_hop),
+            0.3,
         ),
-        ("order1_within_delay", RenderConfig(order=1), None, (1, 2, 6, 10, 11, 12)),
-        ("order1_chunk", RenderConfig(order=1), None, around_chunk),
-        ("order0_chunk", RenderConfig(order=0), None, (CHUNK + 1,)),
-        ("order2_chunk", RenderConfig(order=2, layout=sphere), None, (CHUNK + 1,)),
+        ("order1_within_delay", RenderConfig(order=1), None, (1, 2, 6, 10, 11, 12), 0.0),
+        ("order1_chunk", RenderConfig(order=1), None, around_chunk, 0.0),
+        ("order0_chunk", RenderConfig(order=0), None, (CHUNK + 1,), 0.0),
+        ("ring16_chunk", RenderConfig(layout=ring16), None, (CHUNK + 1,), 0.3),
         (
             "measured_order1_chunk",
             RenderConfig(layout=ring),
             measured_pairs(ring, rng),
             (CHUNK + 1,),
+            0.0,
         ),
     ]
     return [
-        pytest.param(cfg, hrirs, n, id=f"{name}-n{n}")
-        for name, cfg, hrirs, lengths in cases
+        pytest.param(cfg, hrirs, n, elevation, id=f"{name}-n{n}")
+        for name, cfg, hrirs, lengths, elevation in cases
         for n in lengths
     ]
 
@@ -256,30 +252,26 @@ def render_cases():
 class TestSpeakerLoopOracle:
     """The SH-domain filter bank reproduces the speaker-by-speaker render."""
 
-    @pytest.mark.parametrize("cfg,hrirs,n", render_cases())
-    def test_static_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
+    @pytest.mark.parametrize("cfg,hrirs,n,elevation", render_cases())
+    def test_static_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n, elevation):
         pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         mono = noise_buffer(rng, n)
-        elevation = 0.3 if cfg.order == 2 else 0.0
         out = render_static(mono, 0.7, elevation, cfg)
         left, right = oracle_render(mono, 0.7, elevation, cfg, pairs)
         np.testing.assert_allclose(out.samples, [left, right], rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("cfg,hrirs,n", render_cases())
-    def test_trajectory_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
-        self.assert_trajectory_matches_oracle(rng, monkeypatch, cfg, hrirs, n)
+    @pytest.mark.parametrize("cfg,hrirs,n,elevation", render_cases())
+    def test_trajectory_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n, elevation):
+        self.assert_trajectory_matches_oracle(rng, monkeypatch, cfg, hrirs, n, elevation)
 
-    @pytest.mark.parametrize("cfg,hrirs,n", render_cases())
-    def test_each_kernel_matches_oracle(self, rng, monkeypatch, kernel, cfg, hrirs, n):
-        self.assert_trajectory_matches_oracle(rng, monkeypatch, cfg, hrirs, n)
+    @pytest.mark.parametrize("cfg,hrirs,n,elevation", render_cases())
+    def test_each_kernel_matches_oracle(self, rng, monkeypatch, kernel, cfg, hrirs, n, elevation):
+        self.assert_trajectory_matches_oracle(rng, monkeypatch, cfg, hrirs, n, elevation)
 
-    def assert_trajectory_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n):
+    def assert_trajectory_matches_oracle(self, rng, monkeypatch, cfg, hrirs, n, elevation):
         pairs = speaker_hrirs(monkeypatch, cfg, hrirs)
         mono = noise_buffer(rng, n)
-        points = tuple(
-            (0.02 * i, 1.3 - 0.4 * i, 0.25 * (i % 3) if cfg.order == 2 else 0.0)
-            for i in range(8)
-        )
+        points = tuple((0.02 * i, 1.3 - 0.4 * i, elevation * (i % 3)) for i in range(8))
         out = render_trajectory(mono, Trajectory(*breakpoints(points)), cfg)
         n_blocks = -(-n // DEFAULT_BLOCK_SIZE)
         azimuth, elevation = np.array([
@@ -331,7 +323,7 @@ class TestTapSumEdgeCases:
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_crossfades_across_chunk_boundaries(self, rng, kernel, n):
         cfg = RenderConfig()
-        pairs = lookup(cfg.layout.azimuth, cfg.layout.elevation, FS)
+        pairs = lookup(cfg.layout.azimuth, 0.0, FS)
         self.assert_matches_oracle(noise_buffer(rng, n), per_block_points(n, n), cfg, pairs)
 
     def test_all_zero_ear(self, rng, monkeypatch, kernel):
@@ -403,7 +395,7 @@ class TestKernelChoice:
     def test_head_model_bank(self, rng, fft_calls, speakers, order, rate, expected):
         cfg = RenderConfig(order=order, layout=ring_layout(speakers))
         bank = _ear_bank(
-            lookup(cfg.layout.azimuth, cfg.layout.elevation, rate), decode_matrix(cfg.layout, order)
+            lookup(cfg.layout.azimuth, 0.0, rate), decode_matrix(cfg.layout, order)
         )
         taps = np.count_nonzero(np.any(bank != 0.0, axis=1))
         assert (taps > FFT_COST_IN_PASSES * ((order + 1) ** 2 + 1)) == bool(expected)
@@ -415,6 +407,20 @@ class TestKernelChoice:
         speaker_hrirs(monkeypatch, cfg, measured_pairs(cfg.layout, rng))
         render_static(noise_buffer(rng, 3000), 0.4, cfg=cfg)
         assert fft_calls == [(2, 4, 57)]
+
+
+class TestRenderConfig:
+    """A config that no render can use fails when it is built, before any
+    clip is read."""
+
+    @pytest.mark.parametrize("order", [-1, 2, 3])
+    def test_order_outside_0_and_1_rejected(self, order):
+        with pytest.raises(ValueError, match=f"got order {order} and 8 speakers"):
+            RenderConfig(order=order)
+
+    def test_fewer_than_two_speakers_rejected(self):
+        with pytest.raises(ValueError, match="got order 1 and 1 speakers"):
+            RenderConfig(layout=SpeakerLayout([0.0]))
 
 
 class TestDirectionFromFeatures:
